@@ -13,6 +13,7 @@ from .core import (
     expected_cost,
     normalize_weights,
     set_cost,
+    set_costs,
     stream_rng,
     total_cost,
 )

@@ -172,6 +172,31 @@ def _save_coreset(coreset: Coreset, path):
             fh.write(",".join(row) + "\n")
 
 
+def _load_coreset(path) -> Coreset:
+    """Read a coreset CSV as written by _save_coreset (x..., weight, label).
+
+    A malformed file, a non-finite cell or a negative weight is a
+    DatasetError naming the line and column.
+    """
+    try:
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise DatasetError(f"cannot read coreset {path}: {exc}") from exc
+    if raw.shape[0] < 1 or raw.shape[1] < 3:
+        raise DatasetError(
+            f"{path}: need at least one row of features, weight and label")
+    bad = np.argwhere(~np.isfinite(raw))
+    if bad.size:
+        row, col = bad[0]
+        raise DatasetError(
+            f"{path}: line {row + 2}: column {col + 1}: non-finite value")
+    negative = np.flatnonzero(raw[:, -2] < 0)
+    if negative.size:
+        raise DatasetError(
+            f"{path}: line {negative[0] + 2}: negative weight {raw[negative[0], -2]!r}")
+    return Coreset(raw[:, :-2], raw[:, -2], raw[:, -1])
+
+
 def run_experiment(config_path, seed=None, out_dir=None) -> int:
     """Full protocol: load -> queries -> split -> sweep -> CSVs + manifest."""
     cfg = load_config(config_path)
@@ -262,8 +287,7 @@ def _cmd_baseline(args):
 
 def _cmd_eval(args):
     cfg, P, loss, _, (_, _, q_test) = _prepare(args)
-    raw = np.loadtxt(args.coreset, delimiter=",", skiprows=1, ndmin=2)
-    coreset = Coreset(raw[:, :-2], raw[:, -2], raw[:, -1])
+    coreset = _load_coreset(args.coreset)
     e_avg = evaluate.err_avg(P, coreset, loss, q_test)
     e_opt = evaluate.err_opt(P, coreset, loss)
     print(f"err_opt={e_opt!r} err_avg={e_avg.value!r} filtered={e_avg.filtered}")

@@ -21,6 +21,7 @@ __all__ = [
     "MeasurableQuerySpace",
     "total_cost",
     "set_cost",
+    "set_costs",
     "expected_cost",
     "stream_rng",
 ]
@@ -134,6 +135,9 @@ class Coreset:
             raise ContractError("coreset needs at least one point")
         if self.weights.shape[0] != m or self.labels.shape[0] != m:
             raise ContractError("coreset points/weights/labels size mismatch")
+        for name in ("points", "weights", "labels"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ContractError(f"non-finite entries in coreset {name}")
 
     @property
     def m(self):
@@ -228,11 +232,26 @@ def set_cost(dataset, loss, q) -> float:
     return total_cost(dataset.points, dataset.weights, dataset.labels, loss, q)
 
 
+def set_costs(dataset, loss, queries) -> np.ndarray:
+    """set_cost for every row of a query matrix, shape (k,).
+
+    One blocked loss.costs evaluation, under total_cost's checks: negative
+    weights raise ContractError and a non-finite cost raises NumericError.
+    """
+    if np.any(dataset.weights < 0):
+        raise ContractError("weights must be nonnegative")
+    costs = loss.costs(dataset.points, dataset.labels, dataset.weights, queries)
+    bad = ~np.isfinite(costs)
+    if np.any(bad):
+        raise NumericError(f"non-finite total cost at query {int(np.argmax(bad))}")
+    return costs
+
+
 def expected_cost(space: MeasurableQuerySpace, dataset=None) -> float:
     """Exact expectation of the total cost over the finite query universe."""
     if dataset is None:
         dataset = space.ground
-    costs = np.array([set_cost(dataset, space.loss, q) for q in space.universe])
+    costs = set_costs(dataset, space.loss, space.query_matrix())
     return float(np.sum(space.measure * costs))
 
 

@@ -49,13 +49,12 @@ def err_avg(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel,
     """
     qm = np.atleast_2d(np.asarray(
         Q_test.array if hasattr(Q_test, "array") else Q_test, dtype=float))
-    f_p = P.weights @ loss.pointwise_matrix(P.points, P.labels, qm)
+    f_p = loss.costs(P.points, P.labels, P.weights, qm)
     keep = f_p > RATIO_FLOOR
     filtered = int(np.sum(~keep))
     if not np.any(keep):
         raise DegenerateInputError("all test queries filtered; metric undefined")
-    f_c = coreset.weights @ loss.pointwise_matrix(
-        coreset.points, coreset.labels, qm[keep])
+    f_c = loss.costs(coreset.points, coreset.labels, coreset.weights, qm[keep])
     value = float(np.mean(np.abs(1.0 - f_c / f_p[keep])))
     return ErrAvg(value, filtered)
 

@@ -202,7 +202,7 @@ def autocl_average(P: WeightedLabeledSet, Q_train, loss: LossModel,
     report = TrainReport()
     w_sum = float(np.sum(P.weights))
     # the data-side average is constant across epochs; compute it once
-    f_p_avg = float(np.mean(P.weights @ loss.pointwise_matrix(P.points, P.labels, qm)))
+    f_p_avg = float(np.mean(loss.costs(P.points, P.labels, P.weights, qm)))
 
     best_obj = np.inf
     best = coreset.copy()
@@ -238,8 +238,7 @@ def autocl_average(P: WeightedLabeledSet, Q_train, loss: LossModel,
 
 
 def _ratio_errors(coreset, loss, qm, f_p):
-    f_c = coreset.weights @ loss.pointwise_matrix(
-        coreset.points, coreset.labels, qm)
+    f_c = loss.costs(coreset.points, coreset.labels, coreset.weights, qm)
     return np.abs(1.0 - f_c / f_p)
 
 
@@ -253,7 +252,7 @@ def autocl_practical(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     when cfg.early_stop_on_validation is set.
     """
     qm = _query_matrix(Q_train)
-    f_p_all = P.weights @ loss.pointwise_matrix(P.points, P.labels, qm)
+    f_p_all = loss.costs(P.points, P.labels, P.weights, qm)
     keep = f_p_all > RATIO_FLOOR
     n_dropped = int(np.sum(~keep))
     if n_dropped:
@@ -270,7 +269,7 @@ def autocl_practical(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     if Q_val is not None:
         val_qm = _query_matrix(Q_val)
         if val_qm.shape[0] > 0:
-            f_pv = P.weights @ loss.pointwise_matrix(P.points, P.labels, val_qm)
+            f_pv = loss.costs(P.points, P.labels, P.weights, val_qm)
             vkeep = f_pv > RATIO_FLOOR
             val_qm = val_qm[vkeep]
             f_p_val = f_pv[vkeep]
@@ -290,19 +289,20 @@ def autocl_practical(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
         order = rng.permutation(k)
         for lo in range(0, k, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            bq = qm[idx]
-            costs = coreset.weights @ loss.pointwise_matrix(
-                coreset.points, coreset.labels, bq)
-            ratios = 1.0 - costs / f_p[idx]
+            f_p_batch = f_p[idx]
             pen, pen_sign = _weight_sum_term(coreset, w_sum, cfg.lam)
-            step_obj = float(np.sum(np.abs(ratios))) + pen
-            if not np.isfinite(step_obj):
-                raise NumericError(
-                    f"non-finite training loss at epoch {epoch}, step {lo // cfg.batch_size}")
-            # d|1 - f_C/f_P|/d f_C = sign(ratio) * (-1/f_P), folded into coeffs
-            coeffs = np.sign(ratios) * (-1.0 / f_p[idx])
+
+            def coeffs(costs):
+                ratios = 1.0 - costs / f_p_batch
+                if not np.isfinite(float(np.sum(np.abs(ratios))) + pen):
+                    raise NumericError(
+                        f"non-finite training loss at epoch {epoch}, "
+                        f"step {lo // cfg.batch_size}")
+                # d|1 - f_C/f_P|/d f_C = sign(ratio) * (-1/f_P)
+                return np.sign(ratios) * (-1.0 / f_p_batch)
+
             _, d_pts, d_lab, d_wts = loss.weighted_grads(
-                coreset.points, coreset.labels, coreset.weights, bq, coeffs)
+                coreset.points, coreset.labels, coreset.weights, qm[idx], coeffs)
             grads = {"points": d_pts}
             if cfg.learn_labels:
                 grads["labels"] = d_lab

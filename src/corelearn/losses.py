@@ -18,15 +18,30 @@ LINEAR = "linear_regression"
 LOGISTIC = "logistic_regression"
 
 
-def _sigmoid(x):
-    # overflow-free for large |x|
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+# Full-data costs are evaluated over blocks of queries holding at most this
+# many (point, query) pairs, so memory stays flat however many queries come.
+BLOCK_ELEMENTS = 1 << 20
 
 
-def _softplus(x):
-    # log(1 + e^x) without overflow
-    return np.logaddexp(0.0, x)
+def _logistic(m, grad=True):
+    """softplus(-m) = log(1 + e^-m) and, if grad, sigmoid(-m) = 1/(1 + e^m).
+
+    Both come from one e = exp(-|m|), so neither overflows at any finite m:
+    softplus(-m) = max(-m, 0) + log1p(e), and sigmoid(-m) is e / (1 + e) for
+    m >= 0 and 1 / (1 + e) for m < 0. The second value is None without grad.
+    The margins m are overwritten, which saves a temporary of their size.
+    """
+    e = np.abs(m)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = None
+    if grad:
+        s = e + 1.0
+        np.divide(np.where(m >= 0, e, 1.0), s, out=s)
+    np.minimum(m, 0.0, out=m)
+    f = np.log1p(e, out=e)
+    f -= m
+    return f, s
 
 
 @dataclass(frozen=True)
@@ -51,82 +66,113 @@ class LossModel:
 
     # -- values ---------------------------------------------------------
 
+    def _features(self, points, query_dim):
+        a = self.augment(np.atleast_2d(np.asarray(points, dtype=float)))
+        if a.shape[1] != query_dim:
+            raise ContractError(
+                f"query dim {query_dim} does not match feature dim {a.shape[1]}"
+            )
+        return a
+
+    def _values(self, z, labels):
+        """Losses from predictions z, computed in z's memory; labels
+        broadcast against z."""
+        if self.kind == LINEAR:
+            z -= labels
+            z *= z
+            return z
+        # labels may be real here: learned coreset labels drift off +/-1
+        z *= labels
+        return _logistic(z, grad=False)[0]
+
     def pointwise(self, points, labels, q) -> np.ndarray:
         """Per-point loss values f(p_i, b_i, q), shape (n,)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        labels = np.atleast_1d(np.asarray(labels, dtype=float))
         q = np.asarray(q, dtype=float)
-        a = self.augment(points)
-        if a.shape[1] != q.shape[0]:
-            raise ContractError(
-                f"query dim {q.shape[0]} does not match feature dim {a.shape[1]}"
-            )
-        z = a @ q
-        if self.kind == LINEAR:
-            r = z - labels
-            return r * r
-        # labels may be real here: learned coreset labels drift off +/-1
-        return _softplus(-labels * z)
+        a = self._features(points, q.shape[0])
+        labels = np.atleast_1d(np.asarray(labels, dtype=float))
+        return self._values(a @ q, labels)
 
     def pointwise_matrix(self, points, labels, queries) -> np.ndarray:
         """Loss values for every (point, query) pair, shape (n, k)."""
-        a = self.augment(np.asarray(points, dtype=float))
-        labels = np.asarray(labels, dtype=float)
         qm = np.atleast_2d(np.asarray(queries, dtype=float))
-        z = a @ qm.T
-        if self.kind == LINEAR:
-            r = z - labels[:, None]
-            return r * r
-        return _softplus(-labels[:, None] * z)
+        a = self._features(points, qm.shape[1])
+        labels = np.asarray(labels, dtype=float)
+        return self._values(a @ qm.T, labels[:, None])
+
+    def blocks(self, points, labels, queries):
+        """pointwise_matrix over consecutive blocks of queries.
+
+        Yields (lo, block), where block is pointwise_matrix for the queries
+        from row lo on. A block holds at most BLOCK_ELEMENTS pairs, and at
+        least one query.
+        """
+        qm = np.atleast_2d(np.asarray(queries, dtype=float))
+        step = max(1, BLOCK_ELEMENTS // np.atleast_2d(points).shape[0])
+        for lo in range(0, qm.shape[0], step):
+            yield lo, self.pointwise_matrix(points, labels, qm[lo:lo + step])
+
+    def costs(self, points, labels, weights, queries) -> np.ndarray:
+        """Weighted total cost per query, weights @ pointwise_matrix, shape (k,).
+
+        The (n, k) loss matrix is never held whole: see blocks().
+        """
+        weights = np.asarray(weights, dtype=float)
+        out = np.empty(np.atleast_2d(queries).shape[0])
+        for lo, block in self.blocks(points, labels, queries):
+            out[lo:lo + block.shape[1]] = weights @ block
+        return out
 
     # -- gradients ------------------------------------------------------
 
     def weighted_grads(self, points, labels, weights, queries, coeffs):
         """Costs per query and gradients of sum_q coeffs_q * f(C, u, q).
 
-        points: (m, d), labels/weights: (m,), queries: (k, d'), coeffs: (k,).
+        points: (m, d), labels/weights: (m,), queries: (k, d').
+        coeffs: (k,) array, or a function that maps the costs (k,) to the
+        (k,) coefficients, so that they can depend on the costs of this very
+        evaluation without a second one.
         Returns (costs (k,), d_points (m, d), d_labels (m,), d_weights (m,)).
         The label gradient treats the label as a real even for the logistic
         loss, which is what joint label learning needs.
         """
+        qm = np.atleast_2d(np.asarray(queries, dtype=float))
         points = np.atleast_2d(np.asarray(points, dtype=float))
         labels = np.asarray(labels, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        qm = np.atleast_2d(np.asarray(queries, dtype=float))
-        coeffs = np.asarray(coeffs, dtype=float)
         d = points.shape[1]
-        a = self.augment(points)
-        z = a @ qm.T  # (m, k)
+        z = self._features(points, qm.shape[1]) @ qm.T  # (m, k)
+        # dz = d f / d z, and d f / d label = -dlab
         if self.kind == LINEAR:
-            r = z - labels[:, None]
-            per_point = r * r
-            dz = 2.0 * r  # d f / d z
-            d_labels_per = -2.0 * r
+            dz = z - labels[:, None]
+            per_point = dz * dz
+            dz *= 2.0
+            dlab = dz
         else:
-            marg = labels[:, None] * z
-            s = _sigmoid(-marg)
-            per_point = _softplus(-marg)
-            dz = -labels[:, None] * s
-            d_labels_per = -z * s
-        costs = weights @ per_point  # (k,)
-        scale = weights[:, None] * coeffs[None, :]  # (m, k)
-        d_points = (scale * dz) @ qm[:, :d]
-        d_labels = np.sum(scale * d_labels_per, axis=1)
+            per_point, s = _logistic(labels[:, None] * z)
+            dlab = z
+            dlab *= s
+            dz = s
+            dz *= -labels[:, None]
+        costs = weights @ per_point
+        coeffs = np.asarray(coeffs(costs) if callable(coeffs) else coeffs,
+                            dtype=float)
+        # sum_q coeffs_q * u_i * (d f_iq / d z_iq) * q
+        d_points = weights[:, None] * (dz @ (coeffs[:, None] * qm[:, :d]))
+        d_labels = -weights * (dlab @ coeffs)
         d_weights = per_point @ coeffs
         return costs, d_points, d_labels, d_weights
 
     def query_grad(self, points, labels, weights, q) -> np.ndarray:
         """Gradient of the total cost w.r.t. the query vector."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        q = np.asarray(q, dtype=float)
+        a = self._features(points, q.shape[0])
         labels = np.asarray(labels, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        q = np.asarray(q, dtype=float)
-        a = self.augment(points)
         z = a @ q
         if self.kind == LINEAR:
             dz = 2.0 * (z - labels)
         else:
-            dz = -labels * _sigmoid(-labels * z)
+            dz = -labels * _logistic(labels * z)[1]
         return a.T @ (weights * dz)
 
 

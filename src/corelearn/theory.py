@@ -19,7 +19,7 @@ from .core import (
     Coreset,
     MeasurableQuerySpace,
     WeightedLabeledSet,
-    set_cost,
+    set_costs,
     stream_rng,
 )
 
@@ -87,22 +87,28 @@ def estimate_M(dataset, loss, query_pool, level: str = "point") -> float:
         dtype=float))
     if qm.shape[0] < 1:
         raise ContractError("query pool must be non-empty")
-    per_point = loss.pointwise_matrix(dataset.points, dataset.labels, qm)
     if level == "point":
-        raw = float(np.max(np.abs(per_point)))
+        raw = _max_pointwise(dataset, loss, qm)
     elif level == "set":
-        raw = float(np.max(np.abs(dataset.weights @ per_point)))
+        raw = float(np.max(np.abs(
+            loss.costs(dataset.points, dataset.labels, dataset.weights, qm))))
     else:
         raise ContractError(f"unknown level {level!r}")
     return M_SAFETY * raw
+
+
+def _max_pointwise(dataset, loss, qm) -> float:
+    """max over points and queries of |f(p, b, q)|, one query block at a time."""
+    return max(float(np.max(np.abs(block)))
+               for _, block in loss.blocks(dataset.points, dataset.labels, qm))
 
 
 def exact_set_M(space: MeasurableQuerySpace, dataset=None) -> float:
     """True max of |f(set, w, q)| over a finite universe (no safety factor)."""
     if dataset is None:
         dataset = space.ground
-    costs = [abs(set_cost(dataset, space.loss, q)) for q in space.universe]
-    return float(max(costs))
+    costs = set_costs(dataset, space.loss, space.query_matrix())
+    return float(np.max(np.abs(costs)))
 
 
 @dataclass(frozen=True)
@@ -130,8 +136,7 @@ def verify_claim1(space: MeasurableQuerySpace, eps: float, delta: float,
     each trial samples k queries i.i.d. from the measure and tests whether
     the sample-average cost deviates from the expectation by more than eps.
     """
-    costs = np.array([set_cost(space.ground, space.loss, q)
-                      for q in space.universe])
+    costs = set_costs(space.ground, space.loss, space.query_matrix())
     expect = float(np.sum(space.measure * costs))
     M = float(np.max(np.abs(costs)))
     if M <= 0:
@@ -176,16 +181,14 @@ def verify_claim2(P: WeightedLabeledSet, coreset: Coreset,
     less than 3*eps; since the expectations are exact, the violation rate is
     the same in every trial.
     """
+    qm = space.query_matrix()
     if M is None:
-        qm = space.query_matrix()
-        per_p = np.max(np.abs(space.loss.pointwise_matrix(P.points, P.labels, qm)))
-        per_c = np.max(np.abs(space.loss.pointwise_matrix(
-            coreset.points, coreset.labels, qm)))
-        M = float(max(per_p, per_c))
+        M = max(_max_pointwise(P, space.loss, qm),
+                _max_pointwise(coreset, space.loss, qm))
     k = claim2_k(eps, delta, M)
 
-    costs_p = np.array([set_cost(P, space.loss, q) for q in space.universe])
-    costs_c = np.array([set_cost(coreset, space.loss, q) for q in space.universe])
+    costs_p = set_costs(P, space.loss, qm)
+    costs_c = set_costs(coreset, space.loss, qm)
     exp_gap = abs(float(np.sum(space.measure * (costs_p - costs_c))))
 
     p1_gap = abs(float(np.sum(P.weights)) - float(np.sum(coreset.weights)))

@@ -211,3 +211,14 @@ def test_cli_bad_config_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
     assert main(["experiment", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("cell, match", [("-5", "negative weight"),
+                                         ("nan", "non-finite")])
+def test_cli_eval_rejects_bad_coreset(tmp_path, capsys, cell, match):
+    path = _write_config(tmp_path)
+    coreset = tmp_path / "bad.csv"
+    coreset.write_text(f"x0,x1,weight,label\n0.1,0.2,0.5,1.0\n0.3,0.4,{cell},0.0\n")
+    assert main(["eval", "--config", str(path), "--coreset", str(coreset)]) == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err and match in err

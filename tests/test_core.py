@@ -8,11 +8,13 @@ from corelearn import (
     Coreset,
     DegenerateInputError,
     MeasurableQuerySpace,
+    NumericError,
     Query,
     WeightedLabeledSet,
     expected_cost,
     normalize_weights,
     set_cost,
+    set_costs,
     total_cost,
 )
 from corelearn.losses import LossModel
@@ -120,6 +122,30 @@ def test_set_invariants():
         WeightedLabeledSet([[1.0]], [-1.0], [0.0])
     with pytest.raises(ContractError):
         WeightedLabeledSet([[np.nan]], [1.0], [0.0])
+
+
+@pytest.mark.parametrize("field", ["points", "weights", "labels"])
+def test_coreset_rejects_non_finite(field):
+    arrays = {"points": [[1.0], [2.0]], "weights": [0.5, 0.5], "labels": [0.0, 1.0]}
+    arrays[field] = np.array(arrays[field], dtype=float)
+    arrays[field].flat[1] = np.nan
+    with pytest.raises(ContractError, match=field):
+        Coreset(**arrays)
+
+
+def test_set_costs_matches_set_cost_and_keeps_its_checks(linreg):
+    rng = np.random.default_rng(4)
+    P = WeightedLabeledSet(rng.standard_normal((7, 2)), rng.random(7),
+                           rng.standard_normal(7))
+    qm = rng.standard_normal((5, 2))
+    ref = [set_cost(P, linreg, q) for q in qm]
+    assert np.allclose(set_costs(P, linreg, qm), ref, rtol=1e-12, atol=0.0)
+    negative = Coreset(P.points, -P.weights, P.labels)
+    with pytest.raises(ContractError, match="nonnegative"):
+        set_costs(negative, linreg, qm)
+    huge = WeightedLabeledSet([[1e200]], [1.0], [0.0])
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        set_costs(huge, linreg, [[1e200]])
 
 
 def test_measure_must_sum_to_one(tiny_set, linreg):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import central_diff, rel_close
 from corelearn import ContractError, linreg_loss, logreg_loss, loss_gradients
+from corelearn import losses
 from corelearn.losses import LossModel
 
 
@@ -120,3 +121,91 @@ def test_pointwise_matrix_agrees_with_pointwise(linreg, logreg):
 def test_unknown_kind_rejected():
     with pytest.raises(ContractError):
         LossModel("svm")
+
+
+# -- fused logistic kernel and blocked costs ---------------------------------
+
+
+def test_fused_logistic_matches_reference():
+    m = np.concatenate([np.linspace(-800.0, 800.0, 100001),
+                        np.random.default_rng(7).uniform(-800.0, 800.0, 10000)])
+    f, s = losses._logistic(m.copy())
+    with np.errstate(over="ignore"):
+        ref_f = np.logaddexp(0.0, -m)
+        ref_s = 1.0 / (1.0 + np.exp(m))
+    for got, ref in ((f, ref_f), (s, ref_s)):
+        assert np.all(np.isfinite(got))
+        err = np.abs(got - ref)
+        assert np.all((err <= 1e-15) | (err <= 1e-15 * np.abs(ref)))
+    f_only, none = losses._logistic(m.copy(), grad=False)
+    assert none is None and np.array_equal(f_only, f)
+
+
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+@pytest.mark.parametrize("intercept", [False, True])
+def test_costs_match_full_matrix_across_blocks(monkeypatch, kind, intercept):
+    rng = np.random.default_rng(8)
+    n, d, k = 10, 3, 17
+    monkeypatch.setattr(losses, "BLOCK_ELEMENTS", 64)  # 6 queries per block
+    loss = LossModel(kind, intercept=intercept)
+    pts = rng.standard_normal((n, d))
+    labels = (np.where(rng.random(n) < 0.5, -1.0, 1.0)
+              if kind == "logistic_regression" else rng.standard_normal(n))
+    w = rng.random(n)
+    qm = rng.standard_normal((k, loss.query_dim(d)))
+    sizes = [block.shape[1] for _, block in loss.blocks(pts, labels, qm)]
+    assert sizes == [6, 6, 5]
+    got = loss.costs(pts, labels, w, qm)
+    ref = w @ loss.pointwise_matrix(pts, labels, qm)
+    assert got.shape == (k,)
+    assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+def test_weighted_grads_callable_coeffs_match_array(kind):
+    rng = np.random.default_rng(9)
+    loss = LossModel(kind, intercept=True)
+    pts = rng.standard_normal((5, 2))
+    labels = rng.standard_normal(5)
+    w = rng.random(5)
+    qm = rng.standard_normal((7, 3))
+    f_p = rng.random(7) + 0.5
+
+    def rule(costs):
+        return np.sign(1.0 - costs / f_p) * (-1.0 / f_p)
+
+    costs = w @ loss.pointwise_matrix(pts, labels, qm)
+    by_array = loss.weighted_grads(pts, labels, w, qm, rule(costs))
+    by_rule = loss.weighted_grads(pts, labels, w, qm, rule)
+    for a, b in zip(by_array, by_rule):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("margin", [30.0, -30.0])
+def test_logistic_gradients_at_large_margin(margin):
+    rng = np.random.default_rng(10)
+    loss = LossModel("logistic_regression")
+    m, d, k = 4, 3, 3
+    q = rng.standard_normal(d)
+    labels = np.array([1.0, -1.0, 1.0, 0.7])
+    # each point's margin b * <p, q> is close to the requested one
+    pts = rng.standard_normal((m, d)) * 0.01
+    pts += np.outer(margin / labels, q) / (q @ q)
+    qm = q + 0.001 * rng.standard_normal((k, d))
+    w = rng.random(m) + 0.5
+    coeffs = rng.standard_normal(k)
+    marg = labels[:, None] * (pts @ qm.T)
+    assert np.all(np.abs(np.abs(marg) - 30.0) < 1.0)
+
+    def total(pts_, labels_, w_, q_):
+        return coeffs @ (w_ @ loss.pointwise_matrix(pts_, labels_, q_))
+
+    _, dp, dl, dw = loss.weighted_grads(pts, labels, w, qm, coeffs)
+    fd_p = central_diff(lambda x: total(x.reshape(m, d), labels, w, qm), pts.ravel())
+    fd_l = central_diff(lambda x: total(pts, x, w, qm), labels)
+    fd_w = central_diff(lambda x: total(pts, labels, x, qm), w)
+    for got, fd in ((dp.ravel(), fd_p), (dl, fd_l), (dw, fd_w)):
+        assert rel_close(got, fd, rtol=1e-5, floor=0.0)
+    dq = loss.query_grad(pts, labels, w, q)
+    fd_q = central_diff(lambda x: w @ loss.pointwise(pts, labels, x), q)
+    assert rel_close(dq, fd_q, rtol=1e-5, floor=0.0)
