@@ -67,11 +67,16 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(base, override):
+def _merge(base, override, path=""):
+    """override laid over base. A key that base lacks, at the top or inside
+    a section whose default is a dict, is a ConfigError naming its dotted
+    path."""
     out = copy.deepcopy(base)
     for key, value in override.items():
+        if key not in base:
+            raise ConfigError(f"unknown config key {path}{key}")
         if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+            out[key] = _merge(out[key], value, f"{path}{key}.")
         else:
             out[key] = value
     return out
@@ -85,9 +90,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    unknown = set(user) - set(DEFAULT_CONFIG)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    if not isinstance(user, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     cfg = _merge(DEFAULT_CONFIG, user)
     validate_config(cfg)
     return cfg

@@ -37,7 +37,7 @@ def load_dataset(path, schema: Schema) -> WeightedLabeledSet:
     Rows with missing or non-numeric cells produce errors naming the
     offending line and column. Weights default to 1/n when no weight
     column is given. Standardization (per-feature mean 0, variance 1)
-    is applied when requested and recorded on the returned metadata.
+    is applied when requested.
     """
     try:
         fh = open(path, newline="")
@@ -95,14 +95,11 @@ def load_dataset(path, schema: Schema) -> WeightedLabeledSet:
     n = pts.shape[0]
     w = np.array(weights) if weights else np.full(n, 1.0)
 
-    meta = {"path": str(path), "n": n, "standardized": False}
     if schema.standardize:
         mean = pts.mean(axis=0)
         std = pts.std(axis=0)
         std[std == 0] = 1.0
         pts = (pts - mean) / std
-        meta.update(standardized=True, feature_mean=mean.tolist(),
-                    feature_std=std.tolist())
     if schema.binary_label:
         vals = set(np.unique(lab))
         if vals <= {0.0, 1.0}:

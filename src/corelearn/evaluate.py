@@ -47,15 +47,11 @@ def err_avg(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel,
     Queries with full-data cost below the ratio floor are excluded; the
     excluded count is part of the result.
     """
-    qm = np.atleast_2d(np.asarray(
-        Q_test.array if hasattr(Q_test, "array") else Q_test, dtype=float))
-    f_p = loss.costs(P.points, P.labels, P.weights, qm)
-    keep = f_p > RATIO_FLOOR
-    filtered = int(np.sum(~keep))
-    if not np.any(keep):
+    qm, f_p, filtered = learner.above_ratio_floor(P, loss, Q_test)
+    if qm.shape[0] == 0:
         raise DegenerateInputError("all test queries filtered; metric undefined")
-    f_c = loss.costs(coreset.points, coreset.labels, coreset.weights, qm[keep])
-    value = float(np.mean(np.abs(1.0 - f_c / f_p[keep])))
+    f_c = loss.costs(coreset.points, coreset.labels, coreset.weights, qm)
+    value = float(np.mean(np.abs(1.0 - f_c / f_p)))
     return ErrAvg(value, filtered)
 
 

@@ -2,17 +2,23 @@
 
 Two objectives are implemented over a training set of queries:
 
-* average: | mean_q f(P,w,q) - mean_q f(C,u,q) | + lambda * |sum w - sum u|
+* average: | mean_q f(P,w,q) - mean_q f(C,u,q) | + lambda * |sum w - sum u|,
+  one full-batch step per epoch;
 * practical: sum over a minibatch of |1 - f(C,u,q)/f(P,w,q)|, plus the same
-  weight-sum penalty, applied once per optimizer step.
+  weight-sum penalty, one step per seeded minibatch.
 
-Updates use Adam with bias correction, a global-norm gradient clip, and a
-clamp of the coreset weights to >= 0 after every step. The subgradient of
-|x| at 0 is taken as 0, which makes the exact-copy coreset a fixed point.
+Both run through one training loop over one float64 vector that holds the
+coreset's points, weights and labels. Each step is Adam with bias
+correction, a global-norm gradient clip, and a clamp of the coreset weights
+to >= 0. After every epoch the objective over all training queries is
+recorded, and the best epoch (by validation error when there is a
+validation split) can be returned. The subgradient of |x| at 0 is taken as
+0, which makes the exact-copy coreset a fixed point.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,8 +26,11 @@ import numpy as np
 
 from .core import Coreset, ContractError, NumericError, WeightedLabeledSet, stream_rng
 from .losses import LossModel
+from .queries import as_query_matrix
 
 RATIO_FLOOR = 1e-12
+# global-norm bound on each step's gradient
+GRAD_CLIP = 1e3
 
 ALG_AVERAGE = "average"
 ALG_PRACTICAL = "practical"
@@ -43,7 +52,6 @@ class TrainConfig:
     learn_labels: bool = True
     early_stop_on_validation: bool = True
     init_strategy: str = INIT_SUBSAMPLE
-    grad_clip: float = 1e3
 
     def __post_init__(self):
         if self.coreset_size < 1:
@@ -79,42 +87,46 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Adam moment accumulators, one pair of tensors per learnable."""
+    """Adam moment accumulators, shaped like the parameter vector."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps_adam: float = 1e-8
 
     @staticmethod
-    def for_params(params: dict) -> "OptimizerState":
-        return OptimizerState(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def for_params(params: np.ndarray) -> "OptimizerState":
+        return OptimizerState(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(state: OptimizerState, params: dict, grads: dict, lr: float) -> None:
-    """One Adam update, in place, over a dict of named tensors."""
+def adam_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray,
+              lr: float) -> None:
+    """One Adam update of params, in place. A zero gradient entry moves its
+    parameter by exactly 0.0 as long as its moments are zero."""
+    if grads.shape != params.shape:
+        raise ContractError(
+            f"gradient shape {grads.shape} does not match parameters {params.shape}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
-    for k, p in params.items():
-        g = grads[k]
-        if g.shape != p.shape:
-            raise ContractError(f"gradient shape mismatch for {k!r}")
-        state.m[k] = b1 * state.m[k] + (1 - b1) * g
-        state.v[k] = b2 * state.v[k] + (1 - b2) * g * g
-        m_hat = state.m[k] / (1 - b1 ** t)
-        v_hat = state.v[k] / (1 - b2 ** t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + state.eps_adam)
+    state.m *= b1
+    state.m += (1 - b1) * grads
+    state.v *= b2
+    state.v += (1 - b2) * grads * grads
+    m_hat = state.m / (1 - b1 ** t)
+    v_hat = state.v / (1 - b2 ** t)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += state.eps_adam
+    m_hat *= lr
+    m_hat /= v_hat
+    params -= m_hat
 
 
-def project_weights(u: np.ndarray) -> np.ndarray:
-    """Clamp weights elementwise to >= 0."""
-    return np.maximum(0.0, u)
+def project_weights(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Clamp weights elementwise to >= 0 (into out, if given)."""
+    return np.maximum(0.0, u, out=out)
 
 
 def init_coreset(P: WeightedLabeledSet, m: int, seed: int,
@@ -158,88 +170,133 @@ class TrainReport:
         }
 
 
-def _query_matrix(Q):
-    if hasattr(Q, "array"):
-        return np.asarray(Q.array, dtype=float)
-    return np.atleast_2d(np.asarray(Q, dtype=float))
+def above_ratio_floor(P: WeightedLabeledSet, loss: LossModel, Q):
+    """The queries of Q whose full-data cost exceeds RATIO_FLOOR.
 
-
-def _clip_grads(grads: dict, max_norm: float) -> None:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
-
-
-def _learnables(coreset: Coreset, cfg: TrainConfig) -> dict:
-    params = {"points": coreset.points}
-    if cfg.learn_labels:
-        params["labels"] = coreset.labels
-    if cfg.learn_weights:
-        params["weights"] = coreset.weights
-    return params
-
-
-def _weight_sum_term(coreset, w_sum, lam):
-    gap = w_sum - float(np.sum(coreset.weights))
-    return abs(gap) * lam, np.sign(gap)
-
-
-def autocl_average(P: WeightedLabeledSet, Q_train, loss: LossModel,
-                   cfg: TrainConfig):
-    """Learn a coreset minimizing the gap between average losses over Q_train.
-
-    One full-batch gradient step per epoch.
+    Returns their (k, d') matrix, their full-data costs f(P, w, q) and the
+    number of queries dropped; a ratio f_C / f_P is undefined for the others.
     """
-    qm = _query_matrix(Q_train)
-    k = qm.shape[0]
-    if k < 1:
-        raise ContractError("need at least one training query")
-    coreset = init_coreset(P, cfg.coreset_size, cfg.seed, cfg.init_strategy)
-    params = _learnables(coreset, cfg)
-    state = OptimizerState.for_params(params)
+    qm = as_query_matrix(Q)
+    f_p = loss.costs(P.points, P.labels, P.weights, qm)
+    keep = f_p > RATIO_FLOOR
+    return qm[keep], f_p[keep], int(np.sum(~keep))
+
+
+def _split(theta: np.ndarray, m: int, d: int):
+    """Views (points (m, d), weights (m,), labels (m,)) into one flat vector."""
+    return theta[:m * d].reshape(m, d), theta[m * d:m * d + m], theta[m * d + m:]
+
+
+def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
+         cfg: TrainConfig, term, schedule, val=None):
+    """Adam on the coreset (C, u, y), held as views into one float64 vector.
+
+    term(costs, idx) maps the coreset's costs on the queries qm[idx] to the
+    objective's data term and its derivative with respect to those costs;
+    the weight-sum penalty lam * |sum w - sum u| is added to it. schedule
+    yields each epoch's list of batches idx. Frozen learnables get a zero
+    gradient, which Adam turns into a zero move. After each epoch the
+    objective over all of qm is its train loss, and scores the epoch unless
+    val, a (queries, term) pair, gives a validation error to score it by.
+    """
+    init = init_coreset(P, cfg.coreset_size, cfg.seed, cfg.init_strategy)
+    m, d = init.m, init.dim
+    theta = np.concatenate([init.points.ravel(), init.weights, init.labels])
+    coreset = Coreset(*_split(theta, m, d))
+    grad = np.zeros_like(theta)
+    g_pts, g_wts, g_lab = _split(grad, m, d)
+    state = OptimizerState.for_params(theta)
     report = TrainReport()
     w_sum = float(np.sum(P.weights))
-    # the data-side average is constant across epochs; compute it once
-    f_p_avg = float(np.mean(loss.costs(P.points, P.labels, P.weights, qm)))
 
-    best_obj = np.inf
+    def penalty():
+        gap = w_sum - float(np.sum(coreset.weights))
+        return abs(gap) * cfg.lam, np.sign(gap)
+
+    def cost(queries):
+        return loss.costs(coreset.points, coreset.labels, coreset.weights, queries)
+
+    best_score = np.inf
     best = coreset.copy()
-    for epoch in range(cfg.epochs):
-        coeffs = np.full(k, 1.0 / k)
-        costs, d_pts, d_lab, d_wts = loss.weighted_grads(
-            coreset.points, coreset.labels, coreset.weights, qm, coeffs)
-        f_c_avg = float(np.mean(costs))
-        diff = f_p_avg - f_c_avg
-        pen, pen_sign = _weight_sum_term(coreset, w_sum, cfg.lam)
-        objective = abs(diff) + pen
-        if not np.isfinite(objective):
-            raise NumericError(f"non-finite training loss at epoch {epoch}")
-        report.train_losses.append(objective)
-        if objective < best_obj:
-            best_obj = objective
+    for epoch, batches in zip(range(cfg.epochs), schedule):
+        for step, idx in enumerate(batches):
+            pen, pen_sign = penalty()
+
+            def coeffs(costs):
+                value, d_costs = term(costs, idx)
+                if not np.isfinite(value + pen):
+                    raise NumericError(
+                        f"non-finite training loss at epoch {epoch}, step {step}")
+                return d_costs
+
+            _, d_pts, d_lab, d_wts = loss.weighted_grads(
+                coreset.points, coreset.labels, coreset.weights, qm[idx], coeffs)
+            g_pts[:] = d_pts
+            if cfg.learn_labels:
+                g_lab[:] = d_lab
+            if cfg.learn_weights:
+                g_wts[:] = d_wts - cfg.lam * pen_sign
+            norm = float(np.sqrt(grad @ grad))
+            if norm > GRAD_CLIP:
+                grad *= GRAD_CLIP / norm
+            adam_step(state, theta, grad, cfg.learning_rate)
+            project_weights(coreset.weights, out=coreset.weights)
+
+        score = term(cost(qm), slice(None))[0] + penalty()[0]
+        report.train_losses.append(score)
+        if val is not None:
+            val_qm, val_term = val
+            score = val_term(cost(val_qm), slice(None))[0]
+            report.val_errors.append(score)
+        if score < best_score:
+            best_score = score
             best = coreset.copy()
             report.best_epoch = epoch
-
-        s = np.sign(diff)  # subgradient of |.|, 0 at the kink
-        grads = {"points": -s * d_pts}
-        if cfg.learn_labels:
-            grads["labels"] = -s * d_lab
-        if cfg.learn_weights:
-            grads["weights"] = -s * d_wts - cfg.lam * pen_sign
-        _clip_grads(grads, cfg.grad_clip)
-        adam_step(state, params, grads, cfg.learning_rate)
-        coreset.weights[:] = project_weights(coreset.weights)
 
     report.final_coreset = coreset.copy()
     out = best if cfg.early_stop_on_validation else coreset
     return out.copy(), report
 
 
-def _ratio_errors(coreset, loss, qm, f_p):
-    f_c = loss.costs(coreset.points, coreset.labels, coreset.weights, qm)
-    return np.abs(1.0 - f_c / f_p)
+def autocl_average(P: WeightedLabeledSet, Q_train, loss: LossModel,
+                   cfg: TrainConfig):
+    """Learn a coreset minimizing the gap between average losses over Q_train.
+
+    One full-batch gradient step per epoch, scored after the step.
+    """
+    qm = as_query_matrix(Q_train)
+    if qm.shape[0] < 1:
+        raise ContractError("need at least one training query")
+    # the data-side average is constant across epochs; compute it once
+    f_p_avg = float(np.mean(loss.costs(P.points, P.labels, P.weights, qm)))
+
+    def term(costs, idx):
+        diff = f_p_avg - float(np.mean(costs))
+        # subgradient of |diff|, 0 at the kink
+        return abs(diff), np.full(costs.shape[0], -np.sign(diff) / costs.shape[0])
+
+    return _fit(P, qm, loss, cfg, term, itertools.repeat([slice(None)]))
+
+
+def _ratio_term(f_p):
+    """Per-query relative error |1 - f_C/f_P| against full-data costs f_p.
+
+    The value is the mean over the queries; the derivative is that of their
+    sum, the minibatch loss that a step descends.
+    """
+    def term(costs, idx):
+        ratios = 1.0 - costs / f_p[idx]
+        # d|1 - f_C/f_P|/d f_C = sign(ratio) * (-1/f_P)
+        return float(np.mean(np.abs(ratios))), np.sign(ratios) * (-1.0 / f_p[idx])
+    return term
+
+
+def _minibatches(k: int, batch_size: int, seed: int):
+    """Each epoch's batches: a fresh seeded permutation of range(k), chunked."""
+    rng = stream_rng(seed, "practical_batches")
+    while True:
+        order = rng.permutation(k)
+        yield [order[lo:lo + batch_size] for lo in range(0, k, batch_size)]
 
 
 def autocl_practical(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
@@ -251,83 +308,21 @@ def autocl_practical(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     are supplied, the epoch with the lowest validation error is returned
     when cfg.early_stop_on_validation is set.
     """
-    qm = _query_matrix(Q_train)
-    f_p_all = loss.costs(P.points, P.labels, P.weights, qm)
-    keep = f_p_all > RATIO_FLOOR
-    n_dropped = int(np.sum(~keep))
+    qm, f_p, n_dropped = above_ratio_floor(P, loss, Q_train)
     if n_dropped:
         warnings.warn(
             f"dropping {n_dropped} training queries with near-zero full-data cost")
-    qm = qm[keep]
-    f_p = f_p_all[keep]
-    k = qm.shape[0]
-    if k < 1:
+    if qm.shape[0] < 1:
         raise ContractError("no usable training queries above the ratio floor")
-
-    val_qm = None
-    f_p_val = None
+    val = None
     if Q_val is not None:
-        val_qm = _query_matrix(Q_val)
-        if val_qm.shape[0] > 0:
-            f_pv = loss.costs(P.points, P.labels, P.weights, val_qm)
-            vkeep = f_pv > RATIO_FLOOR
-            val_qm = val_qm[vkeep]
-            f_p_val = f_pv[vkeep]
-        if val_qm.shape[0] == 0:
-            val_qm = None
-
-    coreset = init_coreset(P, cfg.coreset_size, cfg.seed, cfg.init_strategy)
-    params = _learnables(coreset, cfg)
-    state = OptimizerState.for_params(params)
-    report = TrainReport(filtered_train_queries=n_dropped)
-    w_sum = float(np.sum(P.weights))
-    rng = stream_rng(cfg.seed, "practical_batches")
-
-    best_score = np.inf
-    best = coreset.copy()
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(k)
-        for lo in range(0, k, cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
-            f_p_batch = f_p[idx]
-            pen, pen_sign = _weight_sum_term(coreset, w_sum, cfg.lam)
-
-            def coeffs(costs):
-                ratios = 1.0 - costs / f_p_batch
-                if not np.isfinite(float(np.sum(np.abs(ratios))) + pen):
-                    raise NumericError(
-                        f"non-finite training loss at epoch {epoch}, "
-                        f"step {lo // cfg.batch_size}")
-                # d|1 - f_C/f_P|/d f_C = sign(ratio) * (-1/f_P)
-                return np.sign(ratios) * (-1.0 / f_p_batch)
-
-            _, d_pts, d_lab, d_wts = loss.weighted_grads(
-                coreset.points, coreset.labels, coreset.weights, qm[idx], coeffs)
-            grads = {"points": d_pts}
-            if cfg.learn_labels:
-                grads["labels"] = d_lab
-            if cfg.learn_weights:
-                grads["weights"] = d_wts - cfg.lam * pen_sign
-            _clip_grads(grads, cfg.grad_clip)
-            adam_step(state, params, grads, cfg.learning_rate)
-            coreset.weights[:] = project_weights(coreset.weights)
-
-        pen, _ = _weight_sum_term(coreset, w_sum, cfg.lam)
-        epoch_obj = float(np.mean(_ratio_errors(coreset, loss, qm, f_p))) + pen
-        report.train_losses.append(epoch_obj)
-        score = epoch_obj
-        if val_qm is not None:
-            val_err = float(np.mean(_ratio_errors(coreset, loss, val_qm, f_p_val)))
-            report.val_errors.append(val_err)
-            score = val_err
-        if score < best_score:
-            best_score = score
-            best = coreset.copy()
-            report.best_epoch = epoch
-
-    report.final_coreset = coreset.copy()
-    out = best if cfg.early_stop_on_validation else coreset
-    return out.copy(), report
+        val_qm, f_p_val, _ = above_ratio_floor(P, loss, Q_val)
+        if val_qm.shape[0]:
+            val = (val_qm, _ratio_term(f_p_val))
+    batches = _minibatches(qm.shape[0], cfg.batch_size, cfg.seed)
+    coreset, report = _fit(P, qm, loss, cfg, _ratio_term(f_p), batches, val)
+    report.filtered_train_queries = n_dropped
+    return coreset, report
 
 
 def train(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel, cfg: TrainConfig):

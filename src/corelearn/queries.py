@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,18 +15,12 @@ from .core import (
 )
 from .losses import LossModel
 
-ROLE_TRAIN = "train"
-ROLE_VALIDATION = "validation"
-ROLE_TEST = "test"
-
 
 @dataclass(frozen=True)
 class QueryBatch:
-    """An ordered batch of queries with a role and a provenance record."""
+    """An ordered batch of queries."""
 
     array: np.ndarray  # (k, d')
-    role: str = ROLE_TRAIN
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.array, dtype=float))
@@ -38,6 +32,11 @@ class QueryBatch:
     @property
     def dim(self):
         return self.array.shape[1]
+
+
+def as_query_matrix(Q) -> np.ndarray:
+    """The (k, d') float matrix of a QueryBatch or of an array of queries."""
+    return np.atleast_2d(np.asarray(getattr(Q, "array", Q), dtype=float))
 
 
 def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
@@ -87,25 +86,20 @@ def split_queries(pool, sizes, seed: int = 0):
     rng = stream_rng(seed, "split_queries")
     order = rng.permutation(pool.shape[0])
     shuffled = pool[order]
-    prov = {"generator": "split_queries", "seed": int(seed)}
-    train = QueryBatch(shuffled[:k_train].reshape(k_train, pool.shape[1]),
-                       ROLE_TRAIN, prov)
-    val = QueryBatch(shuffled[k_train:k_train + k_val].reshape(k_val, pool.shape[1]),
-                     ROLE_VALIDATION, prov)
-    test = QueryBatch(shuffled[k_train + k_val:total].reshape(k_test, pool.shape[1]),
-                      ROLE_TEST, prov)
+    train = QueryBatch(shuffled[:k_train].reshape(k_train, pool.shape[1]))
+    val = QueryBatch(shuffled[k_train:k_train + k_val].reshape(k_val, pool.shape[1]))
+    test = QueryBatch(shuffled[k_train + k_val:total].reshape(k_test, pool.shape[1]))
     return train, val, test
 
 
-def iid_sample(space: MeasurableQuerySpace, k: int, seed: int = 0,
-               role: str = ROLE_TRAIN) -> QueryBatch:
+def iid_sample(space: MeasurableQuerySpace, k: int, seed: int = 0) -> QueryBatch:
     """k independent draws (with replacement) from the finite query measure."""
     if k < 1:
         raise ContractError("k must be >= 1")
     rng = stream_rng(seed, "iid_sample")
     idx = rng.choice(space.size, size=k, p=space.measure)
     qm = space.query_matrix()[idx]
-    return QueryBatch(qm, role, {"generator": "iid_sample", "seed": int(seed)})
+    return QueryBatch(qm)
 
 
 def save_pool_csv(pool, path):

@@ -22,6 +22,7 @@ from .core import (
     set_costs,
     stream_rng,
 )
+from .queries import as_query_matrix
 
 
 def _check_eps_delta(eps, delta, M):
@@ -82,9 +83,7 @@ def estimate_M(dataset, loss, query_pool, level: str = "point") -> float:
     level="set": max over queries of the weighted total cost.
     A finite pool underestimates a true supremum, hence the safety factor.
     """
-    qm = np.atleast_2d(np.asarray(
-        query_pool.array if hasattr(query_pool, "array") else query_pool,
-        dtype=float))
+    qm = as_query_matrix(query_pool)
     if qm.shape[0] < 1:
         raise ContractError("query pool must be non-empty")
     if level == "point":

@@ -109,6 +109,25 @@ def test_config_rejects_unknown_sections(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section, key", [
+    ("learner", "lamda"), ("dataset", "pth"), ("queries", "splits"),
+    ("sweep", "trial"), ("output", "directory")])
+def test_config_rejects_unknown_nested_keys(tmp_path, section, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({section: {key: 99}}))
+    with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+        load_config(path)
+    assert main(["bounds", "--eps", "0.1", "--delta", "0.05",
+                 "--estimate-M", "--config", str(path)]) == 1
+
+
+def test_config_rejects_unknown_synth_key(tmp_path):
+    path = _write_config(tmp_path, dataset={"synth": {"task": "linear",
+                                                      "noize": 0.1}})
+    with pytest.raises(ConfigError, match=r"dataset\.synth\.noize"):
+        load_config(path)
+
+
 def test_config_rejects_bad_method():
     cfg = json.loads(json.dumps({
         "seed": 0,
@@ -148,6 +167,15 @@ def test_experiment_byte_identical_reruns(tmp_path):
         (tmp_path / "b" / "aggregated.csv").read_bytes()
     assert (tmp_path / "a" / "trials.csv").read_text().splitlines()[0] == \
         "size,method,trial,err_opt,err_avg,filtered_queries,wall_time_s,ok,error"
+    assert (tmp_path / "a" / "train_reports.json").read_bytes() == \
+        (tmp_path / "b" / "train_reports.json").read_bytes()
+
+    def untimed(run):
+        rows = (tmp_path / run / "trials.csv").read_text().splitlines()
+        col = rows[0].split(",").index("wall_time_s")
+        return [r.split(",")[:col] + r.split(",")[col + 1:] for r in rows]
+
+    assert untimed("a") == untimed("b")
 
 
 def test_experiment_reproducible_from_manifest(tmp_path):

@@ -14,35 +14,31 @@ from corelearn import (
     init_coreset,
     project_weights,
 )
-from corelearn.learner import OptimizerState, RATIO_FLOOR, _weight_sum_term
+from corelearn.learner import OptimizerState, RATIO_FLOOR
 from corelearn.losses import LossModel
 
 
-def _params(x):
-    return {"x": np.array([x], dtype=float)}
-
-
 def test_adam_single_step():
-    p = _params(0.0)
+    p = np.array([0.0])
     state = OptimizerState.for_params(p)
-    adam_step(state, p, {"x": np.array([1.0])}, lr=0.01)
+    adam_step(state, p, np.array([1.0]), lr=0.01)
     # bias-corrected first step moves by -lr * 1/(1 + eps)
-    assert p["x"][0] == pytest.approx(-0.01 / (1.0 + 1e-8), abs=1e-12)
+    assert p[0] == pytest.approx(-0.01 / (1.0 + 1e-8), abs=1e-12)
 
 
 def test_adam_zero_gradient_keeps_param():
-    p = _params(1.5)
+    p = np.array([1.5])
     state = OptimizerState.for_params(p)
-    adam_step(state, p, {"x": np.array([0.0])}, lr=0.1)
-    assert p["x"][0] == 1.5
+    adam_step(state, p, np.array([0.0]), lr=0.1)
+    assert p[0] == 1.5
 
 
 def test_adam_two_identical_steps():
-    p = _params(0.0)
+    p = np.array([0.0])
     state = OptimizerState.for_params(p)
     for _ in range(2):
-        adam_step(state, p, {"x": np.array([1.0])}, lr=0.01)
-    assert p["x"][0] == pytest.approx(-0.02, abs=1e-4)
+        adam_step(state, p, np.array([1.0]), lr=0.01)
+    assert p[0] == pytest.approx(-0.02, abs=1e-4)
 
 
 def test_project_weights():
@@ -149,11 +145,23 @@ def test_practical_identity_ratio_zero(linreg):
 def test_practical_hand_ratio_values():
     # f_P = 2, f_C = 1 -> ratio term 0.5
     assert abs(1.0 - 1.0 / 2.0) == 0.5
-    # lambda = 1, sums 1 vs 1.2, zero ratio terms -> loss 0.2
-    class C:
-        weights = np.array([1.2])
-    pen, _ = _weight_sum_term(C, 1.0, 1.0)
-    assert pen == pytest.approx(0.2)
+    # lambda = 1, sums 1 vs 1.2, zero ratio terms -> loss 0.2, recorded as
+    # the train loss of a coreset that no step can move
+    # f_P = f_C = 1 at q = 2, so the coreset gets a zero gradient
+    P = WeightedLabeledSet([[1.0]], [1.0], [1.0])
+    exact = Coreset([[1.0], [0.5]], [1.0, 0.2], [1.0, 1.0])
+    cfg = TrainConfig(coreset_size=2, epochs=1, learning_rate=0.01, lam=1.0,
+                      batch_size=1, seed=0, algorithm="practical",
+                      learn_weights=False)
+    import corelearn.learner as ln
+    orig = ln.init_coreset
+    ln.init_coreset = lambda *a, **k: exact.copy()
+    try:
+        _, report = ln.autocl_practical(P, np.array([[2.0]]), None,
+                                        LossModel("linear_regression"), cfg)
+    finally:
+        ln.init_coreset = orig
+    assert report.train_losses == [pytest.approx(0.2)]
 
 
 def test_weights_frozen_when_not_learned(linreg):
@@ -166,6 +174,37 @@ def test_weights_frozen_when_not_learned(linreg):
     coreset, _ = autocl_practical(P, qm, None, linreg, cfg)
     assert np.allclose(coreset.weights, 1.0 / 3)
     assert coreset.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    # frozen labels and weights stay bit-equal to the initial coreset, for
+    # both objectives, while the points move
+    init = init_coreset(P, 3, seed=1)
+    for algorithm in ("practical", "average"):
+        cfg = TrainConfig(coreset_size=3, epochs=5, learning_rate=0.05,
+                          lam=1.0, batch_size=3, seed=1, algorithm=algorithm,
+                          learn_weights=False, learn_labels=False,
+                          early_stop_on_validation=False)
+        if algorithm == "practical":
+            coreset, _ = autocl_practical(P, qm, None, linreg, cfg)
+        else:
+            coreset, _ = autocl_average(P, qm, linreg, cfg)
+        assert np.array_equal(coreset.weights, init.weights)
+        assert np.array_equal(coreset.labels, init.labels)
+        assert not np.array_equal(coreset.points, init.points)
+
+
+def test_average_scores_after_the_step(linreg):
+    """epochs=1 with early stopping returns the trained state, not the init."""
+    rng = np.random.default_rng(13)
+    P = _random_set(rng)
+    qm = rng.standard_normal((6, 2))
+    cfg = TrainConfig(coreset_size=3, epochs=1, learning_rate=0.05, lam=1.0,
+                      batch_size=6, seed=4, algorithm="average",
+                      early_stop_on_validation=True)
+    coreset, report = autocl_average(P, qm, linreg, cfg)
+    init = init_coreset(P, 3, seed=4)
+    assert report.best_epoch == 0
+    assert not np.array_equal(coreset.points, init.points)
+    assert np.array_equal(coreset.points, report.final_coreset.points)
 
 
 def test_weights_nonnegative_every_epoch(linreg):

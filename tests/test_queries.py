@@ -53,7 +53,6 @@ def test_split_sizes_and_disjointness():
     pool = np.arange(20, dtype=float).reshape(10, 2)
     tr, va, te = split_queries(pool, (6, 2, 2), seed=5)
     assert len(tr) == 6 and len(va) == 2 and len(te) == 2
-    assert tr.role == "train" and va.role == "validation" and te.role == "test"
     rows = {tuple(r) for batch in (tr, va, te) for r in batch.array}
     assert len(rows) == 10
 
