@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import sys
@@ -122,12 +123,29 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _schema_from(section) -> Schema:
+    """The dataset.schema section as a Schema; a section that is not an
+    object, or has an unknown or missing key, is a ConfigError."""
+    if not isinstance(section, dict):
+        raise ConfigError("dataset.schema must be an object")
+    known = {f.name: f for f in dataclasses.fields(Schema)}
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown config key dataset.schema.{key}")
+    for name, f in known.items():
+        required = (f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING)
+        if required and name not in section:
+            raise ConfigError(f"missing config key dataset.schema.{name}")
+    return Schema(**section)
+
+
 def resolve_dataset(cfg: dict) -> tuple[WeightedLabeledSet, LossModel]:
     ds = cfg["dataset"]
     if ds["path"] is not None:
         if ds["schema"] is None:
             raise ConfigError("dataset.path requires dataset.schema")
-        schema = Schema(**ds["schema"])
+        schema = _schema_from(ds["schema"])
         data = load_dataset(ds["path"], schema)
         kind = LOGISTIC if schema.binary_label else LINEAR
     else:
@@ -328,6 +346,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_verify(args):
+    if args.trials < 1:
+        raise ConfigError("--trials must be >= 1")
     cfg, P, loss, pool, _ = _prepare(args)
     rng_idx = np.linspace(0, pool.shape[0] - 1, args.universe_size).astype(int)
     universe = tuple(Query(pool[i]) for i in rng_idx)

@@ -171,12 +171,19 @@ class Query:
         return self.params.shape[0]
 
 
+# Buckets of the guide table that MeasurableQuerySpace.draw indexes its CDF
+# with. A power of two, so that u * GUIDE_BUCKETS is exact for every uniform
+# u in [0, 1) and its floor is below GUIDE_BUCKETS.
+GUIDE_BUCKETS = 2 ** 12
+
+
 @dataclass(frozen=True)
 class MeasurableQuerySpace:
     """A dataset + loss + finite query universe + probability vector over it.
 
     The finite universe stands in for a general query distribution; it is the
-    representation under which expectations are exactly computable.
+    representation under which expectations are exactly computable. Its
+    (size, d') query matrix is built once, at construction, and is read-only.
     """
 
     ground: WeightedLabeledSet
@@ -188,22 +195,61 @@ class MeasurableQuerySpace:
         universe = tuple(self.universe)
         if len(universe) < 1:
             raise ContractError("universe must be non-empty")
+        dim = universe[0].dim
+        for i, q in enumerate(universe):
+            if q.dim != dim:
+                raise ContractError(
+                    f"universe query {i} has dimension {q.dim}, query 0 has {dim}")
+        qm = np.stack([q.params for q in universe])
+        qm.flags.writeable = False
         mu = _as_vector(self.measure, "measure")
         if mu.shape[0] != len(universe):
             raise ContractError("measure length must match universe size")
+        if not np.all(np.isfinite(mu)):
+            raise ContractError("non-finite entries in measure")
         if np.any(mu < 0):
             raise ContractError("measure entries must be nonnegative")
         if abs(float(np.sum(mu)) - 1.0) > 1e-12:
             raise ContractError("measure must sum to 1 within 1e-12")
+        # Generator.choice's CDF, and for each bucket [j/G, (j+1)/G) the
+        # first index whose CDF exceeds the bucket's lower end.
+        cdf = mu.cumsum()
+        cdf /= cdf[-1]
+        guide = cdf.searchsorted(
+            np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS, side="right")
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "measure", mu)
+        object.__setattr__(self, "_queries", qm)
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_guide", guide)
 
     @property
     def size(self):
         return len(self.universe)
 
     def query_matrix(self) -> np.ndarray:
-        return np.stack([q.params for q in self.universe])
+        return self._queries
+
+    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """Indices of i.i.d. draws from the measure, an int array of `shape`.
+
+        Equal, draw for draw and in the generator's state afterwards, to
+        rng.choice(self.size, size=shape, p=self.measure): the same uniforms,
+        rng.random(shape), are mapped through the same CDF to
+        cdf.searchsorted(u, side="right"), the unique i with
+        cdf[i - 1] <= u < cdf[i]. Instead of a binary search per uniform, a
+        guide table (Chen & Asau, 1974) looks up the answer for the lower end
+        j/G of u's bucket, j = floor(u G). That guess satisfies
+        cdf[guess - 1] <= j/G <= u by construction, so it is exact whenever
+        u < cdf[guess]. The other draws, about size/GUIDE_BUCKETS of them,
+        go to searchsorted.
+        """
+        u = rng.random(shape)
+        idx = self._guide[(u * GUIDE_BUCKETS).astype(np.intp)]
+        miss = u >= self._cdf[idx]
+        if miss.any():
+            idx[miss] = self._cdf.searchsorted(u[miss], side="right")
+        return idx
 
 
 def total_cost(points, weights, labels, loss, q) -> float:

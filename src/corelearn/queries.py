@@ -97,9 +97,7 @@ def iid_sample(space: MeasurableQuerySpace, k: int, seed: int = 0) -> QueryBatch
     if k < 1:
         raise ContractError("k must be >= 1")
     rng = stream_rng(seed, "iid_sample")
-    idx = rng.choice(space.size, size=k, p=space.measure)
-    qm = space.query_matrix()[idx]
-    return QueryBatch(qm)
+    return QueryBatch(space.query_matrix()[space.draw(rng, k)])
 
 
 def save_pool_csv(pool, path):

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,31 @@ def test_config_rejects_unknown_synth_key(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("schema, match", [
+    ({"features": ["0"], "label": "1", "standardise": True},
+     r"dataset\.schema\.standardise"),
+    ({"features": ["0"]}, r"dataset\.schema\.label"),
+    (["0", "1"], r"dataset\.schema must be an object"),
+])
+def test_config_rejects_malformed_schema(tmp_path, capsys, schema, match):
+    data = tmp_path / "data.csv"
+    data.write_text("1.0,2.0\n3.0,4.0\n5.0,7.0\n")
+    path = _write_config(tmp_path, dataset={"path": str(data), "schema": schema})
+    out = tmp_path / "pool.csv"
+    assert main(["gen-queries", "--config", str(path), "--out", str(out)]) == 1
+    assert re.search(match, capsys.readouterr().err)
+
+
+def test_config_schema_loads_csv_dataset(tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("1.0,2.0\n3.0,4.0\n5.0,7.0\n")
+    path = _write_config(tmp_path, dataset={
+        "path": str(data), "schema": {"features": ["0"], "label": "1"}})
+    out = tmp_path / "pool.csv"
+    assert main(["gen-queries", "--config", str(path), "--out", str(out)]) == 0
+    assert np.loadtxt(out, delimiter=",", ndmin=2).shape == (2 * 14 + 2, 1)
+
+
 def test_config_rejects_bad_method():
     cfg = json.loads(json.dumps({
         "seed": 0,
@@ -233,6 +259,12 @@ def test_cli_verify(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "claim1" in out
     assert code == 0
+
+
+def test_cli_verify_rejects_trials_below_one(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    assert main(["verify", "--config", str(path), "--trials", "0"]) == 1
+    assert "--trials" in capsys.readouterr().err
 
 
 def test_cli_bad_config_exit_code(tmp_path):

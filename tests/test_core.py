@@ -156,3 +156,92 @@ def test_measure_must_sum_to_one(tiny_set, linreg):
 def test_query_requires_finite_params():
     with pytest.raises(ContractError):
         Query([np.inf])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_measure_rejects_non_finite(tiny_set, linreg, bad):
+    universe = (Query([1.0]), Query([2.0]), Query([3.0]))
+    with pytest.raises(ContractError, match="non-finite"):
+        MeasurableQuerySpace(tiny_set, linreg, universe, [0.5, bad, 0.5])
+
+
+def test_universe_query_matrix_built_once(tiny_set, linreg):
+    universe = (Query([1.0]), Query([2.0]))
+    space = MeasurableQuerySpace(tiny_set, linreg, universe, [0.5, 0.5])
+    qm = space.query_matrix()
+    assert qm is space.query_matrix()
+    assert np.array_equal(qm, [[1.0], [2.0]])
+    assert not qm.flags.writeable
+
+
+def test_universe_rejects_mismatched_dimensions(tiny_set, linreg):
+    universe = (Query([1.0]), Query([2.0]), Query([1.0, 2.0]), Query([3.0]))
+    with pytest.raises(ContractError, match="query 2"):
+        MeasurableQuerySpace(tiny_set, linreg, universe, np.full(4, 0.25))
+
+
+# -- the query-space sampler --------------------------------------------
+
+
+def _space_with(measure):
+    P = WeightedLabeledSet([[1.0]], [1.0], [0.0])
+    universe = tuple(Query([float(i)]) for i in range(len(measure)))
+    return MeasurableQuerySpace(P, LossModel("linear_regression"), universe,
+                                measure)
+
+
+def _seeded_measures():
+    gen = np.random.default_rng(20240)
+    for n in (2, 3, 7, 50, 200, 5000):
+        for alpha in (0.05, 1.0, 20.0):
+            yield gen.dirichlet(np.full(n, alpha))
+    for n in (3, 9, 200):
+        for zeros in ([0], [n // 2], [n - 1], [0, n - 1]):
+            mu = gen.dirichlet(np.ones(n))
+            mu[zeros] = 0.0
+            yield mu
+    mu = gen.dirichlet(np.ones(200))
+    mu[:10] = mu[90:110] = mu[-10:] = 0.0  # runs of zero mass
+    yield mu
+    for n, at in ((1, 0), (5, 0), (5, 2), (5, 4)):
+        mu = np.zeros(n)
+        mu[at] = 1.0
+        yield mu
+
+
+@pytest.mark.parametrize("shape", [(1,), (37,), (20000,), (3, 11)])
+def test_draw_equals_generator_choice(shape):
+    for i, mu in enumerate(_seeded_measures()):
+        mu = mu / np.sum(mu)
+        space = _space_with(mu)
+        ours, ref = np.random.default_rng(i), np.random.default_rng(i)
+        idx = space.draw(ours, shape)
+        expected = ref.choice(space.size, size=shape, p=space.measure)
+        assert idx.dtype == expected.dtype and idx.shape == expected.shape
+        assert np.array_equal(idx, expected), (i, mu.shape)
+        assert ours.random() == ref.random()  # same stream position after
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose next uniforms are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        return self.u.reshape(shape)
+
+
+@pytest.mark.parametrize("mu", [
+    [0.25, 0.0, 0.25, 0.5],  # every CDF step on a guide bucket edge
+    [0.3, 0.0, 0.2, 0.1, 0.4],  # steps inside buckets
+])
+def test_draw_at_cdf_and_bucket_boundaries(mu):
+    space = _space_with(np.array(mu))
+    cdf = np.cumsum(mu)
+    cdf /= cdf[-1]  # as Generator.choice builds it
+    steps = cdf[:-1]
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], steps,
+                        np.nextafter(steps, 0.0), np.nextafter(steps, 1.0)])
+    idx = space.draw(_FixedUniforms(u), (len(u),))
+    assert idx.tolist() == cdf.searchsorted(u, side="right").tolist()

@@ -15,8 +15,9 @@ from corelearn import (
     verify_claim1,
     verify_claim2,
 )
-from corelearn.core import ContractError
-from corelearn.theory import BoundSpec, bound_table, exact_set_M
+from corelearn import theory
+from corelearn.core import ContractError, set_costs, stream_rng
+from corelearn.theory import BoundSpec, Claim1Result, bound_table, exact_set_M
 
 
 def test_hoeffding_k_values():
@@ -169,3 +170,93 @@ def test_claim2_sample_premise_violation(linreg):
     res = verify_claim2(P, C, space, eps=0.1, delta=0.1, trials=5, seed=3)
     assert res.failed_premise == "sample_average"
     assert res.violation_rate is None
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_claims_reject_trials_below_one(linreg, trials):
+    space = _space_from_costs(linreg, [1.0, 2.0])
+    P = space.ground
+    C = Coreset(P.points.copy(), P.weights.copy(), P.labels.copy())
+    with pytest.raises(ContractError, match="trials"):
+        verify_claim1(space, eps=0.1, delta=0.05, trials=trials)
+    with pytest.raises(ContractError, match="trials"):
+        verify_claim2(P, C, space, eps=0.1, delta=0.1, trials=trials)
+
+
+# -- the blocked trials against a per-trial rng.choice loop --------------
+
+
+def _reference_claim1(space, eps, delta, trials, seed):
+    costs = set_costs(space.ground, space.loss, space.query_matrix())
+    expect = float(np.sum(space.measure * costs))
+    M = float(np.max(np.abs(costs)))
+    k = hoeffding_k(eps, delta, M)
+    rng = stream_rng(seed, "verify_claim1")
+    violations = 0
+    for _ in range(trials):
+        idx = rng.choice(space.size, size=k, p=space.measure)
+        if abs(float(np.mean(costs[idx])) - expect) > eps:
+            violations += 1
+    return Claim1Result(violations / trials, k, M, eps, delta, trials)
+
+
+def _reference_premise2_gap(P, C, space, k, trials, seed):
+    costs_p = set_costs(P, space.loss, space.query_matrix())
+    costs_c = set_costs(C, space.loss, space.query_matrix())
+    rng = stream_rng(seed, "verify_claim2")
+    gaps = np.empty(trials)
+    for t in range(trials):
+        idx = rng.choice(space.size, size=k, p=space.measure)
+        gaps[t] = abs(float(np.mean(costs_p[idx]) - np.mean(costs_c[idx])))
+    return float(np.median(gaps))
+
+
+def _random_space(linreg, seed, size):
+    gen = np.random.default_rng(seed)
+    P = WeightedLabeledSet(gen.standard_normal((12, 2)), gen.random(12) / 12,
+                           gen.standard_normal(12))
+    universe = tuple(Query(q) for q in gen.standard_normal((size, 2)))
+    mu = gen.dirichlet(np.full(size, 0.5))
+    mu[gen.integers(size)] = 0.0
+    return MeasurableQuerySpace(P, linreg, universe, mu / np.sum(mu))
+
+
+def _bimodal_space(linreg, seed, size):
+    """Costs near 0 and near 4 under a seeded measure with one zero mass:
+    close to the highest-variance case, so claim 1 sees violations."""
+    gen = np.random.default_rng(seed)
+    costs = 4.0 * (np.arange(size) % 2) + 0.2 * gen.random(size)
+    mu = gen.dirichlet(np.full(size, 5.0))
+    mu[gen.integers(size)] = 0.0
+    return _space_from_costs(linreg, costs, mu / np.sum(mu))
+
+
+# MC_BLOCK 1000 puts 7 trials of k = 141 in a block, which 2000 trials do not
+# fill evenly; MC_BLOCK 100 is below k, one trial a block.
+@pytest.mark.parametrize("block", [theory.MC_BLOCK, 1000, 100])
+def test_claim1_equals_per_trial_choice(linreg, monkeypatch, block):
+    monkeypatch.setattr(theory, "MC_BLOCK", block)
+    for seed, size in ((3, 3), (1, 7), (2, 40)):
+        space = _bimodal_space(linreg, seed, size)
+        eps = 0.1 * exact_set_M(space)
+        # delta near 1 keeps k small, so a few of the 2000 trials violate
+        res = verify_claim1(space, eps=eps, delta=0.99, trials=2000, seed=seed)
+        assert res == _reference_claim1(space, eps, 0.99, 2000, seed)
+        assert res.k == 141 and res.violation_rate > 0
+
+
+@pytest.mark.parametrize("block", [theory.MC_BLOCK, 1000, 100])
+def test_claim2_equals_per_trial_choice(linreg, monkeypatch, block):
+    monkeypatch.setattr(theory, "MC_BLOCK", block)
+    for seed, size in ((3, 2), (4, 9), (5, 60)):
+        space = _random_space(linreg, seed, size)
+        P = space.ground
+        gen = np.random.default_rng(seed)
+        C = Coreset(P.points + 0.05 * gen.standard_normal(P.points.shape),
+                    P.weights.copy(), P.labels.copy())
+        M = exact_set_M(space)
+        res = verify_claim2(P, C, space, eps=0.5 * M, delta=0.1, trials=33,
+                            seed=seed, M=M)
+        assert res.premise2_gap > 0
+        assert res.premise2_gap == _reference_premise2_gap(P, C, space, res.k,
+                                                            33, seed)
