@@ -11,13 +11,12 @@ from .core import (
     Query,
     WeightedLabeledSet,
     expected_cost,
-    normalize_weights,
     set_cost,
     set_costs,
     stream_rng,
     total_cost,
 )
-from .losses import LossModel, linreg_loss, logreg_loss, loss_gradients
+from .losses import LossModel
 from .learner import (
     OptimizerState,
     TrainConfig,

@@ -88,19 +88,15 @@ def _solve_gd(P: WeightedLabeledSet, loss: LossModel,
               tol: float = 1e-8, max_iter: int = 100_000) -> OptimResult:
     """Gradient descent with backtracking line search on the weighted objective."""
     q = np.zeros(loss.query_dim(P.dim))
-
-    def cost(v):
-        return float(np.sum(P.weights * loss.pointwise(P.points, P.labels, v)))
-
-    c = cost(q)
+    c, g = loss.query_grad(P.points, P.labels, P.weights, q)
     step = 1.0
-    g = loss.query_grad(P.points, P.labels, P.weights, q)
     for it in range(max_iter):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             # a flat gradient can also mean escape to infinity (separable
             # data): a genuine minimizer does not improve when scaled up
-            if cost(2.0 * q) < c - 1e-15:
+            c2, _ = loss.query_grad(P.points, P.labels, P.weights, 2.0 * q)
+            if c2 < c - 1e-15:
                 warnings.warn("objective keeps improving toward infinity; "
                               "no finite minimizer (separable data?)")
                 return OptimResult(q, False, it, gnorm)
@@ -108,7 +104,7 @@ def _solve_gd(P: WeightedLabeledSet, loss: LossModel,
         step *= 2.0  # allow the step to grow back after earlier backtracking
         while True:
             trial = q - step * g
-            ct = cost(trial)
+            ct, gt = loss.query_grad(P.points, P.labels, P.weights, trial)
             if np.isfinite(ct) and ct <= c - 0.5 * step * gnorm * gnorm:
                 break
             step *= 0.5
@@ -117,8 +113,7 @@ def _solve_gd(P: WeightedLabeledSet, loss: LossModel,
                     f"line search stalled at gradient norm {gnorm:.3e}; "
                     "returning best iterate")
                 return OptimResult(q, False, it, gnorm)
-        q, c = trial, ct
-        g = loss.query_grad(P.points, P.labels, P.weights, q)
+        q, c, g = trial, ct, gt
     gnorm = float(np.linalg.norm(g))
     if gnorm > tol:
         warnings.warn(

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, baselines, evaluate, learner, queries, theory
-from .core import Coreset, MeasurableQuerySpace, Query, WeightedLabeledSet
+from .core import (ContractError, Coreset, MeasurableQuerySpace, Query,
+                   WeightedLabeledSet)
 from .datasets import DatasetError, Schema, load_dataset, make_synthetic
 from .learner import TrainConfig
 from .losses import LINEAR, LOGISTIC, LossModel
@@ -348,6 +349,8 @@ def _cmd_bounds(args):
 def _cmd_verify(args):
     if args.trials < 1:
         raise ConfigError("--trials must be >= 1")
+    if args.universe_size < 1:
+        raise ConfigError("--universe-size must be >= 1")
     cfg, P, loss, pool, _ = _prepare(args)
     rng_idx = np.linspace(0, pool.shape[0] - 1, args.universe_size).astype(int)
     universe = tuple(Query(pool[i]) for i in rng_idx)
@@ -426,7 +429,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DatasetError) as exc:
+    except (ConfigError, DatasetError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary

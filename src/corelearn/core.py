@@ -109,10 +109,6 @@ class WeightedLabeledSet:
         return WeightedLabeledSet(self.points, self.weights / s, self.labels)
 
 
-def normalize_weights(dataset: WeightedLabeledSet) -> WeightedLabeledSet:
-    return dataset.normalized()
-
-
 @dataclass
 class Coreset:
     """The learnable summary (C, u, y): synthetic points, weights, labels.

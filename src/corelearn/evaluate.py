@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, learner
-from .core import Coreset, ContractError, DegenerateInputError, WeightedLabeledSet
+from .core import (Coreset, ContractError, DegenerateInputError,
+                   WeightedLabeledSet, set_cost)
 from .learner import RATIO_FLOOR, TrainConfig
 from .losses import LossModel
 
@@ -26,11 +27,11 @@ def err_opt(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel) -> float:
     |1 - f(P, q*_c) / f(P, q*)|."""
     sol_p = baselines.solve_optimal(P, loss)
     sol_c = baselines.solve_optimal(coreset.as_set(), loss)
-    f_star = float(np.sum(P.weights * loss.pointwise(P.points, P.labels, sol_p.params)))
+    f_star = set_cost(P, loss, sol_p.params)
     if f_star <= RATIO_FLOOR:
         raise DegenerateInputError(
             "full-data optimum cost is zero; optimal-solution error undefined")
-    f_at_c = float(np.sum(P.weights * loss.pointwise(P.points, P.labels, sol_c.params)))
+    f_at_c = set_cost(P, loss, sol_c.params)
     return abs(1.0 - f_at_c / f_star)
 
 

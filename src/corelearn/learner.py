@@ -31,6 +31,10 @@ from .queries import as_query_matrix
 RATIO_FLOOR = 1e-12
 # global-norm bound on each step's gradient
 GRAD_CLIP = 1e3
+# Adam's moment decay rates and the denominator's guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 ALG_AVERAGE = "average"
 ALG_PRACTICAL = "practical"
@@ -92,9 +96,6 @@ class OptimizerState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
 
     @staticmethod
     def for_params(params: np.ndarray) -> "OptimizerState":
@@ -110,7 +111,7 @@ def adam_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray,
             f"gradient shape {grads.shape} does not match parameters {params.shape}")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.m *= b1
     state.m += (1 - b1) * grads
     state.v *= b2
@@ -118,7 +119,7 @@ def adam_step(state: OptimizerState, params: np.ndarray, grads: np.ndarray,
     m_hat = state.m / (1 - b1 ** t)
     v_hat = state.v / (1 - b2 ** t)
     np.sqrt(v_hat, out=v_hat)
-    v_hat += state.eps_adam
+    v_hat += ADAM_EPS
     m_hat *= lr
     m_hat /= v_hat
     params -= m_hat

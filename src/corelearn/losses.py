@@ -4,6 +4,12 @@ Two loss families are supported: squared-residual linear regression and
 negative log-likelihood logistic regression with +/-1 labels. An optional
 intercept is handled by appending a constant-1 feature, so the query vector
 gains one coordinate and all gradient formulas stay uniform.
+
+Each family is written once, in LossModel._link: the losses at predictions
+z = <p, q> and, on request, their derivatives w.r.t. z and the label. The
+values (pointwise, pointwise_matrix, blocks, costs), the coreset gradients
+(weighted_grads) and the query's cost and gradient (query_grad) are all
+built on it by the chain rule through z.
 """
 
 from __future__ import annotations
@@ -21,27 +27,6 @@ LOGISTIC = "logistic_regression"
 # Full-data costs are evaluated over blocks of queries holding at most this
 # many (point, query) pairs, so memory stays flat however many queries come.
 BLOCK_ELEMENTS = 1 << 20
-
-
-def _logistic(m, grad=True):
-    """softplus(-m) = log(1 + e^-m) and, if grad, sigmoid(-m) = 1/(1 + e^m).
-
-    Both come from one e = exp(-|m|), so neither overflows at any finite m:
-    softplus(-m) = max(-m, 0) + log1p(e), and sigmoid(-m) is e / (1 + e) for
-    m >= 0 and 1 / (1 + e) for m < 0. The second value is None without grad.
-    The margins m are overwritten, which saves a temporary of their size.
-    """
-    e = np.abs(m)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    s = None
-    if grad:
-        s = e + 1.0
-        np.divide(np.where(m >= 0, e, 1.0), s, out=s)
-    np.minimum(m, 0.0, out=m)
-    f = np.log1p(e, out=e)
-    f -= m
-    return f, s
 
 
 @dataclass(frozen=True)
@@ -74,30 +59,58 @@ class LossModel:
             )
         return a
 
-    def _values(self, z, labels):
-        """Losses from predictions z, computed in z's memory; labels
-        broadcast against z."""
+    def _link(self, z, labels, grad=False):
+        """Losses f(z, b) at predictions z and labels b, which broadcast
+        against z; the one place where each family's formula is written.
+
+        Returns (f, df/dz, df/db), the two derivatives None without grad. z
+        is overwritten, and the losses are computed in its memory or in a
+        temporary of its size.
+        """
         if self.kind == LINEAR:
+            # f = (z - b)^2
             z -= labels
+            dz = db = None
+            if grad:
+                dz = 2.0 * z
+                db = -dz
             z *= z
-            return z
-        # labels may be real here: learned coreset labels drift off +/-1
-        z *= labels
-        return _logistic(z, grad=False)[0]
+            return z, dz, db
+        # f = softplus(-m) = log(1 + e^-m) with margin m = b z. Labels may be
+        # real here: learned coreset labels drift off +/-1. Value and slope
+        # come from one e = exp(-|m|), so neither overflows at any finite m.
+        m = z * labels if grad else np.multiply(z, labels, out=z)
+        e = np.abs(m)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        dz = db = None
+        if grad:
+            # df/dm = -sigmoid(-m): -e / (1 + e) for m >= 0, -1 / (1 + e) else
+            s = e + 1.0
+            np.divide(np.where(m >= 0, e, 1.0), s, out=s)
+            np.negative(s, out=s)
+            db = np.multiply(z, s, out=z)
+            dz = s
+            dz *= labels
+        # softplus(-m) = max(-m, 0) + log1p(e)
+        np.minimum(m, 0.0, out=m)
+        f = np.log1p(e, out=e)
+        f -= m
+        return f, dz, db
 
     def pointwise(self, points, labels, q) -> np.ndarray:
         """Per-point loss values f(p_i, b_i, q), shape (n,)."""
         q = np.asarray(q, dtype=float)
         a = self._features(points, q.shape[0])
         labels = np.atleast_1d(np.asarray(labels, dtype=float))
-        return self._values(a @ q, labels)
+        return self._link(a @ q, labels)[0]
 
     def pointwise_matrix(self, points, labels, queries) -> np.ndarray:
         """Loss values for every (point, query) pair, shape (n, k)."""
         qm = np.atleast_2d(np.asarray(queries, dtype=float))
         a = self._features(points, qm.shape[1])
         labels = np.asarray(labels, dtype=float)
-        return self._values(a @ qm.T, labels[:, None])
+        return self._link(a @ qm.T, labels[:, None])[0]
 
     def blocks(self, points, labels, queries):
         """pointwise_matrix over consecutive blocks of queries.
@@ -141,58 +154,22 @@ class LossModel:
         weights = np.asarray(weights, dtype=float)
         d = points.shape[1]
         z = self._features(points, qm.shape[1]) @ qm.T  # (m, k)
-        # dz = d f / d z, and d f / d label = -dlab
-        if self.kind == LINEAR:
-            dz = z - labels[:, None]
-            per_point = dz * dz
-            dz *= 2.0
-            dlab = dz
-        else:
-            per_point, s = _logistic(labels[:, None] * z)
-            dlab = z
-            dlab *= s
-            dz = s
-            dz *= -labels[:, None]
+        per_point, dz, db = self._link(z, labels[:, None], grad=True)
         costs = weights @ per_point
         coeffs = np.asarray(coeffs(costs) if callable(coeffs) else coeffs,
                             dtype=float)
         # sum_q coeffs_q * u_i * (d f_iq / d z_iq) * q
         d_points = weights[:, None] * (dz @ (coeffs[:, None] * qm[:, :d]))
-        d_labels = -weights * (dlab @ coeffs)
+        d_labels = weights * (db @ coeffs)
         d_weights = per_point @ coeffs
         return costs, d_points, d_labels, d_weights
 
-    def query_grad(self, points, labels, weights, q) -> np.ndarray:
-        """Gradient of the total cost w.r.t. the query vector."""
+    def query_grad(self, points, labels, weights, q) -> tuple[float, np.ndarray]:
+        """Total cost sum_i w_i f(p_i, b_i, q) and its gradient w.r.t. the
+        query vector, (cost, grad (d',)), from one pass over the points."""
         q = np.asarray(q, dtype=float)
         a = self._features(points, q.shape[0])
         labels = np.asarray(labels, dtype=float)
         weights = np.asarray(weights, dtype=float)
-        z = a @ q
-        if self.kind == LINEAR:
-            dz = 2.0 * (z - labels)
-        else:
-            dz = -labels * _logistic(labels * z)[1]
-        return a.T @ (weights * dz)
-
-
-def linreg_loss(p, b, q) -> float:
-    """Squared residual (<p, q> - b)^2 for one point (no intercept handling)."""
-    return float(LossModel(LINEAR).pointwise(p, [b], q)[0])
-
-
-def logreg_loss(p, b, q) -> float:
-    """Stable logistic loss log(1 + exp(-b <p, q>)) for one point."""
-    if b not in (-1, 1):
-        raise ContractError("logistic label must be -1 or +1")
-    return float(LossModel(LOGISTIC).pointwise(p, [b], q)[0])
-
-
-def loss_gradients(loss: LossModel, p, b, u_weight, q):
-    """Gradients of u * f(p, b, q) w.r.t. (p, b, u, q) for a single point."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    costs, dp, db, du = loss.weighted_grads(
-        p[None, :], [b], [u_weight], np.asarray(q, dtype=float)[None, :], [1.0]
-    )
-    dq = loss.query_grad(p[None, :], [b], [u_weight], q)
-    return dp[0], float(db[0]), float(du[0]), dq
+        f, dz, _ = self._link(a @ q, labels, grad=True)
+        return float(np.sum(weights * f)), a.T @ (weights * dz)

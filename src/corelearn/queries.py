@@ -58,14 +58,15 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
     for start in range(n_starts):
         q = init_scale * rng.standard_normal(dq)
         out.append(q.copy())
+        _, g = loss.query_grad(P.points, P.labels, P.weights, q)
         for _ in range(steps_per_start):
-            g = loss.query_grad(P.points, P.labels, P.weights, q)
             q = q - gd_lr * g
             cost = np.inf
             if np.all(np.isfinite(q)):
-                with np.errstate(over="ignore"):
-                    cost = float(np.sum(
-                        P.weights * loss.pointwise(P.points, P.labels, q)))
+                # the cost decides: a non-finite gradient beside a finite
+                # cost makes the next iterate non-finite, which truncates
+                with np.errstate(over="ignore", invalid="ignore"):
+                    cost, g = loss.query_grad(P.points, P.labels, P.weights, q)
             if not np.isfinite(cost):
                 warnings.warn(f"trajectory {start} diverged; truncating")
                 break

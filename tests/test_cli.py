@@ -267,6 +267,17 @@ def test_cli_verify_rejects_trials_below_one(tmp_path, capsys):
     assert "--trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, match", [
+    (["learn", "--size", "0"], "coreset_size must be >= 1"),
+    (["baseline", "--method", "uniform", "--size", "0"], "m=0"),
+    (["verify", "--universe-size", "0"], "--universe-size"),
+])
+def test_cli_rejects_sizes_below_one(tmp_path, capsys, argv, match):
+    path = _write_config(tmp_path)
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 1
+    assert match in capsys.readouterr().err
+
+
 def test_cli_bad_config_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")

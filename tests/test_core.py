@@ -12,7 +12,6 @@ from corelearn import (
     Query,
     WeightedLabeledSet,
     expected_cost,
-    normalize_weights,
     set_cost,
     set_costs,
     total_cost,
@@ -101,18 +100,18 @@ def test_identity_coreset_matches_input_exactly(linreg):
 
 def test_normalize_weights():
     s = WeightedLabeledSet([[0.0], [0.0]], [2.0, 2.0], [0.0, 0.0])
-    assert np.allclose(normalize_weights(s).weights, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(s.normalized().weights, [0.5, 0.5], atol=1e-12)
     s1 = WeightedLabeledSet([[0.0]], [1.0], [0.0])
-    assert normalize_weights(s1).weights[0] == 1.0
+    assert s1.normalized().weights[0] == 1.0
     s2 = WeightedLabeledSet([[0.0], [0.0]], [3.0, 1.0], [0.0, 0.0])
-    assert np.allclose(normalize_weights(s2).weights, [0.75, 0.25], atol=1e-12)
-    assert abs(normalize_weights(s2).weights.sum() - 1.0) < 1e-12
+    assert np.allclose(s2.normalized().weights, [0.75, 0.25], atol=1e-12)
+    assert abs(s2.normalized().weights.sum() - 1.0) < 1e-12
 
 
 def test_normalize_all_zero_weights_fails():
     s = WeightedLabeledSet([[0.0]], [0.0], [0.0])
     with pytest.raises(DegenerateInputError):
-        normalize_weights(s)
+        s.normalized()
 
 
 def test_set_invariants():
