@@ -14,7 +14,6 @@ from .core import (
     set_cost,
     set_costs,
     stream_rng,
-    total_cost,
 )
 from .losses import LossModel
 from .learner import (
@@ -31,7 +30,6 @@ from .learner import (
 from .queries import QueryBatch, iid_sample, split_queries, trajectory_queries
 from .baselines import leverage_coreset, solve_optimal, uniform_coreset
 from .theory import (
-    BoundSpec,
     claim2_k,
     estimate_M,
     hoeffding_k,

@@ -352,6 +352,9 @@ def _cmd_verify(args):
     if args.universe_size < 1:
         raise ConfigError("--universe-size must be >= 1")
     cfg, P, loss, pool, _ = _prepare(args)
+    if args.universe_size > pool.shape[0]:
+        raise ConfigError(f"--universe-size {args.universe_size} exceeds the "
+                          f"pool size {pool.shape[0]}")
     rng_idx = np.linspace(0, pool.shape[0] - 1, args.universe_size).astype(int)
     universe = tuple(Query(pool[i]) for i in rng_idx)
     measure = np.full(len(universe), 1.0 / len(universe))

@@ -1,7 +1,7 @@
 """Domain types: weighted labeled sets, coresets, queries, and cost evaluation.
 
-All heavy numerics go through numpy. Sums over points/queries use np.sum,
-whose pairwise accumulation keeps floating-point drift bounded on large n.
+All heavy numerics go through numpy. Every weighted sum over points is
+weights @ values, and set_costs is the one checked way to a set's cost.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "Coreset",
     "Query",
     "MeasurableQuerySpace",
-    "total_cost",
     "set_cost",
     "set_costs",
     "expected_cost",
@@ -32,14 +31,7 @@ class ContractError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A non-finite value appeared mid-computation.
-
-    ``index`` points at the offending per-point term when known.
-    """
-
-    def __init__(self, msg, index=None):
-        super().__init__(msg)
-        self.index = index
+    """A non-finite value appeared mid-computation."""
 
 
 class DegenerateInputError(ValueError):
@@ -114,8 +106,8 @@ class Coreset:
     """The learnable summary (C, u, y): synthetic points, weights, labels.
 
     Mutable: a learner owns and updates it in place between snapshots.
-    Weights are nonnegative at every point observable outside an optimizer
-    step (the learner projects after each update).
+    Weights are nonnegative at construction, and at every point observable
+    outside an optimizer step (the learner projects after each update).
     """
 
     points: np.ndarray
@@ -134,6 +126,8 @@ class Coreset:
         for name in ("points", "weights", "labels"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ContractError(f"non-finite entries in coreset {name}")
+        if np.any(self.weights < 0):
+            raise ContractError("coreset weights must be nonnegative")
 
     @property
     def m(self):
@@ -147,7 +141,7 @@ class Coreset:
         return Coreset(self.points.copy(), self.weights.copy(), self.labels.copy())
 
     def as_set(self) -> WeightedLabeledSet:
-        return WeightedLabeledSet(self.points, np.maximum(self.weights, 0.0), self.labels)
+        return WeightedLabeledSet(self.points, self.weights, self.labels)
 
 
 @dataclass(frozen=True)
@@ -248,37 +242,18 @@ class MeasurableQuerySpace:
         return idx
 
 
-def total_cost(points, weights, labels, loss, q) -> float:
-    """Weighted sum of per-point losses at query q."""
-    pts = _as_matrix(points, "points")
-    w = _as_vector(weights, "weights")
-    b = _as_vector(labels, "labels")
-    qv = q.params if isinstance(q, Query) else _as_vector(q, "query")
-    if w.shape[0] != pts.shape[0] or b.shape[0] != pts.shape[0]:
-        raise ContractError("points/weights/labels size mismatch")
-    if np.any(w < 0):
-        raise ContractError("weights must be nonnegative")
-    per_point = loss.pointwise(pts, b, qv)
-    bad = ~np.isfinite(per_point)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise NumericError(f"non-finite per-point loss at index {idx}", index=idx)
-    out = float(np.sum(w * per_point))
-    if not np.isfinite(out):
-        raise NumericError("non-finite total cost")
-    return out
-
-
 def set_cost(dataset, loss, q) -> float:
-    """total_cost for a WeightedLabeledSet or Coreset."""
-    return total_cost(dataset.points, dataset.weights, dataset.labels, loss, q)
+    """set_costs of a WeightedLabeledSet or Coreset at one query vector q."""
+    q = _as_vector(q, "query")
+    return float(set_costs(dataset, loss, q.reshape(1, -1))[0])
 
 
 def set_costs(dataset, loss, queries) -> np.ndarray:
-    """set_cost for every row of a query matrix, shape (k,).
+    """Total cost of a WeightedLabeledSet or Coreset at every row of a query
+    matrix, shape (k,): the one checked cost path.
 
-    One blocked loss.costs evaluation, under total_cost's checks: negative
-    weights raise ContractError and a non-finite cost raises NumericError.
+    One blocked loss.costs evaluation. Negative weights raise ContractError
+    and a non-finite cost raises NumericError.
     """
     if np.any(dataset.weights < 0):
         raise ContractError("weights must be nonnegative")

@@ -7,13 +7,13 @@ import math
 import time
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import baselines, learner
 from .core import (Coreset, ContractError, DegenerateInputError,
-                   WeightedLabeledSet, set_cost)
+                   WeightedLabeledSet, set_cost, set_costs)
 from .learner import RATIO_FLOOR, TrainConfig
 from .losses import LossModel
 
@@ -25,8 +25,12 @@ METHOD_LEVERAGE = "leverage"
 def err_opt(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel) -> float:
     """Relative excess full-data cost of the coreset-optimal model:
     |1 - f(P, q*_c) / f(P, q*)|."""
+    C = coreset.as_set()
+    if not np.any(C.weights > 0):
+        raise DegenerateInputError(
+            "coreset weights are all zero; it has no optimal solution")
     sol_p = baselines.solve_optimal(P, loss)
-    sol_c = baselines.solve_optimal(coreset.as_set(), loss)
+    sol_c = baselines.solve_optimal(C, loss)
     f_star = set_cost(P, loss, sol_p.params)
     if f_star <= RATIO_FLOOR:
         raise DegenerateInputError(
@@ -51,7 +55,7 @@ def err_avg(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel,
     qm, f_p, filtered = learner.above_ratio_floor(P, loss, Q_test)
     if qm.shape[0] == 0:
         raise DegenerateInputError("all test queries filtered; metric undefined")
-    f_c = loss.costs(coreset.points, coreset.labels, coreset.weights, qm)
+    f_c = set_costs(coreset, loss, qm)
     value = float(np.mean(np.abs(1.0 - f_c / f_p)))
     return ErrAvg(value, filtered)
 
@@ -62,8 +66,7 @@ def _build_coreset(method, P, loss, size, trial_seed, Q_train, Q_val, cfg):
     if method == METHOD_LEVERAGE:
         return baselines.leverage_coreset(P, size, trial_seed), None
     if method == METHOD_LEARNED:
-        run_cfg = TrainConfig(**{**cfg.__dict__,
-                                 "coreset_size": size, "seed": trial_seed})
+        run_cfg = replace(cfg, coreset_size=size, seed=trial_seed)
         coreset, report = learner.train(P, Q_train, Q_val, loss, run_cfg)
         return coreset, report
     raise ContractError(f"unknown method {method!r}")

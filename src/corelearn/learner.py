@@ -13,7 +13,8 @@ correction, a global-norm gradient clip, and a clamp of the coreset weights
 to >= 0. After every epoch the objective over all training queries is
 recorded, and the best epoch (by validation error when there is a
 validation split) can be returned. The subgradient of |x| at 0 is taken as
-0, which makes the exact-copy coreset a fixed point.
+0, so an exact copy of the data whose costs equal the data's bit for bit is
+a fixed point.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Coreset, ContractError, NumericError, WeightedLabeledSet, stream_rng
+from .core import (Coreset, ContractError, NumericError, WeightedLabeledSet,
+                   set_costs, stream_rng)
 from .losses import LossModel
 from .queries import as_query_matrix
 
@@ -178,7 +180,7 @@ def above_ratio_floor(P: WeightedLabeledSet, loss: LossModel, Q):
     number of queries dropped; a ratio f_C / f_P is undefined for the others.
     """
     qm = as_query_matrix(Q)
-    f_p = loss.costs(P.points, P.labels, P.weights, qm)
+    f_p = set_costs(P, loss, qm)
     keep = f_p > RATIO_FLOOR
     return qm[keep], f_p[keep], int(np.sum(~keep))
 
@@ -269,7 +271,7 @@ def autocl_average(P: WeightedLabeledSet, Q_train, loss: LossModel,
     if qm.shape[0] < 1:
         raise ContractError("need at least one training query")
     # the data-side average is constant across epochs; compute it once
-    f_p_avg = float(np.mean(loss.costs(P.points, P.labels, P.weights, qm)))
+    f_p_avg = float(np.mean(set_costs(P, loss, qm)))
 
     def term(costs, idx):
         diff = f_p_avg - float(np.mean(costs))

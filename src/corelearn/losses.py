@@ -172,4 +172,4 @@ class LossModel:
         labels = np.asarray(labels, dtype=float)
         weights = np.asarray(weights, dtype=float)
         f, dz, _ = self._link(a @ q, labels, grad=True)
-        return float(np.sum(weights * f)), a.T @ (weights * dz)
+        return float(weights @ f), a.T @ (weights * dz)

@@ -26,13 +26,6 @@ class QueryBatch:
         a = np.atleast_2d(np.asarray(self.array, dtype=float))
         object.__setattr__(self, "array", a)
 
-    def __len__(self):
-        return self.array.shape[0]
-
-    @property
-    def dim(self):
-        return self.array.shape[1]
-
 
 def as_query_matrix(Q) -> np.ndarray:
     """The (k, d') float matrix of a QueryBatch or of an array of queries."""
@@ -107,7 +100,3 @@ def save_pool_csv(pool, path):
     with open(path, "w") as fh:
         for row in pool:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_pool_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)

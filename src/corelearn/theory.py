@@ -70,22 +70,6 @@ def relate_eps(eps_ratio: float, M: float) -> float:
     return eps_ratio * M
 
 
-@dataclass(frozen=True)
-class BoundSpec:
-    eps: float
-    delta: float
-    M: float
-    k_required: int
-
-    @staticmethod
-    def plain(eps, delta, M):
-        return BoundSpec(eps, delta, M, hoeffding_k(eps, delta, M))
-
-    @staticmethod
-    def inflated(eps, delta, M):
-        return BoundSpec(eps, delta, M, claim2_k(eps, delta, M))
-
-
 M_SAFETY = 1.1
 
 
@@ -102,8 +86,7 @@ def estimate_M(dataset, loss, query_pool, level: str = "point") -> float:
     if level == "point":
         raw = _max_pointwise(dataset, loss, qm)
     elif level == "set":
-        raw = float(np.max(np.abs(
-            loss.costs(dataset.points, dataset.labels, dataset.weights, qm))))
+        raw = float(np.max(np.abs(set_costs(dataset, loss, qm))))
     else:
         raise ContractError(f"unknown level {level!r}")
     return M_SAFETY * raw
@@ -236,17 +219,3 @@ def verify_claim2(P: WeightedLabeledSet, coreset: Coreset,
 
     violation = 1.0 if exp_gap >= 3.0 * eps + 1e-10 else 0.0
     return Claim2Result(None, p1_gap, p2_gap, exp_gap, violation, k, M, eps)
-
-
-def bound_table(entries) -> list[dict]:
-    """Rows (eps, delta, M, k_plain, k_inflated) for CSV export."""
-    rows = []
-    for eps, delta, M in entries:
-        rows.append({
-            "eps": eps,
-            "delta": delta,
-            "M": M,
-            "k_claim1": hoeffding_k(eps, delta, M),
-            "k_claim2": claim2_k(eps, delta, M),
-        })
-    return rows

@@ -139,7 +139,7 @@ def test_criterion_3_claim1_universes():
         mu = rng.random(size)
         mu /= mu.sum()
         space = MeasurableQuerySpace(P, loss, qs, mu)
-        costs = np.array([set_cost(P, loss, q) for q in qs])
+        costs = np.array([set_cost(P, loss, q.params) for q in qs])
         M = float(np.max(np.abs(costs)))
         res = verify_claim1(space, eps=0.1 * M, delta=0.05, trials=2000,
                             seed=1003 + size)

@@ -261,6 +261,14 @@ def test_cli_verify(tmp_path, capsys):
     assert code == 0
 
 
+def test_cli_verify_rejects_universe_above_pool(tmp_path, capsys):
+    path = _write_config(tmp_path)  # a pool of 2 * (14 + 1) = 30 queries
+    assert main(["verify", "--config", str(path), "--universe-size", "31",
+                 "--trials", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "31" in err and "pool size 30" in err
+
+
 def test_cli_verify_rejects_trials_below_one(tmp_path, capsys):
     path = _write_config(tmp_path)
     assert main(["verify", "--config", str(path), "--trials", "0"]) == 1
@@ -282,6 +290,16 @@ def test_cli_bad_config_exit_code(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
     assert main(["experiment", "--config", str(path)]) == 1
+
+
+def test_cli_eval_rejects_zero_weight_coreset(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    coreset = tmp_path / "zero.csv"
+    coreset.write_text("x0,x1,weight,label\n0.1,0.2,0.0,1.0\n0.3,0.4,0.0,0.0\n")
+    assert main(["eval", "--config", str(path), "--coreset", str(coreset)]) != 0
+    captured = capsys.readouterr()
+    assert "err_opt=" not in captured.out
+    assert "all zero" in captured.err
 
 
 @pytest.mark.parametrize("cell, match", [("-5", "negative weight"),

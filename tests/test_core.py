@@ -14,34 +14,36 @@ from corelearn import (
     expected_cost,
     set_cost,
     set_costs,
-    total_cost,
 )
 from corelearn.losses import LossModel
 
 
 def test_total_cost_exact_fit(linreg):
-    assert total_cost([[1.0]], [1.0], [2.0], linreg, Query([2.0])) == 0.0
+    S = WeightedLabeledSet([[1.0]], [1.0], [2.0])
+    assert set_cost(S, linreg, [2.0]) == 0.0
 
 
 def test_total_cost_hand_value(linreg):
     # 0.5 * 1^2 + 0.5 * 2^2
-    got = total_cost([[1.0], [2.0]], [0.5, 0.5], [0.0, 0.0], linreg, Query([1.0]))
-    assert got == pytest.approx(2.5, abs=1e-12)
+    S = WeightedLabeledSet([[1.0], [2.0]], [0.5, 0.5], [0.0, 0.0])
+    assert set_cost(S, linreg, [1.0]) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_total_cost_logreg_zero_query(logreg):
-    got = total_cost([[3.0, -2.0]], [1.0], [1.0], logreg, Query([0.0, 0.0]))
+    S = WeightedLabeledSet([[3.0, -2.0]], [1.0], [1.0])
+    got = set_cost(S, logreg, [0.0, 0.0])
     assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_total_cost_dimension_mismatch(linreg):
-    with pytest.raises(ContractError):
-        total_cost([[1.0, 2.0]], [1.0], [0.0], linreg, Query([1.0]))
+    S = WeightedLabeledSet([[1.0, 2.0]], [1.0], [0.0])
+    with pytest.raises(ContractError, match="query dim"):
+        set_cost(S, linreg, [1.0])
 
 
-def test_total_cost_weight_count_mismatch(linreg):
-    with pytest.raises(ContractError):
-        total_cost([[1.0]], [1.0, 1.0], [0.0], linreg, Query([1.0]))
+def test_total_cost_weight_count_mismatch():
+    with pytest.raises(ContractError, match="size mismatch"):
+        WeightedLabeledSet([[1.0]], [1.0, 1.0], [0.0])
 
 
 def test_total_cost_linearity_in_weights(linreg):
@@ -50,17 +52,17 @@ def test_total_cost_linearity_in_weights(linreg):
         pts = rng.standard_normal((6, 3))
         w = rng.random(6)
         b = rng.standard_normal(6)
-        q = Query(rng.standard_normal(3))
+        q = rng.standard_normal(3)
         alpha = float(rng.random() * 5)
-        c1 = total_cost(pts, alpha * w, b, linreg, q)
-        c2 = alpha * total_cost(pts, w, b, linreg, q)
+        c1 = set_cost(WeightedLabeledSet(pts, alpha * w, b), linreg, q)
+        c2 = alpha * set_cost(WeightedLabeledSet(pts, w, b), linreg, q)
         assert c1 == pytest.approx(c2, rel=1e-10)
 
 
 def test_expected_cost_point_mass(tiny_set, linreg):
     q = Query([1.0])
     space = MeasurableQuerySpace(tiny_set, linreg, (q,), [1.0])
-    assert expected_cost(space) == set_cost(tiny_set, linreg, q)
+    assert expected_cost(space) == set_cost(tiny_set, linreg, q.params)
 
 
 def test_expected_cost_even_mixture(linreg):
@@ -84,7 +86,7 @@ def test_expected_cost_uniform_equals_mean(linreg):
                            rng.standard_normal(5))
     universe = tuple(Query(rng.standard_normal(2)) for _ in range(8))
     space = MeasurableQuerySpace(P, linreg, universe, np.full(8, 1.0 / 8))
-    mean = np.mean([set_cost(P, linreg, q) for q in universe])
+    mean = np.mean([set_cost(P, linreg, q.params) for q in universe])
     assert expected_cost(space) == pytest.approx(mean, abs=1e-12)
 
 
@@ -94,7 +96,7 @@ def test_identity_coreset_matches_input_exactly(linreg):
                            rng.standard_normal(30))
     C = Coreset(P.points.copy(), P.weights.copy(), P.labels.copy())
     for _ in range(10):
-        q = Query(rng.standard_normal(2))
+        q = rng.standard_normal(2)
         assert set_cost(C, linreg, q) == set_cost(P, linreg, q)
 
 
@@ -123,6 +125,11 @@ def test_set_invariants():
         WeightedLabeledSet([[np.nan]], [1.0], [0.0])
 
 
+def test_coreset_rejects_negative_weights():
+    with pytest.raises(ContractError, match="weights"):
+        Coreset([[1.0], [2.0]], [-1.0, 0.5], [0.0, 1.0])
+
+
 @pytest.mark.parametrize("field", ["points", "weights", "labels"])
 def test_coreset_rejects_non_finite(field):
     arrays = {"points": [[1.0], [2.0]], "weights": [0.5, 0.5], "labels": [0.0, 1.0]}
@@ -139,7 +146,8 @@ def test_set_costs_matches_set_cost_and_keeps_its_checks(linreg):
     qm = rng.standard_normal((5, 2))
     ref = [set_cost(P, linreg, q) for q in qm]
     assert np.allclose(set_costs(P, linreg, qm), ref, rtol=1e-12, atol=0.0)
-    negative = Coreset(P.points, -P.weights, P.labels)
+    negative = Coreset(P.points, P.weights.copy(), P.labels)
+    np.negative(negative.weights, out=negative.weights)
     with pytest.raises(ContractError, match="nonnegative"):
         set_costs(negative, linreg, qm)
     huge = WeightedLabeledSet([[1e200]], [1.0], [0.0])

@@ -11,7 +11,7 @@ from corelearn import (
     sweep,
     uniform_coreset,
 )
-from corelearn.core import DegenerateInputError
+from corelearn.core import ContractError, DegenerateInputError
 from corelearn.datasets import make_synthetic
 from corelearn.evaluate import ResultTable
 
@@ -41,6 +41,24 @@ def test_err_opt_zero_optimum_is_undefined(linreg):
     P = WeightedLabeledSet([[1.0], [2.0]], [0.5, 0.5], [1.0, 2.0])
     with pytest.raises(DegenerateInputError):
         err_opt(P, Coreset([[1.0]], [1.0], [1.0]), linreg)
+
+
+def test_err_opt_all_zero_weights_is_undefined(linreg):
+    P = make_synthetic("linear", 40, 2, 0.3, seed=0)
+    C = Coreset(P.points[:2], [0.0, 0.0], P.labels[:2])
+    with pytest.raises(DegenerateInputError, match="all zero"):
+        err_opt(P, C, linreg)
+
+
+def test_metrics_reject_weights_negated_in_place(linreg):
+    P = make_synthetic("linear", 40, 2, 0.3, seed=0)
+    C = _identity_coreset(P)
+    np.negative(C.weights, out=C.weights)
+    Q = np.random.default_rng(1).standard_normal((5, 2))
+    with pytest.raises(ContractError, match="nonnegative"):
+        err_avg(P, C, linreg, Q)
+    with pytest.raises(ContractError, match="nonnegative"):
+        err_opt(P, C, linreg)
 
 
 def test_err_avg_identity_zero(linreg):

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import central_diff, rel_close
+from conftest import (SEEDED_SHAPES, central_diff, rel_close, seeded_problem,
+                      shape_id)
 from corelearn import (
     Coreset,
     TrainConfig,
@@ -13,6 +14,7 @@ from corelearn import (
     autocl_practical,
     init_coreset,
     project_weights,
+    train,
 )
 from corelearn.learner import OptimizerState, RATIO_FLOOR
 from corelearn.losses import LossModel
@@ -96,38 +98,53 @@ def test_average_fixed_point_zero_loss(linreg):
     assert abs(f_p - f_c) == 0.0
 
 
-def _run_fixed_point(algorithm, linreg):
+def _run_fixed_point(monkeypatch, algorithm, loss, P, qm):
     """Training from an exact-copy coreset must stay at the copy."""
-    rng = np.random.default_rng(5)
-    P = _random_set(rng, n=4)
-    qm = rng.standard_normal((4, 2))
-    cfg = TrainConfig(coreset_size=4, epochs=2, learning_rate=0.05, lam=1.0,
-                      batch_size=4, seed=0, algorithm=algorithm,
+    cfg = TrainConfig(coreset_size=P.n, epochs=2, learning_rate=0.05, lam=1.0,
+                      batch_size=qm.shape[0], seed=0, algorithm=algorithm,
                       early_stop_on_validation=False)
 
     import corelearn.learner as ln
-    orig = ln.init_coreset
     exact = Coreset(P.points.copy(), P.weights.copy(), P.labels.copy())
-    ln.init_coreset = lambda *a, **k: exact.copy()
-    try:
-        if algorithm == "average":
-            coreset, report = ln.autocl_average(P, qm, linreg, cfg)
-        else:
-            coreset, report = ln.autocl_practical(P, qm, None, linreg, cfg)
-    finally:
-        ln.init_coreset = orig
+    monkeypatch.setattr(ln, "init_coreset", lambda *a, **k: exact.copy())
+    coreset, report = train(P, qm, None, loss, cfg)
     assert all(x == 0.0 for x in report.train_losses)
     assert np.array_equal(coreset.points, P.points)
     assert np.array_equal(coreset.weights, P.weights)
     assert np.array_equal(coreset.labels, P.labels)
 
 
-def test_fixed_point_average(linreg):
-    _run_fixed_point("average", linreg)
+def _fixed_point_input():
+    rng = np.random.default_rng(5)
+    return _random_set(rng, n=4), rng.standard_normal((4, 2))
 
 
-def test_fixed_point_practical(linreg):
-    _run_fixed_point("practical", linreg)
+def test_fixed_point_average(monkeypatch, linreg):
+    _run_fixed_point(monkeypatch, "average", linreg, *_fixed_point_input())
+
+
+def test_fixed_point_practical(monkeypatch, linreg):
+    _run_fixed_point(monkeypatch, "practical", linreg, *_fixed_point_input())
+
+
+# A query's cost comes from weights @ (n, k) losses, whose BLAS reduction can
+# round differently with the query's column position. The minibatch ratios
+# 1 - f_C/f_P of the exact copy are then ~1e-15 instead of 0, and Adam, which
+# is blind to the gradient's scale, turns them into learning-rate-sized steps.
+PRACTICAL_DRIFTS = pytest.mark.xfail(
+    reason="practical objective: full-data and minibatch costs of one query "
+           "may differ in the last bits (known defect, see CHANGES.md)")
+
+
+@pytest.mark.parametrize("algorithm", [
+    "average", pytest.param("practical", marks=PRACTICAL_DRIFTS)])
+@pytest.mark.parametrize("intercept", [False, True])
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+@pytest.mark.parametrize("shape", SEEDED_SHAPES, ids=shape_id)
+def test_fixed_point_seeded_shapes(monkeypatch, shape, kind, intercept,
+                                   algorithm):
+    _run_fixed_point(monkeypatch, algorithm,
+                     *seeded_problem(shape, kind, intercept))
 
 
 def test_practical_identity_ratio_zero(linreg):
@@ -207,16 +224,56 @@ def test_average_scores_after_the_step(linreg):
     assert np.array_equal(coreset.points, report.final_coreset.points)
 
 
-def test_weights_nonnegative_every_epoch(linreg):
-    rng = np.random.default_rng(8)
-    P = _random_set(rng)
-    qm = rng.standard_normal((10, 2))
-    cfg = TrainConfig(coreset_size=4, epochs=30, learning_rate=0.1, lam=2.0,
-                      batch_size=5, seed=2, algorithm="practical")
-    coreset, report = autocl_practical(P, qm, None, linreg, cfg)
+def _check_weights_nonnegative(monkeypatch, algorithm, loss, P, qm, m):
+    """Every weighted_grads call of a run sees nonnegative coreset weights,
+    and so do the returned coreset and the final iterate.
+
+    The data's total weight is scaled to 0.01, a hundredth of the initial
+    coreset's, so that both the data term and the weight-sum penalty push
+    the coreset weights down and the projection has to clamp them.
+    """
+    import corelearn.learner as ln
+    P = WeightedLabeledSet(P.points, 0.01 * P.weights / P.weights.sum(),
+                           P.labels)
+    seen, clamped = [], []
+    orig_grads, orig_project = LossModel.weighted_grads, ln.project_weights
+
+    def checked(self, points, labels, weights, queries, coeffs):
+        seen.append(float(np.min(weights)))
+        return orig_grads(self, points, labels, weights, queries, coeffs)
+
+    def project(u, out=None):
+        clamped.append(bool(np.any(u < 0.0)))
+        return orig_project(u, out=out)
+
+    monkeypatch.setattr(LossModel, "weighted_grads", checked)
+    monkeypatch.setattr(ln, "project_weights", project)
+    cfg = TrainConfig(coreset_size=m, epochs=30, learning_rate=0.1, lam=2.0,
+                      batch_size=5, seed=2, algorithm=algorithm)
+    coreset, report = train(P, qm, None, loss, cfg)
+    assert any(clamped)
+    assert len(seen) >= cfg.epochs
+    assert min(seen) >= 0.0
     assert np.all(coreset.weights >= 0.0)
     assert report.final_coreset is not None
     assert np.all(report.final_coreset.weights >= 0.0)
+
+
+def test_weights_nonnegative_every_epoch(monkeypatch, linreg):
+    rng = np.random.default_rng(8)
+    P = _random_set(rng)
+    qm = rng.standard_normal((10, 2))
+    _check_weights_nonnegative(monkeypatch, "practical", linreg, P, qm, 4)
+
+
+@pytest.mark.parametrize("algorithm", ["average", "practical"])
+@pytest.mark.parametrize("intercept", [False, True])
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+@pytest.mark.parametrize("shape", SEEDED_SHAPES, ids=shape_id)
+def test_weights_nonnegative_seeded_shapes(monkeypatch, shape, kind, intercept,
+                                           algorithm):
+    loss, P, qm = seeded_problem(shape, kind, intercept)
+    _check_weights_nonnegative(monkeypatch, algorithm, loss, P, qm, shape[1])
 
 
 def test_determinism(linreg):

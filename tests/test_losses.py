@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import central_diff, rel_close
-from corelearn import ContractError, WeightedLabeledSet, set_cost
+from conftest import (SEEDED_SHAPES, central_diff, rel_close, seeded_problem,
+                      shape_id)
+from corelearn import ContractError, WeightedLabeledSet, set_cost, set_costs
 from corelearn import losses
 from corelearn.losses import LossModel
 
@@ -105,6 +106,18 @@ def test_gradients_match_finite_differences(kind):
         fd_q = central_diff(lambda x: w @ loss.pointwise(pts, labels, x), q)
         for got, fd in ((dp.ravel(), fd_p), (dl, fd_l), (dw, fd_w), (dq, fd_q)):
             assert rel_close(got, fd)
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+@pytest.mark.parametrize("shape", SEEDED_SHAPES, ids=shape_id)
+def test_one_query_costs_reduce_like_set_costs(shape, kind, intercept):
+    """set_cost and query_grad's cost are set_costs' k=1 case, bit for bit."""
+    loss, S, qm = seeded_problem(shape, kind, intercept)
+    for q in qm:
+        ref = set_costs(S, loss, q[None])[0]
+        assert set_cost(S, loss, q) == ref
+        assert loss.query_grad(S.points, S.labels, S.weights, q)[0] == ref
 
 
 def test_intercept_augments_query_dim():

@@ -12,7 +12,7 @@ from corelearn import (
     trajectory_queries,
 )
 from corelearn.datasets import make_synthetic
-from corelearn.queries import load_pool_csv, save_pool_csv
+from corelearn.queries import save_pool_csv
 
 
 def test_zero_steps_returns_initials(linreg):
@@ -52,7 +52,7 @@ def test_trajectory_monotone_under_small_steps(linreg):
 def test_split_sizes_and_disjointness():
     pool = np.arange(20, dtype=float).reshape(10, 2)
     tr, va, te = split_queries(pool, (6, 2, 2), seed=5)
-    assert len(tr) == 6 and len(va) == 2 and len(te) == 2
+    assert [b.array.shape[0] for b in (tr, va, te)] == [6, 2, 2]
     rows = {tuple(r) for batch in (tr, va, te) for r in batch.array}
     assert len(rows) == 10
 
@@ -68,7 +68,7 @@ def test_split_deterministic():
 def test_split_allows_empty_when_requested():
     pool = np.zeros((1, 2))
     tr, va, te = split_queries(pool, (1, 0, 0), seed=0)
-    assert len(tr) == 1 and len(va) == 0 and len(te) == 0
+    assert [b.array.shape[0] for b in (tr, va, te)] == [1, 0, 0]
 
 
 def test_split_insufficient_pool():
@@ -120,7 +120,7 @@ def test_pool_csv_roundtrip(tmp_path, linreg):
     pool = np.random.default_rng(6).standard_normal((7, 3))
     path = tmp_path / "pool.csv"
     save_pool_csv(pool, path)
-    back = load_pool_csv(path)
+    back = np.loadtxt(path, delimiter=",", ndmin=2)
     assert np.array_equal(back, pool)
 
 

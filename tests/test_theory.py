@@ -17,7 +17,7 @@ from corelearn import (
 )
 from corelearn import theory
 from corelearn.core import ContractError, set_costs, stream_rng
-from corelearn.theory import BoundSpec, Claim1Result, bound_table, exact_set_M
+from corelearn.theory import Claim1Result, exact_set_M
 
 
 def test_hoeffding_k_values():
@@ -67,18 +67,6 @@ def test_relate_eps():
     assert relate_eps(0.05, 2.0) == pytest.approx(0.1)
     assert relate_eps(0.0, 3.0) == 0.0
     assert relate_eps(0.7, 1.0) == 0.7
-
-
-def test_bound_spec_recomputable():
-    spec = BoundSpec.plain(0.1, 0.05, 1.0)
-    assert spec.k_required == hoeffding_k(spec.eps, spec.delta, spec.M)
-    spec = BoundSpec.inflated(0.1, 0.05, 1.0)
-    assert spec.k_required == claim2_k(spec.eps, spec.delta, spec.M)
-
-
-def test_bound_table_rows():
-    rows = bound_table([(0.1, 0.05, 1.0)])
-    assert rows[0]["k_claim1"] == 738 and rows[0]["k_claim2"] == 893
 
 
 def _space_from_costs(linreg, target_costs, measure=None):
