@@ -199,7 +199,8 @@ def _load_coreset(path) -> Coreset:
     """Read a coreset CSV as written by _save_coreset (x..., weight, label).
 
     A malformed file, a non-finite cell or a negative weight is a
-    DatasetError naming the line and column.
+    DatasetError naming the line and column, and weights that are all zero
+    are one naming the file.
     """
     try:
         raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -217,6 +218,9 @@ def _load_coreset(path) -> Coreset:
     if negative.size:
         raise DatasetError(
             f"{path}: line {negative[0] + 2}: negative weight {raw[negative[0], -2]!r}")
+    if not np.any(raw[:, -2] > 0):
+        raise DatasetError(
+            f"{path}: weights are all zero; the coreset has no optimal solution")
     return Coreset(raw[:, :-2], raw[:, -2], raw[:, -1])
 
 

@@ -8,6 +8,7 @@ import time
 import warnings
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -25,13 +26,23 @@ METHOD_LEVERAGE = "leverage"
 def err_opt(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel) -> float:
     """Relative excess full-data cost of the coreset-optimal model:
     |1 - f(P, q*_c) / f(P, q*)|."""
+    return _err_opt(P, coreset, loss, partial(_optimal_cost, P, loss))
+
+
+def _optimal_cost(P, loss):
+    """f(P, q*) at the data's optimum q*."""
+    return set_cost(P, loss, baselines.solve_optimal(P, loss).params)
+
+
+def _err_opt(P, coreset, loss, optimal_cost):
+    """err_opt with f(P, q*) from optimal_cost(), called where err_opt
+    solves the data."""
     C = coreset.as_set()
     if not np.any(C.weights > 0):
         raise DegenerateInputError(
             "coreset weights are all zero; it has no optimal solution")
-    sol_p = baselines.solve_optimal(P, loss)
+    f_star = optimal_cost()
     sol_c = baselines.solve_optimal(C, loss)
-    f_star = set_cost(P, loss, sol_p.params)
     if f_star <= RATIO_FLOOR:
         raise DegenerateInputError(
             "full-data optimum cost is zero; optimal-solution error undefined")
@@ -52,7 +63,12 @@ def err_avg(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel,
     Queries with full-data cost below the ratio floor are excluded; the
     excluded count is part of the result.
     """
-    qm, f_p, filtered = learner.above_ratio_floor(P, loss, Q_test)
+    return _err_avg(coreset, loss, partial(learner._scored, P, loss, Q_test))
+
+
+def _err_avg(coreset, loss, test_split):
+    """err_avg over the scored split that test_split() returns."""
+    qm, f_p, filtered = learner._floored(*test_split())
     if qm.shape[0] == 0:
         raise DegenerateInputError("all test queries filtered; metric undefined")
     f_c = set_costs(coreset, loss, qm)
@@ -60,15 +76,15 @@ def err_avg(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel,
     return ErrAvg(value, filtered)
 
 
-def _build_coreset(method, P, loss, size, trial_seed, Q_train, Q_val, cfg):
+def _build_coreset(method, P, loss, size, trial_seed, train_split, val_split,
+                   cfg):
     if method == METHOD_UNIFORM:
         return baselines.uniform_coreset(P, size, trial_seed), None
     if method == METHOD_LEVERAGE:
         return baselines.leverage_coreset(P, size, trial_seed), None
     if method == METHOD_LEARNED:
         run_cfg = replace(cfg, coreset_size=size, seed=trial_seed)
-        coreset, report = learner.train(P, Q_train, Q_val, loss, run_cfg)
-        return coreset, report
+        return learner._train(P, train_split, val_split, loss, run_cfg)
     raise ContractError(f"unknown method {method!r}")
 
 
@@ -128,16 +144,42 @@ def _write_csv(path, cols, rows):
             writer.writerow([_fmt(row.get(c)) for c in cols])
 
 
+def _kept(fn, *args):
+    """Call fn(*args) now. The returned function gives its result, or raises
+    its error again, at every call."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - raised again by each reader
+        error = exc
+
+        def read():
+            raise error
+        return read
+    return lambda: value
+
+
 def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
           n_trials: int, base_seed: int, Q_train, Q_val, Q_test,
           cfg: TrainConfig, collect_reports: bool = False):
     """Train/construct and evaluate every (size, method, trial) cell.
 
-    Individual trial failures are recorded, not fatal. Returns the table
-    and, when requested, the training reports of the learned cells.
+    What depends only on P, the loss and the splits is computed once, before
+    the first cell: the full-data costs of each split the cells read and the
+    data's optimal cost f(P, q*). A cell's wall_time_s therefore excludes
+    it. Individual trial failures are recorded, not fatal, and that holds
+    for the shared work too: its error is raised in every cell that reads
+    it, at the step where the cell would have computed it. Returns the
+    table and, when requested, the training reports of the learned cells.
     """
     if not sizes or not methods:
         raise ContractError("sizes and methods must be non-empty")
+    test_split = _kept(learner._scored, P, loss, Q_test)
+    optimal_cost = _kept(_optimal_cost, P, loss)
+    train_split = val_split = None
+    if METHOD_LEARNED in methods:
+        train_split = _kept(learner._scored, P, loss, Q_train)
+        if Q_val is not None:
+            val_split = _kept(learner._scored, P, loss, Q_val)
     table = ResultTable()
     reports = {}
     for size in sizes:
@@ -147,9 +189,10 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
                 t0 = time.perf_counter()
                 try:
                     coreset, report = _build_coreset(
-                        method, P, loss, size, trial_seed, Q_train, Q_val, cfg)
-                    e_opt = err_opt(P, coreset, loss)
-                    e_avg = err_avg(P, coreset, loss, Q_test)
+                        method, P, loss, size, trial_seed, train_split,
+                        val_split, cfg)
+                    e_opt = _err_opt(P, coreset, loss, optimal_cost)
+                    e_avg = _err_avg(coreset, loss, test_split)
                     table.add(size=size, method=method, trial=trial,
                               err_opt=e_opt, err_avg=e_avg.value,
                               filtered_queries=e_avg.filtered,

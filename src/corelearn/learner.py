@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -173,14 +174,16 @@ class TrainReport:
         }
 
 
-def above_ratio_floor(P: WeightedLabeledSet, loss: LossModel, Q):
-    """The queries of Q whose full-data cost exceeds RATIO_FLOOR.
-
-    Returns their (k, d') matrix, their full-data costs f(P, w, q) and the
-    number of queries dropped; a ratio f_C / f_P is undefined for the others.
-    """
+def _scored(P: WeightedLabeledSet, loss: LossModel, Q):
+    """Q's (k, d') matrix and the full-data costs f(P, w, q) of its rows."""
     qm = as_query_matrix(Q)
-    f_p = set_costs(P, loss, qm)
+    return qm, set_costs(P, loss, qm)
+
+
+def _floored(qm: np.ndarray, f_p: np.ndarray):
+    """The scored queries whose full-data cost exceeds RATIO_FLOOR: their
+    matrix, their costs and the number dropped; a ratio f_C / f_P is
+    undefined for the others."""
     keep = f_p > RATIO_FLOOR
     return qm[keep], f_p[keep], int(np.sum(~keep))
 
@@ -267,11 +270,16 @@ def autocl_average(P: WeightedLabeledSet, Q_train, loss: LossModel,
 
     One full-batch gradient step per epoch, scored after the step.
     """
-    qm = as_query_matrix(Q_train)
+    return _average(P, partial(_scored, P, loss, Q_train), loss, cfg)
+
+
+def _average(P, train_split, loss, cfg):
+    """autocl_average on the scored split that train_split() returns."""
+    qm, f_p = train_split()
     if qm.shape[0] < 1:
         raise ContractError("need at least one training query")
     # the data-side average is constant across epochs; compute it once
-    f_p_avg = float(np.mean(set_costs(P, loss, qm)))
+    f_p_avg = float(np.mean(f_p))
 
     def term(costs, idx):
         diff = f_p_avg - float(np.mean(costs))
@@ -311,15 +319,23 @@ def autocl_practical(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     are supplied, the epoch with the lowest validation error is returned
     when cfg.early_stop_on_validation is set.
     """
-    qm, f_p, n_dropped = above_ratio_floor(P, loss, Q_train)
+    train_split = partial(_scored, P, loss, Q_train)
+    val_split = None if Q_val is None else partial(_scored, P, loss, Q_val)
+    return _practical(P, train_split, val_split, loss, cfg)
+
+
+def _practical(P, train_split, val_split, loss, cfg):
+    """autocl_practical on the scored splits that train_split() and, unless
+    val_split is None, val_split() return."""
+    qm, f_p, n_dropped = _floored(*train_split())
     if n_dropped:
         warnings.warn(
             f"dropping {n_dropped} training queries with near-zero full-data cost")
     if qm.shape[0] < 1:
         raise ContractError("no usable training queries above the ratio floor")
     val = None
-    if Q_val is not None:
-        val_qm, f_p_val, _ = above_ratio_floor(P, loss, Q_val)
+    if val_split is not None:
+        val_qm, f_p_val, _ = _floored(*val_split())
         if val_qm.shape[0]:
             val = (val_qm, _ratio_term(f_p_val))
     batches = _minibatches(qm.shape[0], cfg.batch_size, cfg.seed)
@@ -333,3 +349,12 @@ def train(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel, cfg: TrainConf
     if cfg.algorithm == ALG_AVERAGE:
         return autocl_average(P, Q_train, loss, cfg)
     return autocl_practical(P, Q_train, Q_val, loss, cfg)
+
+
+def _train(P, train_split, val_split, loss, cfg):
+    """train on scored splits: train_split() and val_split() return a
+    split's query matrix and full-data costs, and are called where train
+    would score the split, so that a failure to score surfaces there."""
+    if cfg.algorithm == ALG_AVERAGE:
+        return _average(P, train_split, loss, cfg)
+    return _practical(P, train_split, val_split, loss, cfg)

@@ -296,7 +296,7 @@ def test_cli_eval_rejects_zero_weight_coreset(tmp_path, capsys):
     path = _write_config(tmp_path)
     coreset = tmp_path / "zero.csv"
     coreset.write_text("x0,x1,weight,label\n0.1,0.2,0.0,1.0\n0.3,0.4,0.0,0.0\n")
-    assert main(["eval", "--config", str(path), "--coreset", str(coreset)]) != 0
+    assert main(["eval", "--config", str(path), "--coreset", str(coreset)]) == 1
     captured = capsys.readouterr()
     assert "err_opt=" not in captured.out
     assert "all zero" in captured.err

@@ -1,19 +1,26 @@
 import numpy as np
 import pytest
 
+from collections import Counter
+from dataclasses import replace
+
 from corelearn import (
     Coreset,
+    LossModel,
     TrainConfig,
     WeightedLabeledSet,
+    baselines,
     err_avg,
     err_opt,
+    leverage_coreset,
     solve_optimal,
     sweep,
+    train,
     uniform_coreset,
 )
 from corelearn.core import ContractError, DegenerateInputError
 from corelearn.datasets import make_synthetic
-from corelearn.evaluate import ResultTable
+from corelearn.evaluate import ResultTable, _cell_seed
 
 
 def _identity_coreset(P):
@@ -169,3 +176,121 @@ def test_sweep_records_failures(linreg):
     assert not table.rows[0]["ok"]
     agg = table.aggregate()[0]
     assert agg["flagged"]
+
+
+METHODS = ["learned", "uniform", "leverage"]
+
+
+def _public_row(P, loss, size, method, trial, base_seed, splits, cfg):
+    """One sweep cell rebuilt from the public functions: its row's values
+    and, for a learned cell, its training report."""
+    Q_train, Q_val, Q_test = splits
+    seed = _cell_seed(base_seed, size, method, trial)
+    report = None
+    try:
+        if method == "learned":
+            coreset, report = train(P, Q_train, Q_val, loss,
+                                    replace(cfg, coreset_size=size, seed=seed))
+        elif method == "uniform":
+            coreset = uniform_coreset(P, size, seed)
+        else:
+            coreset = leverage_coreset(P, size, seed)
+        e_opt = err_opt(P, coreset, loss)
+        e_avg = err_avg(P, coreset, loss, Q_test)
+    except Exception as exc:  # noqa: BLE001 - the sweep records it too
+        return dict(err_opt=None, err_avg=None, filtered_queries=None,
+                    ok=False, error=str(exc)), report
+    return dict(err_opt=e_opt, err_avg=e_avg.value,
+                filtered_queries=e_avg.filtered, ok=True, error=None), report
+
+
+@pytest.mark.parametrize("kind", ["linear", "logistic"])
+@pytest.mark.parametrize("algorithm", ["practical", "average"])
+def test_sweep_matches_public_calls(kind, algorithm):
+    loss = LossModel(f"{kind}_regression")
+    P = make_synthetic(kind, 80, 2, 0.5, seed=21)
+    Q = np.random.default_rng(22).standard_normal((45, 2))
+    splits = (Q[:30], Q[30:37], Q[37:])
+    cfg = TrainConfig(epochs=4, batch_size=10, learning_rate=0.05, lam=1.0,
+                      algorithm=algorithm)
+    table, reports = sweep(P, loss, [12, 20], METHODS, 2, 7, *splits, cfg,
+                           collect_reports=True)
+    assert len(table.rows) == 12
+    for row in table.rows:
+        expected, report = _public_row(P, loss, row["size"], row["method"],
+                                       row["trial"], 7, splits, cfg)
+        assert {key: row[key] for key in expected} == expected
+        if report is not None:
+            got = reports[row["size"], row["method"], row["trial"]]
+            assert got.train_losses == report.train_losses
+            assert got.val_errors == report.val_errors
+            assert got.best_epoch == report.best_epoch
+
+
+def test_sweep_scores_each_split_and_solves_the_data_once(linreg, monkeypatch):
+    P = make_synthetic("linear", 60, 2, 0.3, seed=23)
+    Q = np.random.default_rng(24).standard_normal((40, 2))
+    splits = {"train": Q[:25], "val": Q[25:32], "test": Q[32:]}
+    scored = Counter()
+    solved = Counter()
+    costs, solve = LossModel.costs, baselines.solve_optimal
+
+    def counting_costs(self, points, labels, weights, queries):
+        if points is P.points:
+            for name, split in splits.items():
+                scored[name] += np.array_equal(queries, split)
+        return costs(self, points, labels, weights, queries)
+
+    def counting_solve(dataset, loss, *args, **kwargs):
+        solved["P"] += dataset.points is P.points
+        return solve(dataset, loss, *args, **kwargs)
+
+    monkeypatch.setattr(LossModel, "costs", counting_costs)
+    monkeypatch.setattr(baselines, "solve_optimal", counting_solve)
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
+    table = sweep(P, linreg, [6, 9], METHODS, 2, 3, splits["train"],
+                  splits["val"], splits["test"], cfg)
+    assert len(table.rows) == 12 and all(row["ok"] for row in table.rows)
+    assert scored == {"train": 1, "val": 1, "test": 1}
+    assert solved == {"P": 1}
+
+
+def _separable():
+    """Separable logistic data, with moderate queries (full-data costs well
+    above the ratio floor) and queries so far along the separating
+    direction that every full-data cost underflows below it."""
+    rng = np.random.default_rng(25)
+    X = rng.standard_normal((80, 2))
+    X[:, 0] += np.where(X[:, 0] >= 0, 0.5, -0.5)
+    P = WeightedLabeledSet(X, np.full(80, 1.0 / 80), np.sign(X[:, 0]))
+    moderate = rng.standard_normal((30, 2))
+    far = np.column_stack([rng.uniform(2000.0, 3000.0, 30), np.zeros(30)])
+    return P, moderate, far
+
+
+def _separable_sweep(logreg, Q_train, Q_test, P):
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
+    with pytest.warns(UserWarning, match="trial failed"):
+        return sweep(P, logreg, [8], METHODS, 2, 4, Q_train, Q_train[:5],
+                     Q_test, cfg)
+
+
+def test_sweep_records_filtered_test_split_per_cell(logreg):
+    P, moderate, far = _separable()
+    table = _separable_sweep(logreg, moderate, far, P)
+    assert len(table.rows) == 6
+    for row in table.rows:
+        assert not row["ok"]
+        assert row["error"] == "all test queries filtered; metric undefined"
+
+
+def test_sweep_records_filtered_train_split_per_learned_cell(logreg):
+    P, moderate, far = _separable()
+    table = _separable_sweep(logreg, far, moderate, P)
+    assert len(table.rows) == 6
+    for row in table.rows:
+        if row["method"] == "learned":
+            assert not row["ok"]
+            assert row["error"] == "no usable training queries above the ratio floor"
+        else:
+            assert row["ok"], row["error"]
