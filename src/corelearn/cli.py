@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__, baselines, evaluate, learner, queries, theory
 from .core import (ContractError, Coreset, MeasurableQuerySpace, Query,
                    WeightedLabeledSet)
-from .datasets import DatasetError, Schema, load_dataset, make_synthetic
+from .datasets import (SYNTHETIC_TASKS, DatasetError, Schema, load_dataset,
+                       make_synthetic)
 from .learner import TrainConfig
 from .losses import LINEAR, LOGISTIC, LossModel
 
@@ -72,11 +73,15 @@ DEFAULT_CONFIG = {
 def _merge(base, override, path=""):
     """override laid over base. A key that base lacks, at the top or inside
     a section whose default is a dict, is a ConfigError naming its dotted
-    path."""
+    path, and so is a value that is not true or false where the default is
+    a boolean (bool("false") would read as true)."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"unknown config key {path}{key}")
+        if isinstance(base[key], bool) and not isinstance(value, bool):
+            raise ConfigError(
+                f"config key {path}{key} must be true or false, got {value!r}")
         if isinstance(value, dict) and isinstance(out.get(key), dict):
             out[key] = _merge(out[key], value, f"{path}{key}.")
         else:
@@ -111,9 +116,7 @@ def validate_config(cfg: dict) -> None:
     split = cfg["queries"]["split"]
     if len(split) != 3 or any(int(s) < 0 for s in split):
         raise ConfigError("queries.split must be three nonnegative sizes")
-    lrn = cfg["learner"]
-    if lrn["epochs"] < 1 or lrn["batch_size"] < 1 or lrn["learning_rate"] <= 0:
-        raise ConfigError("learner epochs/batch_size must be >= 1, learning_rate > 0")
+    _learner_config(cfg)
     ds = cfg["dataset"]
     if ds["path"] is None and ds["synth"] is None:
         raise ConfigError("dataset needs either a path or a synth block")
@@ -125,20 +128,17 @@ def config_hash(cfg: dict) -> str:
 
 
 def _schema_from(section) -> Schema:
-    """The dataset.schema section as a Schema; a section that is not an
-    object, or has an unknown or missing key, is a ConfigError."""
+    """The dataset.schema section laid over Schema's defaults, as _merge
+    does; a section that is not an object, or lacks a field that has no
+    default, is a ConfigError."""
     if not isinstance(section, dict):
         raise ConfigError("dataset.schema must be an object")
-    known = {f.name: f for f in dataclasses.fields(Schema)}
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"unknown config key dataset.schema.{key}")
-    for name, f in known.items():
-        required = (f.default is dataclasses.MISSING
-                    and f.default_factory is dataclasses.MISSING)
-        if required and name not in section:
+    defaults = {f.name: f.default for f in dataclasses.fields(Schema)}
+    schema = _merge(defaults, section, "dataset.schema.")
+    for name, default in defaults.items():
+        if default is dataclasses.MISSING and name not in section:
             raise ConfigError(f"missing config key dataset.schema.{name}")
-    return Schema(**section)
+    return Schema(**schema)
 
 
 def resolve_dataset(cfg: dict) -> tuple[WeightedLabeledSet, LossModel]:
@@ -154,8 +154,8 @@ def resolve_dataset(cfg: dict) -> tuple[WeightedLabeledSet, LossModel]:
         data = make_synthetic(synth["task"], int(synth["n"]), int(synth["d"]),
                               float(synth.get("noise", 0.1)),
                               seed=int(cfg["seed"]))
-        kind = LOGISTIC if synth["task"] in (LOGISTIC, "logistic", "logreg") else LINEAR
-    loss = LossModel(kind, intercept=bool(ds.get("intercept", False)))
+        kind = SYNTHETIC_TASKS[synth["task"]]
+    loss = LossModel(kind, intercept=ds["intercept"])
     return data.normalized(), loss
 
 
@@ -166,21 +166,29 @@ def generate_pool(P, loss, cfg) -> np.ndarray:
         float(qc["gd_lr"]), float(qc["init_scale"]), seed=int(cfg["seed"]))
 
 
-def train_config_from(cfg: dict, size: int) -> TrainConfig:
+def _learner_config(cfg: dict) -> TrainConfig:
+    """The learner section as a TrainConfig of the default coreset size. A
+    value that TrainConfig rejects is a ConfigError naming the section."""
     lrn = cfg["learner"]
-    return TrainConfig(
-        coreset_size=int(size),
-        epochs=int(lrn["epochs"]),
-        learning_rate=float(lrn["learning_rate"]),
-        lam=float(lrn["lambda"]),
-        batch_size=int(lrn["batch_size"]),
-        seed=int(cfg["seed"]),
-        algorithm=lrn["algorithm"],
-        learn_weights=bool(lrn["learn_weights"]),
-        learn_labels=bool(lrn["learn_labels"]),
-        early_stop_on_validation=bool(lrn["early_stop_on_validation"]),
-        init_strategy=lrn.get("init_strategy", "subsample"),
-    )
+    try:
+        return TrainConfig(
+            epochs=int(lrn["epochs"]),
+            learning_rate=float(lrn["learning_rate"]),
+            lam=float(lrn["lambda"]),
+            batch_size=int(lrn["batch_size"]),
+            algorithm=lrn["algorithm"],
+            learn_weights=lrn["learn_weights"],
+            learn_labels=lrn["learn_labels"],
+            early_stop_on_validation=lrn["early_stop_on_validation"],
+            init_strategy=lrn["init_strategy"],
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"learner: {exc}") from exc
+
+
+def train_config_from(cfg: dict, size: int) -> TrainConfig:
+    return dataclasses.replace(_learner_config(cfg), coreset_size=int(size),
+                               seed=int(cfg["seed"]))
 
 
 def _save_coreset(coreset: Coreset, path):
@@ -224,20 +232,31 @@ def _load_coreset(path) -> Coreset:
     return Coreset(raw[:, :-2], raw[:, -2], raw[:, -1])
 
 
-def run_experiment(config_path, seed=None, out_dir=None) -> int:
-    """Full protocol: load -> queries -> split -> sweep -> CSVs + manifest."""
+def _prepare(config_path, seed=None):
+    """The experiment's inputs: the config (with seed, when given, as its
+    root seed), the dataset, its loss, the query pool and its three splits."""
     cfg = load_config(config_path)
     if seed is not None:
         cfg["seed"] = int(seed)
-    if out_dir is not None:
-        cfg["output"]["dir"] = str(out_dir)
-    out = Path(cfg["output"]["dir"])
-    out.mkdir(parents=True, exist_ok=True)
-
     P, loss = resolve_dataset(cfg)
     pool = generate_pool(P, loss, cfg)
-    q_train, q_val, q_test = queries.split_queries(
-        pool, cfg["queries"]["split"], seed=int(cfg["seed"]))
+    splits = queries.split_queries(pool, cfg["queries"]["split"],
+                                   seed=int(cfg["seed"]))
+    return cfg, P, loss, pool, splits
+
+
+def _output_dir(path) -> Path:
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def run_experiment(config_path, seed=None, out_dir=None) -> int:
+    """Full protocol: load -> queries -> split -> sweep -> CSVs + manifest."""
+    cfg, P, loss, _, (q_train, q_val, q_test) = _prepare(config_path, seed)
+    if out_dir is not None:
+        cfg["output"]["dir"] = str(out_dir)
+    out = _output_dir(cfg["output"]["dir"])
 
     sweep_cfg = cfg["sweep"]
     base_cfg = train_config_from(cfg, sweep_cfg["sizes"][0])
@@ -274,23 +293,11 @@ def _cmd_experiment(args):
     return run_experiment(args.config, seed=args.seed, out_dir=args.out_dir)
 
 
-def _prepare(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = int(args.seed)
-    P, loss = resolve_dataset(cfg)
-    pool = generate_pool(P, loss, cfg)
-    splits = queries.split_queries(pool, cfg["queries"]["split"],
-                                   seed=int(cfg["seed"]))
-    return cfg, P, loss, pool, splits
-
-
 def _cmd_learn(args):
-    cfg, P, loss, _, (q_train, q_val, _) = _prepare(args)
+    cfg, P, loss, _, (q_train, q_val, _) = _prepare(args.config, args.seed)
     tc = train_config_from(cfg, args.size)
     coreset, report = learner.train(P, q_train, q_val, loss, tc)
-    out = Path(args.out_dir or cfg["output"]["dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out_dir or cfg["output"]["dir"])
     _save_coreset(coreset, out / f"coreset_learned_{args.size}.csv")
     with open(out / f"report_learned_{args.size}.json", "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -300,21 +307,20 @@ def _cmd_learn(args):
 
 
 def _cmd_baseline(args):
-    cfg, P, _, _, _ = _prepare(args)
+    cfg, P, _, _, _ = _prepare(args.config, args.seed)
     if args.method == "uniform":
         coreset = baselines.uniform_coreset(P, args.size, int(cfg["seed"]))
     else:
         coreset = baselines.leverage_coreset(P, args.size, int(cfg["seed"]))
-    out = Path(args.out_dir or cfg["output"]["dir"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out_dir or cfg["output"]["dir"])
     _save_coreset(coreset, out / f"coreset_{args.method}_{args.size}.csv")
     print(f"{args.method} coreset of size {args.size} written")
     return EXIT_OK
 
 
 def _cmd_eval(args):
-    cfg, P, loss, _, (_, _, q_test) = _prepare(args)
     coreset = _load_coreset(args.coreset)
+    cfg, P, loss, _, (_, _, q_test) = _prepare(args.config, args.seed)
     e_avg = evaluate.err_avg(P, coreset, loss, q_test)
     e_opt = evaluate.err_opt(P, coreset, loss)
     print(f"err_opt={e_opt!r} err_avg={e_avg.value!r} filtered={e_avg.filtered}")
@@ -322,7 +328,7 @@ def _cmd_eval(args):
 
 
 def _cmd_gen_queries(args):
-    cfg, P, loss, pool, _ = _prepare(args)
+    cfg, P, loss, pool, _ = _prepare(args.config, args.seed)
     queries.save_pool_csv(pool, args.out)
     print(f"wrote {pool.shape[0]} queries to {args.out}")
     return EXIT_OK
@@ -336,8 +342,7 @@ def _cmd_bounds(args):
     if args.estimate_M:
         if not args.config:
             raise ConfigError("--estimate-M requires --config")
-        args_m = argparse.Namespace(config=args.config, seed=args.seed)
-        cfg, P, loss, pool, _ = _prepare(args_m)
+        cfg, P, loss, pool, _ = _prepare(args.config, args.seed)
         M = theory.estimate_M(P, loss, pool, level="set")
         print(f"M_hat={M!r}")
     else:
@@ -355,7 +360,7 @@ def _cmd_verify(args):
         raise ConfigError("--trials must be >= 1")
     if args.universe_size < 1:
         raise ConfigError("--universe-size must be >= 1")
-    cfg, P, loss, pool, _ = _prepare(args)
+    cfg, P, loss, pool, _ = _prepare(args.config, args.seed)
     if args.universe_size > pool.shape[0]:
         raise ConfigError(f"--universe-size {args.universe_size} exceeds the "
                           f"pool size {pool.shape[0]}")

@@ -54,6 +54,27 @@ def _as_vector(x, name):
     return a
 
 
+def _checked_set(points, weights, labels, owner):
+    """(points, weights, labels) as float arrays of shapes (n, d), (n,), (n,),
+    checked: at least one point, matching sizes, finite entries, nonnegative
+    weights. Each message names owner, the kind of set ("set" or "coreset")."""
+    arrays = {"points": _as_matrix(points, "points"),
+              "weights": _as_vector(weights, "weights"),
+              "labels": _as_vector(labels, "labels")}
+    n, w, b = (a.shape[0] for a in arrays.values())
+    if n < 1:
+        raise ContractError(f"{owner} needs at least one point")
+    if w != n or b != n:
+        raise ContractError(
+            f"{owner} size mismatch: {n} points, {w} weights, {b} labels")
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise ContractError(f"non-finite entries in {owner} {name}")
+    if np.any(arrays["weights"] < 0):
+        raise ContractError(f"{owner} weights must be nonnegative")
+    return tuple(arrays.values())
+
+
 @dataclass(frozen=True)
 class WeightedLabeledSet:
     """The input data (P, w, b): n points with per-point weights and labels."""
@@ -63,27 +84,9 @@ class WeightedLabeledSet:
     labels: np.ndarray
 
     def __post_init__(self):
-        pts = _as_matrix(self.points, "points")
-        w = _as_vector(self.weights, "weights")
-        b = _as_vector(self.labels, "labels")
-        n = pts.shape[0]
-        if n < 1:
-            raise ContractError("need at least one point")
-        if w.shape[0] != n or b.shape[0] != n:
-            raise ContractError(
-                f"size mismatch: {n} points, {w.shape[0]} weights, {b.shape[0]} labels"
-            )
-        if not np.all(np.isfinite(pts)):
-            raise ContractError("non-finite entries in points")
-        if not np.all(np.isfinite(w)):
-            raise ContractError("non-finite entries in weights")
-        if not np.all(np.isfinite(b)):
-            raise ContractError("non-finite entries in labels")
-        if np.any(w < 0):
-            raise ContractError("weights must be nonnegative")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "labels", b)
+        checked = _checked_set(self.points, self.weights, self.labels, "set")
+        for name, a in zip(("points", "weights", "labels"), checked):
+            object.__setattr__(self, name, a)
 
     @property
     def n(self):
@@ -115,19 +118,8 @@ class Coreset:
     labels: np.ndarray
 
     def __post_init__(self):
-        self.points = _as_matrix(self.points, "points")
-        self.weights = _as_vector(self.weights, "weights")
-        self.labels = _as_vector(self.labels, "labels")
-        m = self.points.shape[0]
-        if m < 1:
-            raise ContractError("coreset needs at least one point")
-        if self.weights.shape[0] != m or self.labels.shape[0] != m:
-            raise ContractError("coreset points/weights/labels size mismatch")
-        for name in ("points", "weights", "labels"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ContractError(f"non-finite entries in coreset {name}")
-        if np.any(self.weights < 0):
-            raise ContractError("coreset weights must be nonnegative")
+        self.points, self.weights, self.labels = _checked_set(
+            self.points, self.weights, self.labels, "coreset")
 
     @property
     def m(self):

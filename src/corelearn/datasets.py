@@ -15,6 +15,13 @@ class DatasetError(ValueError):
     """Unreadable or malformed dataset file."""
 
 
+# make_synthetic's task names, each with the loss kind its labels are for
+SYNTHETIC_TASKS = {
+    "linear": LINEAR, "linreg": LINEAR, LINEAR: LINEAR,
+    "logistic": LOGISTIC, "logreg": LOGISTIC, LOGISTIC: LOGISTIC,
+}
+
+
 @dataclass
 class Schema:
     """Column layout of a CSV dataset.
@@ -116,17 +123,18 @@ def make_synthetic(task: str, n: int, d: int, noise: float = 0.1,
 
     linear task: b = <p, q*> + noise * N(0,1).
     logistic task: b = sign(<p, q*> + noise * N(0,1)) -- separable up to noise.
+    The task is a key of SYNTHETIC_TASKS.
     """
+    if not isinstance(task, str) or task not in SYNTHETIC_TASKS:
+        raise DatasetError(f"unknown synthetic task {task!r}")
     rng = stream_rng(seed, "make_synthetic", task)
     X = rng.standard_normal((n, d))
     q_star = rng.standard_normal(d)
     q_star /= np.linalg.norm(q_star)
     margin = X @ q_star + noise * rng.standard_normal(n)
-    if task in (LINEAR, "linear", "linreg"):
+    if SYNTHETIC_TASKS[task] == LINEAR:
         labels = margin
-    elif task in (LOGISTIC, "logistic", "logreg"):
-        labels = np.where(margin >= 0, 1.0, -1.0)
     else:
-        raise DatasetError(f"unknown synthetic task {task!r}")
+        labels = np.where(margin >= 0, 1.0, -1.0)
     weights = np.full(n, 1.0 / n)
     return WeightedLabeledSet(X, weights, labels)

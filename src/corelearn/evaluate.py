@@ -178,7 +178,8 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
     train_split = val_split = None
     if METHOD_LEARNED in methods:
         train_split = _kept(learner._scored, P, loss, Q_train)
-        if Q_val is not None:
+        # only the practical objective reads a validation split
+        if Q_val is not None and cfg.algorithm == learner.ALG_PRACTICAL:
             val_split = _kept(learner._scored, P, loss, Q_val)
     table = ResultTable()
     reports = {}

@@ -73,14 +73,8 @@ class TrainConfig:
             raise ContractError("batch_size must be >= 1")
         if self.algorithm not in (ALG_AVERAGE, ALG_PRACTICAL):
             raise ContractError(f"unknown algorithm {self.algorithm!r}")
-
-    @staticmethod
-    def paper_linreg(**overrides):
-        """Linear-regression defaults: 10 epochs, batch 25, lr 0.01, lambda 1."""
-        cfg = dict(epochs=10, batch_size=25, learning_rate=0.01, lam=1.0,
-                   algorithm=ALG_PRACTICAL, learn_weights=True)
-        cfg.update(overrides)
-        return TrainConfig(**cfg)
+        if self.init_strategy not in (INIT_SUBSAMPLE, INIT_GAUSSIAN):
+            raise ContractError(f"unknown init strategy {self.init_strategy!r}")
 
     @staticmethod
     def paper_logreg(**overrides):

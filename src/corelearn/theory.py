@@ -38,27 +38,21 @@ from .queries import as_query_matrix
 MC_BLOCK = 2 ** 14
 
 
-def _check_eps_delta(eps, delta, M):
+def hoeffding_k(eps: float, delta: float, M: float) -> int:
+    """Samples needed so the mean cost deviates from its expectation by more
+    than eps with probability at most delta: ceil(2 M^2 ln(2/delta) / eps^2)."""
     if eps <= 0:
         raise ContractError("eps must be > 0")
     if not 0 < delta < 1:
         raise ContractError("delta must be in (0, 1)")
     if M <= 0:
         raise ContractError("M must be > 0")
-
-
-def hoeffding_k(eps: float, delta: float, M: float) -> int:
-    """Samples needed so the mean cost deviates from its expectation by more
-    than eps with probability at most delta: ceil(2 M^2 ln(2/delta) / eps^2)."""
-    _check_eps_delta(eps, delta, M)
     return math.ceil(2.0 * M * M * math.log(2.0 / delta) / (eps * eps))
 
 
 def claim2_k(eps: float, delta: float, M: float) -> int:
     """Inflated variant with the coreset's (1+eps)M cost bound."""
-    _check_eps_delta(eps, delta, M)
-    b = (1.0 + eps) * M
-    return math.ceil(2.0 * b * b * math.log(2.0 / delta) / (eps * eps))
+    return hoeffding_k(eps, delta, (1.0 + eps) * M)
 
 
 def relate_eps(eps_ratio: float, M: float) -> float:

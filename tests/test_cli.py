@@ -154,6 +154,62 @@ def test_config_schema_loads_csv_dataset(tmp_path):
     assert np.loadtxt(out, delimiter=",", ndmin=2).shape == (2 * 14 + 2, 1)
 
 
+@pytest.mark.parametrize("key", [
+    "dataset.intercept", "learner.learn_weights", "learner.learn_labels",
+    "learner.early_stop_on_validation", "dataset.schema.has_header",
+    "dataset.schema.standardize", "dataset.schema.binary_label"])
+def test_config_rejects_string_booleans(tmp_path, capsys, key):
+    data = tmp_path / "data.csv"
+    data.write_text("1.0,0\n3.0,1\n5.0,1\n")
+    schema = {"features": ["0"], "label": "1"}
+    cfg = {"dataset": {"path": str(data), "schema": schema}, "learner": {}}
+    *parents, name = key.split(".")
+    section = cfg
+    for part in parents:
+        section = section[part]
+    section[name] = "false"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "pool.csv"
+    assert main(["gen-queries", "--config", str(path), "--out", str(out)]) == 1
+    assert f"{key} must be true or false, got 'false'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("learner, match", [
+    ({"lambda": -1.0}, "lambda must be >= 0"),
+    ({"algorithm": "magic"}, "unknown algorithm 'magic'"),
+    ({"init_strategy": "gausian"}, "unknown init strategy 'gausian'"),
+    ({"epochs": 0}, "epochs must be >= 1"),
+    ({"batch_size": 0}, "batch_size must be >= 1"),
+    ({"learning_rate": 0.0}, "learning_rate must be > 0"),
+    ({"epochs": "ten"}, "invalid literal"),
+], ids=["lambda", "algorithm", "init_strategy", "epochs", "batch_size",
+        "learning_rate", "epochs-type"])
+def test_config_rejects_learner_values_at_load(tmp_path, monkeypatch, capsys,
+                                               learner, match):
+    path = _write_config(tmp_path, learner=learner)
+    with pytest.raises(ConfigError, match=f"learner: .*{match}"):
+        load_config(path)
+
+    def no_data_work(*args, **kwargs):
+        raise AssertionError("dataset built before the config was checked")
+
+    monkeypatch.setattr("corelearn.cli.resolve_dataset", no_data_work)
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_failed_dataset_leaves_no_output_dir(tmp_path, capsys):
+    path = _write_config(tmp_path, dataset={
+        "path": str(tmp_path / "missing.csv"),
+        "schema": {"features": ["0"], "label": "1"}})
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert "missing.csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_rejects_bad_method():
     cfg = json.loads(json.dumps({
         "seed": 0,
@@ -300,6 +356,28 @@ def test_cli_eval_rejects_zero_weight_coreset(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "err_opt=" not in captured.out
     assert "all zero" in captured.err
+
+
+def test_cli_eval_reads_coreset_before_the_data(tmp_path, monkeypatch, capsys):
+    path = _write_config(tmp_path)
+    coreset = tmp_path / "bad.csv"
+    coreset.write_text("x0,x1,weight,label\n0.1,0.2,-1.0,1.0\n")
+
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("query pool built before the coreset was read")
+
+    monkeypatch.setattr("corelearn.cli.generate_pool", no_pool)
+    assert main(["eval", "--config", str(path), "--coreset", str(coreset)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2" in err and "negative weight" in err
+
+
+def test_cli_bounds_estimates_M_from_config(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    assert main(["bounds", "--eps", "0.1", "--delta", "0.05", "--estimate-M",
+                 "--config", str(path), "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "M_hat=" in out and "k1=" in out and "k2=" in out
 
 
 @pytest.mark.parametrize("cell, match", [("-5", "negative weight"),

@@ -125,6 +125,21 @@ def test_set_invariants():
         WeightedLabeledSet([[np.nan]], [1.0], [0.0])
 
 
+@pytest.mark.parametrize("cls, owner", [(WeightedLabeledSet, "set"),
+                                        (Coreset, "coreset")],
+                         ids=["set", "coreset"])
+@pytest.mark.parametrize("arrays, match", [
+    (([[1.0]], [1.0, 1.0], [0.0]), "size mismatch: 1 points, 2 weights, 1 labels"),
+    ((np.zeros((0, 2)), [], []), "needs at least one point"),
+    (([[1.0]], [1.0], [np.inf]), "non-finite entries in {owner} labels"),
+    (([[1.0]], [-1.0], [0.0]), "weights must be nonnegative"),
+], ids=["sizes", "empty", "non-finite", "negative"])
+def test_sets_share_one_contract(cls, owner, arrays, match):
+    with pytest.raises(ContractError, match=owner) as info:
+        cls(*arrays)
+    assert match.format(owner=owner) in str(info.value)
+
+
 def test_coreset_rejects_negative_weights():
     with pytest.raises(ContractError, match="weights"):
         Coreset([[1.0], [2.0]], [-1.0, 0.5], [0.0, 1.0])

@@ -247,12 +247,18 @@ def test_sweep_scores_each_split_and_solves_the_data_once(linreg, monkeypatch):
 
     monkeypatch.setattr(LossModel, "costs", counting_costs)
     monkeypatch.setattr(baselines, "solve_optimal", counting_solve)
-    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
-    table = sweep(P, linreg, [6, 9], METHODS, 2, 3, splits["train"],
-                  splits["val"], splits["test"], cfg)
-    assert len(table.rows) == 12 and all(row["ok"] for row in table.rows)
-    assert scored == {"train": 1, "val": 1, "test": 1}
-    assert solved == {"P": 1}
+    # average never reads the validation split, so the sweep does not score it
+    for algorithm, want in [("practical", {"train": 1, "val": 1, "test": 1}),
+                            ("average", {"train": 1, "test": 1})]:
+        scored.clear()
+        solved.clear()
+        cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0,
+                          algorithm=algorithm)
+        table = sweep(P, linreg, [6, 9], METHODS, 2, 3, splits["train"],
+                      splits["val"], splits["test"], cfg)
+        assert len(table.rows) == 12 and all(row["ok"] for row in table.rows)
+        assert +scored == want
+        assert solved == {"P": 1}
 
 
 def _separable():

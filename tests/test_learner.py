@@ -16,6 +16,7 @@ from corelearn import (
     project_weights,
     train,
 )
+from corelearn.core import ContractError
 from corelearn.learner import OptimizerState, RATIO_FLOOR
 from corelearn.losses import LossModel
 
@@ -80,6 +81,31 @@ def test_init_deterministic():
     b = init_coreset(P, 4, seed=9)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.labels, b.labels)
+
+
+def test_init_gaussian(linreg):
+    rng = np.random.default_rng(12)
+    P = _random_set(rng)
+    c = init_coreset(P, 4, seed=9, strategy="gaussian")
+    assert c.points.shape == (4, P.dim) and c.labels.shape == (4,)
+    assert np.all(np.isfinite(c.points)) and np.all(np.isfinite(c.labels))
+    assert np.array_equal(c.weights, np.full(4, 1.0 / 4))
+    same = init_coreset(P, 4, seed=9, strategy="gaussian")
+    assert np.array_equal(c.points, same.points)
+    assert np.array_equal(c.labels, same.labels)
+    other = init_coreset(P, 4, seed=10, strategy="gaussian")
+    assert not np.array_equal(c.points, other.points)
+    assert not np.array_equal(c.labels, other.labels)
+    cfg = TrainConfig(coreset_size=4, epochs=3, learning_rate=0.02, batch_size=4,
+                      seed=9, init_strategy="gaussian")
+    coreset, report = train(P, rng.standard_normal((8, 2)), None, linreg, cfg)
+    assert coreset.m == 4 and len(report.train_losses) == 3
+    assert np.all(np.isfinite(report.train_losses))
+
+
+def test_train_config_rejects_unknown_init_strategy():
+    with pytest.raises(ContractError, match="unknown init strategy 'gausian'"):
+        TrainConfig(init_strategy="gausian")
 
 
 def test_average_fixed_point_zero_loss(linreg):

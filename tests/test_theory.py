@@ -54,6 +54,15 @@ def test_claim2_k_limit_ratio():
         assert r == pytest.approx(1.0, abs=5e-3)
 
 
+def test_claim2_k_is_hoeffding_k_at_inflated_M():
+    for eps in (1e-3, 0.05, 0.1, 0.7, 3.0):
+        for delta in (1e-6, 0.05, 0.5):
+            for M in (1e-3, 0.3, 1.0, 7.5):
+                b = (1.0 + eps) * M
+                want = math.ceil(2.0 * b * b * math.log(2.0 / delta) / (eps * eps))
+                assert claim2_k(eps, delta, M) == want == hoeffding_k(eps, delta, b)
+
+
 def test_k_contracts():
     with pytest.raises(ContractError):
         hoeffding_k(0.0, 0.05, 1.0)
