@@ -70,20 +70,32 @@ DEFAULT_CONFIG = {
 }
 
 
+# The JSON values a config key takes, by the type of its default, and how a
+# message names them. Types are matched exactly: JSON's true is a bool, which
+# isinstance counts as an int, and bool("false") would read as true.
+_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+          float: ((int, float), "a number"), str: ((str,), "a string"),
+          list: ((list,), "a list"), dict: ((dict,), "an object")}
+# Keys whose default is typed but that also take null
+_NULLABLE = {"dataset.synth"}
+
+
 def _merge(base, override, path=""):
     """override laid over base. A key that base lacks, at the top or inside
     a section whose default is a dict, is a ConfigError naming its dotted
-    path, and so is a value that is not true or false where the default is
-    a boolean (bool("false") would read as true)."""
+    path, and so is a value whose type is not that of its default (_TYPES).
+    A key whose default is null takes any value."""
     out = copy.deepcopy(base)
     for key, value in override.items():
+        dotted = f"{path}{key}"
         if key not in base:
-            raise ConfigError(f"unknown config key {path}{key}")
-        if isinstance(base[key], bool) and not isinstance(value, bool):
-            raise ConfigError(
-                f"config key {path}{key} must be true or false, got {value!r}")
+            raise ConfigError(f"unknown config key {dotted}")
+        types, name = _TYPES.get(type(base[key]), (None, None))
+        if (types and type(value) not in types
+                and not (value is None and dotted in _NULLABLE)):
+            raise ConfigError(f"config key {dotted} must be {name}, got {value!r}")
         if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value, f"{path}{key}.")
+            out[key] = _merge(out[key], value, f"{dotted}.")
         else:
             out[key] = value
     return out
@@ -105,17 +117,22 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
+    """The checks that _merge's types leave: values, ranges, list entries."""
     sweep = cfg["sweep"]
-    if not sweep["sizes"]:
-        raise ConfigError("sweep.sizes must be non-empty")
-    bad = set(sweep["methods"]) - {"learned", "uniform", "leverage"}
+    if not sweep["sizes"] or not all(type(s) is int and s >= 1
+                                     for s in sweep["sizes"]):
+        raise ConfigError(
+            f"sweep.sizes must be integers >= 1, got {sweep['sizes']!r}")
+    bad = [m for m in sweep["methods"]
+           if m not in ("learned", "uniform", "leverage")]
     if bad:
-        raise ConfigError(f"unknown sweep methods: {sorted(bad)}")
+        raise ConfigError(f"unknown sweep methods: {bad}")
     if sweep["trials"] < 1:
         raise ConfigError("sweep.trials must be >= 1")
     split = cfg["queries"]["split"]
-    if len(split) != 3 or any(int(s) < 0 for s in split):
-        raise ConfigError("queries.split must be three nonnegative sizes")
+    if len(split) != 3 or not all(type(s) is int and s >= 0 for s in split):
+        raise ConfigError(
+            f"queries.split must be three nonnegative integers, got {split!r}")
     _learner_config(cfg)
     ds = cfg["dataset"]
     if ds["path"] is None and ds["synth"] is None:
@@ -151,9 +168,11 @@ def resolve_dataset(cfg: dict) -> tuple[WeightedLabeledSet, LossModel]:
         kind = LOGISTIC if schema.binary_label else LINEAR
     else:
         synth = ds["synth"]
-        data = make_synthetic(synth["task"], int(synth["n"]), int(synth["d"]),
-                              float(synth.get("noise", 0.1)),
-                              seed=int(cfg["seed"]))
+        try:
+            data = make_synthetic(synth["task"], synth["n"], synth["d"],
+                                  synth["noise"], seed=cfg["seed"])
+        except DatasetError as exc:
+            raise ConfigError(f"dataset.synth: {exc}") from exc
         kind = SYNTHETIC_TASKS[synth["task"]]
     loss = LossModel(kind, intercept=ds["intercept"])
     return data.normalized(), loss
@@ -162,8 +181,8 @@ def resolve_dataset(cfg: dict) -> tuple[WeightedLabeledSet, LossModel]:
 def generate_pool(P, loss, cfg) -> np.ndarray:
     qc = cfg["queries"]
     return queries.trajectory_queries(
-        P, loss, int(qc["n_starts"]), int(qc["steps_per_start"]),
-        float(qc["gd_lr"]), float(qc["init_scale"]), seed=int(cfg["seed"]))
+        P, loss, qc["n_starts"], qc["steps_per_start"], qc["gd_lr"],
+        qc["init_scale"], seed=cfg["seed"])
 
 
 def _learner_config(cfg: dict) -> TrainConfig:
@@ -172,23 +191,23 @@ def _learner_config(cfg: dict) -> TrainConfig:
     lrn = cfg["learner"]
     try:
         return TrainConfig(
-            epochs=int(lrn["epochs"]),
-            learning_rate=float(lrn["learning_rate"]),
-            lam=float(lrn["lambda"]),
-            batch_size=int(lrn["batch_size"]),
+            epochs=lrn["epochs"],
+            learning_rate=lrn["learning_rate"],
+            lam=lrn["lambda"],
+            batch_size=lrn["batch_size"],
             algorithm=lrn["algorithm"],
             learn_weights=lrn["learn_weights"],
             learn_labels=lrn["learn_labels"],
             early_stop_on_validation=lrn["early_stop_on_validation"],
             init_strategy=lrn["init_strategy"],
         )
-    except (TypeError, ValueError) as exc:
+    except ContractError as exc:
         raise ConfigError(f"learner: {exc}") from exc
 
 
 def train_config_from(cfg: dict, size: int) -> TrainConfig:
-    return dataclasses.replace(_learner_config(cfg), coreset_size=int(size),
-                               seed=int(cfg["seed"]))
+    return dataclasses.replace(_learner_config(cfg), coreset_size=size,
+                               seed=cfg["seed"])
 
 
 def _save_coreset(coreset: Coreset, path):
@@ -241,7 +260,7 @@ def _prepare(config_path, seed=None):
     P, loss = resolve_dataset(cfg)
     pool = generate_pool(P, loss, cfg)
     splits = queries.split_queries(pool, cfg["queries"]["split"],
-                                   seed=int(cfg["seed"]))
+                                   seed=cfg["seed"])
     return cfg, P, loss, pool, splits
 
 
@@ -261,9 +280,8 @@ def run_experiment(config_path, seed=None, out_dir=None) -> int:
     sweep_cfg = cfg["sweep"]
     base_cfg = train_config_from(cfg, sweep_cfg["sizes"][0])
     table, reports = evaluate.sweep(
-        P, loss, [int(s) for s in sweep_cfg["sizes"]], sweep_cfg["methods"],
-        int(sweep_cfg["trials"]), int(cfg["seed"]),
-        q_train, q_val, q_test, base_cfg, collect_reports=True)
+        P, loss, sweep_cfg["sizes"], sweep_cfg["methods"], sweep_cfg["trials"],
+        cfg["seed"], q_train, q_val, q_test, base_cfg, collect_reports=True)
 
     table.to_csv(out / "trials.csv")
     table.aggregate_to_csv(out / "aggregated.csv")
@@ -273,7 +291,7 @@ def run_experiment(config_path, seed=None, out_dir=None) -> int:
     manifest = {
         "config": cfg,
         "config_sha256": config_hash(cfg),
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
         "versions": {
             "corelearn": __version__,
             "numpy": np.__version__,
@@ -309,9 +327,9 @@ def _cmd_learn(args):
 def _cmd_baseline(args):
     cfg, P, _, _, _ = _prepare(args.config, args.seed)
     if args.method == "uniform":
-        coreset = baselines.uniform_coreset(P, args.size, int(cfg["seed"]))
+        coreset = baselines.uniform_coreset(P, args.size, cfg["seed"])
     else:
-        coreset = baselines.leverage_coreset(P, args.size, int(cfg["seed"]))
+        coreset = baselines.leverage_coreset(P, args.size, cfg["seed"])
     out = _output_dir(args.out_dir or cfg["output"]["dir"])
     _save_coreset(coreset, out / f"coreset_{args.method}_{args.size}.csv")
     print(f"{args.method} coreset of size {args.size} written")
@@ -371,7 +389,7 @@ def _cmd_verify(args):
     M = theory.exact_set_M(space)
     eps = args.eps_frac * M
     res = theory.verify_claim1(space, eps, args.delta, trials=args.trials,
-                               seed=int(cfg["seed"]))
+                               seed=cfg["seed"])
     status = "PASS" if res.passes() else "FAIL"
     print(f"claim1 {status}: violation_rate={res.violation_rate!r} "
           f"bound={res.delta + res.slack()!r} k={res.k} M={res.M!r}")

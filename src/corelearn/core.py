@@ -7,7 +7,7 @@ weights @ values, and set_costs is the one checked way to a set's cost.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,9 +75,18 @@ def _checked_set(points, weights, labels, owner):
     return tuple(arrays.values())
 
 
+# Most results remember() keeps on one WeightedLabeledSet; the oldest goes
+# first. A sweep reads four: the costs of three query splits and f(P, q*).
+MEMO_ENTRIES = 8
+
+
 @dataclass(frozen=True)
 class WeightedLabeledSet:
-    """The input data (P, w, b): n points with per-point weights and labels."""
+    """The input data (P, w, b): n points with per-point weights and labels.
+
+    Its arrays are read-only copies of the caller's, so that what remember()
+    keeps on the set stays true of it.
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -86,7 +95,10 @@ class WeightedLabeledSet:
     def __post_init__(self):
         checked = _checked_set(self.points, self.weights, self.labels, "set")
         for name, a in zip(("points", "weights", "labels"), checked):
+            a = np.array(a)
+            a.flags.writeable = False
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n(self):
@@ -232,6 +244,20 @@ class MeasurableQuerySpace:
         if miss.any():
             idx[miss] = self._cdf.searchsorted(u[miss], side="right")
         return idx
+
+
+def remember(P: WeightedLabeledSet, key, compute):
+    """compute() on the first call with key, kept on P for later calls.
+
+    Only a result that returned is kept, so a failure is raised again at
+    every call. At most MEMO_ENTRIES results are kept; the oldest goes first.
+    """
+    memo = P._memo
+    if key not in memo:
+        memo[key] = compute()
+        if len(memo) > MEMO_ENTRIES:
+            del memo[next(iter(memo))]
+    return memo[key]
 
 
 def set_cost(dataset, loss, q) -> float:

@@ -127,6 +127,8 @@ def make_synthetic(task: str, n: int, d: int, noise: float = 0.1,
     """
     if not isinstance(task, str) or task not in SYNTHETIC_TASKS:
         raise DatasetError(f"unknown synthetic task {task!r}")
+    if n < 1 or d < 1:
+        raise DatasetError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     rng = stream_rng(seed, "make_synthetic", task)
     X = rng.standard_normal((n, d))
     q_star = rng.standard_normal(d)

@@ -8,13 +8,12 @@ import time
 import warnings
 import zlib
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
 from . import baselines, learner
 from .core import (Coreset, ContractError, DegenerateInputError,
-                   WeightedLabeledSet, set_cost, set_costs)
+                   WeightedLabeledSet, remember, set_cost, set_costs)
 from .learner import RATIO_FLOOR, TrainConfig
 from .losses import LossModel
 
@@ -25,23 +24,17 @@ METHOD_LEVERAGE = "leverage"
 
 def err_opt(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel) -> float:
     """Relative excess full-data cost of the coreset-optimal model:
-    |1 - f(P, q*_c) / f(P, q*)|."""
-    return _err_opt(P, coreset, loss, partial(_optimal_cost, P, loss))
+    |1 - f(P, q*_c) / f(P, q*)|.
 
-
-def _optimal_cost(P, loss):
-    """f(P, q*) at the data's optimum q*."""
-    return set_cost(P, loss, baselines.solve_optimal(P, loss).params)
-
-
-def _err_opt(P, coreset, loss, optimal_cost):
-    """err_opt with f(P, q*) from optimal_cost(), called where err_opt
-    solves the data."""
+    f(P, q*) is kept on P, so the data is solved once however many
+    coresets are judged against it.
+    """
     C = coreset.as_set()
     if not np.any(C.weights > 0):
         raise DegenerateInputError(
             "coreset weights are all zero; it has no optimal solution")
-    f_star = optimal_cost()
+    f_star = remember(P, ("optimal", loss), lambda: set_cost(
+        P, loss, baselines.solve_optimal(P, loss).params))
     sol_c = baselines.solve_optimal(C, loss)
     if f_star <= RATIO_FLOOR:
         raise DegenerateInputError(
@@ -63,12 +56,7 @@ def err_avg(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel,
     Queries with full-data cost below the ratio floor are excluded; the
     excluded count is part of the result.
     """
-    return _err_avg(coreset, loss, partial(learner._scored, P, loss, Q_test))
-
-
-def _err_avg(coreset, loss, test_split):
-    """err_avg over the scored split that test_split() returns."""
-    qm, f_p, filtered = learner._floored(*test_split())
+    qm, f_p, filtered = learner._floored(*learner._scored(P, loss, Q_test))
     if qm.shape[0] == 0:
         raise DegenerateInputError("all test queries filtered; metric undefined")
     f_c = set_costs(coreset, loss, qm)
@@ -76,15 +64,14 @@ def _err_avg(coreset, loss, test_split):
     return ErrAvg(value, filtered)
 
 
-def _build_coreset(method, P, loss, size, trial_seed, train_split, val_split,
-                   cfg):
+def _build_coreset(method, P, loss, size, trial_seed, Q_train, Q_val, cfg):
     if method == METHOD_UNIFORM:
         return baselines.uniform_coreset(P, size, trial_seed), None
     if method == METHOD_LEVERAGE:
         return baselines.leverage_coreset(P, size, trial_seed), None
     if method == METHOD_LEARNED:
         run_cfg = replace(cfg, coreset_size=size, seed=trial_seed)
-        return learner._train(P, train_split, val_split, loss, run_cfg)
+        return learner.train(P, Q_train, Q_val, loss, run_cfg)
     raise ContractError(f"unknown method {method!r}")
 
 
@@ -144,43 +131,21 @@ def _write_csv(path, cols, rows):
             writer.writerow([_fmt(row.get(c)) for c in cols])
 
 
-def _kept(fn, *args):
-    """Call fn(*args) now. The returned function gives its result, or raises
-    its error again, at every call."""
-    try:
-        value = fn(*args)
-    except Exception as exc:  # noqa: BLE001 - raised again by each reader
-        error = exc
-
-        def read():
-            raise error
-        return read
-    return lambda: value
-
-
 def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
           n_trials: int, base_seed: int, Q_train, Q_val, Q_test,
           cfg: TrainConfig, collect_reports: bool = False):
     """Train/construct and evaluate every (size, method, trial) cell.
 
-    What depends only on P, the loss and the splits is computed once, before
-    the first cell: the full-data costs of each split the cells read and the
-    data's optimal cost f(P, q*). A cell's wall_time_s therefore excludes
-    it. Individual trial failures are recorded, not fatal, and that holds
-    for the shared work too: its error is raised in every cell that reads
-    it, at the step where the cell would have computed it. Returns the
-    table and, when requested, the training reports of the learned cells.
+    Each cell builds its coreset (a learned one through train) and calls
+    err_opt and err_avg. What they compute from P alone (each split's
+    full-data costs, f(P, q*)) is kept on P by the first cell that computes
+    it, so only that cell's wall_time_s includes it. Individual trial failures are recorded, not fatal; a failure in
+    that shared work is kept nowhere, so it fails every cell that reads it.
+    Returns the table and, when requested, the training reports of the
+    learned cells.
     """
     if not sizes or not methods:
         raise ContractError("sizes and methods must be non-empty")
-    test_split = _kept(learner._scored, P, loss, Q_test)
-    optimal_cost = _kept(_optimal_cost, P, loss)
-    train_split = val_split = None
-    if METHOD_LEARNED in methods:
-        train_split = _kept(learner._scored, P, loss, Q_train)
-        # only the practical objective reads a validation split
-        if Q_val is not None and cfg.algorithm == learner.ALG_PRACTICAL:
-            val_split = _kept(learner._scored, P, loss, Q_val)
     table = ResultTable()
     reports = {}
     for size in sizes:
@@ -190,10 +155,9 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
                 t0 = time.perf_counter()
                 try:
                     coreset, report = _build_coreset(
-                        method, P, loss, size, trial_seed, train_split,
-                        val_split, cfg)
-                    e_opt = _err_opt(P, coreset, loss, optimal_cost)
-                    e_avg = _err_avg(coreset, loss, test_split)
+                        method, P, loss, size, trial_seed, Q_train, Q_val, cfg)
+                    e_opt = err_opt(P, coreset, loss)
+                    e_avg = err_avg(P, coreset, loss, Q_test)
                     table.add(size=size, method=method, trial=trial,
                               err_opt=e_opt, err_avg=e_avg.value,
                               filtered_queries=e_avg.filtered,

@@ -22,12 +22,11 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .core import (Coreset, ContractError, NumericError, WeightedLabeledSet,
-                   set_costs, stream_rng)
+                   remember, set_costs, stream_rng)
 from .losses import LossModel
 from .queries import as_query_matrix
 
@@ -169,9 +168,15 @@ class TrainReport:
 
 
 def _scored(P: WeightedLabeledSet, loss: LossModel, Q):
-    """Q's (k, d') matrix and the full-data costs f(P, w, q) of its rows."""
+    """Q's (k, d') matrix and the full-data costs f(P, w, q) of its rows.
+
+    The costs are kept on P and shared by later calls, so they are read,
+    never written. They are keyed on Q's content rather than its identity:
+    the caller owns Q and may change it between calls.
+    """
     qm = as_query_matrix(Q)
-    return qm, set_costs(P, loss, qm)
+    key = ("costs", loss, qm.shape, qm.tobytes())
+    return qm, remember(P, key, lambda: set_costs(P, loss, qm))
 
 
 def _floored(qm: np.ndarray, f_p: np.ndarray):
@@ -264,12 +269,7 @@ def autocl_average(P: WeightedLabeledSet, Q_train, loss: LossModel,
 
     One full-batch gradient step per epoch, scored after the step.
     """
-    return _average(P, partial(_scored, P, loss, Q_train), loss, cfg)
-
-
-def _average(P, train_split, loss, cfg):
-    """autocl_average on the scored split that train_split() returns."""
-    qm, f_p = train_split()
+    qm, f_p = _scored(P, loss, Q_train)
     if qm.shape[0] < 1:
         raise ContractError("need at least one training query")
     # the data-side average is constant across epochs; compute it once
@@ -313,23 +313,15 @@ def autocl_practical(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     are supplied, the epoch with the lowest validation error is returned
     when cfg.early_stop_on_validation is set.
     """
-    train_split = partial(_scored, P, loss, Q_train)
-    val_split = None if Q_val is None else partial(_scored, P, loss, Q_val)
-    return _practical(P, train_split, val_split, loss, cfg)
-
-
-def _practical(P, train_split, val_split, loss, cfg):
-    """autocl_practical on the scored splits that train_split() and, unless
-    val_split is None, val_split() return."""
-    qm, f_p, n_dropped = _floored(*train_split())
+    qm, f_p, n_dropped = _floored(*_scored(P, loss, Q_train))
     if n_dropped:
         warnings.warn(
             f"dropping {n_dropped} training queries with near-zero full-data cost")
     if qm.shape[0] < 1:
         raise ContractError("no usable training queries above the ratio floor")
     val = None
-    if val_split is not None:
-        val_qm, f_p_val, _ = _floored(*val_split())
+    if Q_val is not None:
+        val_qm, f_p_val, _ = _floored(*_scored(P, loss, Q_val))
         if val_qm.shape[0]:
             val = (val_qm, _ratio_term(f_p_val))
     batches = _minibatches(qm.shape[0], cfg.batch_size, cfg.seed)
@@ -343,12 +335,3 @@ def train(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel, cfg: TrainConf
     if cfg.algorithm == ALG_AVERAGE:
         return autocl_average(P, Q_train, loss, cfg)
     return autocl_practical(P, Q_train, Q_val, loss, cfg)
-
-
-def _train(P, train_split, val_split, loss, cfg):
-    """train on scored splits: train_split() and val_split() return a
-    split's query matrix and full-data costs, and are called where train
-    would score the split, so that a failure to score surfaces there."""
-    if cfg.algorithm == ALG_AVERAGE:
-        return _average(P, train_split, loss, cfg)
-    return _practical(P, train_split, val_split, loss, cfg)

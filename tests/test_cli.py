@@ -13,7 +13,7 @@ from corelearn.cli import (
     run_experiment,
     validate_config,
 )
-from corelearn.datasets import DatasetError, Schema, load_dataset
+from corelearn.datasets import DatasetError, Schema, load_dataset, make_synthetic
 
 
 def _write_config(tmp_path, **overrides):
@@ -183,9 +183,8 @@ def test_config_rejects_string_booleans(tmp_path, capsys, key):
     ({"epochs": 0}, "epochs must be >= 1"),
     ({"batch_size": 0}, "batch_size must be >= 1"),
     ({"learning_rate": 0.0}, "learning_rate must be > 0"),
-    ({"epochs": "ten"}, "invalid literal"),
 ], ids=["lambda", "algorithm", "init_strategy", "epochs", "batch_size",
-        "learning_rate", "epochs-type"])
+        "learning_rate"])
 def test_config_rejects_learner_values_at_load(tmp_path, monkeypatch, capsys,
                                                learner, match):
     path = _write_config(tmp_path, learner=learner)
@@ -199,6 +198,57 @@ def test_config_rejects_learner_values_at_load(tmp_path, monkeypatch, capsys,
     assert main(["experiment", "--config", str(path)]) == 1
     assert match in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override, match", [
+    ({"sweep": {"sizes": [5], "methods": ["uniform"], "trials": "2"}},
+     "sweep.trials must be an integer, got '2'"),
+    ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+    ({"dataset": {"synth": {"task": "linear", "n": 0, "d": 2}}},
+     "dataset.synth: need n >= 1 and d >= 1, got n=0, d=2"),
+    ({"learner": {"epochs": 2.5}}, "learner.epochs must be an integer, got 2.5"),
+    ({"learner": {"epochs": "ten"}},
+     "learner.epochs must be an integer, got 'ten'"),
+    ({"queries": {"n_starts": "3", "split": [20, 5, 5]}},
+     "queries.n_starts must be an integer, got '3'"),
+    ({"queries": {"n_starts": 2, "split": [20, 5.0, 5]}},
+     "queries.split must be three nonnegative integers, got [20, 5.0, 5]"),
+    ({"learner": {"lambda": True}}, "learner.lambda must be a number, got True"),
+    ({"output": {"dir": None}}, "output.dir must be a string, got None"),
+], ids=["trials-str", "seed-str", "synth-n-zero", "epochs-float", "epochs-type",
+        "n_starts-str", "split-float", "lambda-bool", "dir-null"])
+def test_config_rejects_wrong_types(tmp_path, monkeypatch, capsys, override,
+                                    match):
+    path = _write_config(tmp_path, **override)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("query pool built before the config was checked")
+
+    monkeypatch.setattr("corelearn.cli.generate_pool", no_pool)
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_number_keys_take_integers(tmp_path):
+    path = _write_config(tmp_path, learner={"learning_rate": 1, "lambda": 0},
+                         queries={"gd_lr": 1, "split": [20, 5, 5]})
+    cfg = load_config(path)
+    assert cfg["learner"]["learning_rate"] == 1 and cfg["queries"]["gd_lr"] == 1
+
+
+def test_experiment_rejects_every_size_below_one(tmp_path, capsys):
+    path = _write_config(tmp_path, sweep={"sizes": [5, 0],
+                                          "methods": ["uniform"], "trials": 1})
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert "sweep.sizes must be integers >= 1, got [5, 0]" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "trials.csv").exists()
+
+
+@pytest.mark.parametrize("n, d", [(0, 2), (5, 0), (-1, 2)])
+def test_make_synthetic_rejects_empty_shapes(n, d):
+    with pytest.raises(DatasetError, match=f"got n={n}, d={d}"):
+        make_synthetic("linear", n, d)
 
 
 def test_experiment_failed_dataset_leaves_no_output_dir(tmp_path, capsys):

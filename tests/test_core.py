@@ -15,6 +15,8 @@ from corelearn import (
     set_cost,
     set_costs,
 )
+from corelearn.core import MEMO_ENTRIES, remember
+from corelearn.learner import _scored
 from corelearn.losses import LossModel
 
 
@@ -123,6 +125,59 @@ def test_set_invariants():
         WeightedLabeledSet([[1.0]], [-1.0], [0.0])
     with pytest.raises(ContractError):
         WeightedLabeledSet([[np.nan]], [1.0], [0.0])
+
+
+def test_set_arrays_are_read_only_copies(linreg):
+    points = np.array([[1.0], [2.0], [4.0]])
+    weights = np.array([0.5, 0.25, 0.25])
+    P = WeightedLabeledSet(points, weights, [0.0, 1.0, 3.0])
+    for name in ("points", "weights", "labels"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(P, name)[0] = 9.0
+    Q = np.array([[0.5], [1.5]])
+    _, before = _scored(P, linreg, Q)
+    points *= 10.0
+    weights[:] = 1.0
+    assert P.points.tolist() == [[1.0], [2.0], [4.0]]
+    assert P.weights.tolist() == [0.5, 0.25, 0.25]
+    assert np.array_equal(_scored(P, linreg, Q)[1], before)
+    assert np.array_equal(set_costs(P, linreg, Q), before)
+    # the costs are found by the queries' content, so an edited Q is rescored
+    Q[0, 0] = 7.0
+    _, after = _scored(P, linreg, Q)
+    assert np.array_equal(after, set_costs(P, linreg, Q))
+    assert after[0] != before[0] and after[1] == before[1]
+
+
+def test_memo_keeps_at_most_its_bound_dropping_the_oldest(tiny_set, linreg):
+    rng = np.random.default_rng(9)
+    for _ in range(3 * MEMO_ENTRIES):
+        _scored(tiny_set, linreg, rng.standard_normal((2, 1)))
+        assert len(tiny_set._memo) <= MEMO_ENTRIES
+    assert len(tiny_set._memo) == MEMO_ENTRIES
+    P = WeightedLabeledSet([[1.0]], [1.0], [0.0])
+    computed = []
+    for key in [*range(MEMO_ENTRIES + 1), MEMO_ENTRIES, 0]:
+        assert remember(P, key, lambda: computed.append(key) or -key) == -key
+    # key 0 was dropped for key MEMO_ENTRIES, which is still kept
+    assert computed == [*range(MEMO_ENTRIES + 1), 0]
+
+
+def test_memo_keeps_only_results_that_returned():
+    P = WeightedLabeledSet([[1.0]], [1.0], [0.0])
+    attempts = []
+
+    def compute():
+        attempts.append(1)
+        if len(attempts) < 3:
+            raise RuntimeError(f"attempt {len(attempts)}")
+        return "done"
+
+    for n in (1, 2):
+        with pytest.raises(RuntimeError, match=f"attempt {n}"):
+            remember(P, "key", compute)
+    assert remember(P, "key", compute) == remember(P, "key", compute) == "done"
+    assert len(attempts) == 3
 
 
 @pytest.mark.parametrize("cls, owner", [(WeightedLabeledSet, "set"),

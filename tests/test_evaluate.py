@@ -20,6 +20,7 @@ from corelearn import (
 )
 from corelearn.core import ContractError, DegenerateInputError
 from corelearn.datasets import make_synthetic
+from corelearn import evaluate, learner
 from corelearn.evaluate import ResultTable, _cell_seed
 
 
@@ -227,38 +228,132 @@ def test_sweep_matches_public_calls(kind, algorithm):
             assert got.best_epoch == report.best_epoch
 
 
-def test_sweep_scores_each_split_and_solves_the_data_once(linreg, monkeypatch):
-    P = make_synthetic("linear", 60, 2, 0.3, seed=23)
+class _WorkOnP:
+    """Counts, per split, the LossModel.costs calls that score one split on
+    P's points, and the baselines.solve_optimal calls on P."""
+
+    def __init__(self, monkeypatch, splits):
+        self.P = None
+        self.scored = Counter()
+        self.solved = Counter()
+        costs, solve = LossModel.costs, baselines.solve_optimal
+
+        def counting_costs(model, points, labels, weights, queries):
+            if self.P is not None and points is self.P.points:
+                for name, split in splits.items():
+                    self.scored[name] += np.array_equal(queries, split)
+            return costs(model, points, labels, weights, queries)
+
+        def counting_solve(dataset, loss, *args, **kwargs):
+            self.solved["P"] += self.P is not None and dataset.points is self.P.points
+            return solve(dataset, loss, *args, **kwargs)
+
+        monkeypatch.setattr(LossModel, "costs", counting_costs)
+        monkeypatch.setattr(baselines, "solve_optimal", counting_solve)
+
+    def watch(self, P):
+        self.P = P
+        self.scored.clear()
+        self.solved.clear()
+        return P
+
+
+def _scoring_splits():
     Q = np.random.default_rng(24).standard_normal((40, 2))
-    splits = {"train": Q[:25], "val": Q[25:32], "test": Q[32:]}
-    scored = Counter()
-    solved = Counter()
-    costs, solve = LossModel.costs, baselines.solve_optimal
+    return {"train": Q[:25], "val": Q[25:32], "test": Q[32:]}
 
-    def counting_costs(self, points, labels, weights, queries):
-        if points is P.points:
-            for name, split in splits.items():
-                scored[name] += np.array_equal(queries, split)
-        return costs(self, points, labels, weights, queries)
 
-    def counting_solve(dataset, loss, *args, **kwargs):
-        solved["P"] += dataset.points is P.points
-        return solve(dataset, loss, *args, **kwargs)
-
-    monkeypatch.setattr(LossModel, "costs", counting_costs)
-    monkeypatch.setattr(baselines, "solve_optimal", counting_solve)
+def test_sweep_scores_each_split_and_solves_the_data_once(linreg, monkeypatch):
+    splits = _scoring_splits()
+    work = _WorkOnP(monkeypatch, splits)
     # average never reads the validation split, so the sweep does not score it
     for algorithm, want in [("practical", {"train": 1, "val": 1, "test": 1}),
                             ("average", {"train": 1, "test": 1})]:
-        scored.clear()
-        solved.clear()
+        # a fresh P per case: P keeps what the first case computed on it
+        P = work.watch(make_synthetic("linear", 60, 2, 0.3, seed=23))
         cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0,
                           algorithm=algorithm)
         table = sweep(P, linreg, [6, 9], METHODS, 2, 3, splits["train"],
                       splits["val"], splits["test"], cfg)
         assert len(table.rows) == 12 and all(row["ok"] for row in table.rows)
-        assert +scored == want
-        assert solved == {"P": 1}
+        assert +work.scored == want
+        assert work.solved == {"P": 1}
+
+
+def test_public_calls_on_one_set_score_each_split_and_solve_once(linreg,
+                                                                 monkeypatch):
+    splits = _scoring_splits()
+    work = _WorkOnP(monkeypatch, splits)
+    P = work.watch(make_synthetic("linear", 60, 2, 0.3, seed=23))
+    cfg = TrainConfig(coreset_size=6, epochs=2, batch_size=10,
+                      learning_rate=0.02, seed=0)
+    for _ in range(2):
+        # fresh arrays of the same content: the kept costs are found by value
+        train_q, val_q, test_q = (splits[name].copy()
+                                  for name in ("train", "val", "test"))
+        coreset, _ = train(P, train_q, val_q, linreg, cfg)
+        err_avg(P, coreset, linreg, test_q)
+        err_opt(P, coreset, linreg)
+        err_opt(P, uniform_coreset(P, 6, 1), linreg)
+    assert work.scored == {"train": 1, "val": 1, "test": 1}
+    assert work.solved == {"P": 1}
+
+
+def test_sweep_calls_the_public_operations_once_per_cell(linreg, monkeypatch):
+    """Wrapped by module attribute, as a tracer wraps them: every cell that
+    gets there calls train (learned cells), then err_opt, then err_avg."""
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(learner, "train")
+    counted(evaluate, "err_opt")
+    counted(evaluate, "err_avg")
+    P = make_synthetic("linear", 60, 2, 0.3, seed=23)
+    splits = _scoring_splits()
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
+    table = sweep(P, linreg, [6, 9], METHODS, 2, 3, splits["train"],
+                  splits["val"], splits["test"], cfg)
+    assert all(row["ok"] for row in table.rows)
+    assert calls == {"train": 4, "err_opt": 12, "err_avg": 12}
+
+    # a cell that fails in err_opt never reaches err_avg
+    calls.clear()
+    flat = WeightedLabeledSet([[1.0], [2.0]], [0.5, 0.5], [1.0, 2.0])
+    Q = np.array([[0.5], [1.5], [3.0]])
+    with pytest.warns(UserWarning, match="trial failed"):
+        table = sweep(flat, linreg, [1], METHODS, 1, 0, Q, None, Q,
+                      replace(cfg, batch_size=1))
+    assert [row["error"] for row in table.rows] == [
+        "full-data optimum cost is zero; optimal-solution error undefined"] * 3
+    assert calls == {"train": 1, "err_opt": 3}
+
+
+def test_failed_scoring_is_raised_again(linreg, monkeypatch):
+    P = make_synthetic("linear", 30, 2, 0.3, seed=5)
+    Q = np.random.default_rng(6).standard_normal((8, 2))
+    costs = LossModel.costs
+    failing = [True]
+
+    def flaky_costs(model, points, labels, weights, queries):
+        if failing[0] and points is P.points:
+            raise RuntimeError("scoring failed")
+        return costs(model, points, labels, weights, queries)
+
+    monkeypatch.setattr(LossModel, "costs", flaky_costs)
+    C = uniform_coreset(P, 5, 0)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            err_avg(P, C, linreg, Q)
+    failing[0] = False
+    assert err_avg(P, C, linreg, Q) == err_avg(
+        make_synthetic("linear", 30, 2, 0.3, seed=5), C, linreg, Q)
 
 
 def _separable():
