@@ -121,8 +121,7 @@ def _solve_gd(P: WeightedLabeledSet, loss: LossModel,
     return OptimResult(q, gnorm <= tol, max_iter, gnorm)
 
 
-def solve_optimal(P: WeightedLabeledSet, loss: LossModel,
-                  method: str = "auto") -> OptimResult:
+def solve_optimal(P: WeightedLabeledSet, loss: LossModel) -> OptimResult:
     """Minimize the full weighted objective.
 
     Linear regression uses the closed-form normal equations; logistic
@@ -130,12 +129,6 @@ def solve_optimal(P: WeightedLabeledSet, loss: LossModel,
     non-converged result carries converged=False (e.g. separable logistic
     data, whose optimum is at infinity).
     """
-    if method == "auto":
-        method = "exact" if loss.kind == LINEAR else "gd"
-    if method == "exact":
-        if loss.kind != LINEAR:
-            raise ContractError("closed form only applies to linear regression")
+    if loss.kind == LINEAR:
         return _solve_linreg(P, loss)
-    if method == "gd":
-        return _solve_gd(P, loss)
-    raise ContractError(f"unknown method {method!r}")
+    return _solve_gd(P, loss)

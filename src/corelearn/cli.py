@@ -23,6 +23,7 @@ from .core import (ContractError, Coreset, MeasurableQuerySpace, Query,
                    WeightedLabeledSet)
 from .datasets import (SYNTHETIC_TASKS, DatasetError, Schema, load_dataset,
                        make_synthetic)
+from .evaluate import METHOD_LEARNED, METHOD_LEVERAGE, METHOD_UNIFORM
 from .learner import TrainConfig
 from .losses import LINEAR, LOGISTIC, LossModel
 
@@ -34,6 +35,9 @@ EXIT_RUNTIME = 2
 class ConfigError(ValueError):
     pass
 
+
+# TrainConfig field -> learner key, where the two names differ
+_LEARNER_KEYS = {"lam": "lambda"}
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -50,20 +54,12 @@ DEFAULT_CONFIG = {
         "init_scale": 1.0,
         "split": [2000, 200, 200],
     },
-    "learner": {
-        "algorithm": "practical",
-        "epochs": 10,
-        "learning_rate": 0.01,
-        "lambda": 1.0,
-        "batch_size": 25,
-        "learn_weights": True,
-        "learn_labels": True,
-        "early_stop_on_validation": True,
-        "init_strategy": "subsample",
-    },
+    "learner": {_LEARNER_KEYS.get(f.name, f.name): f.default
+                for f in dataclasses.fields(TrainConfig)
+                if f.name not in ("coreset_size", "seed")},
     "sweep": {
         "sizes": [50],
-        "methods": ["learned", "uniform", "leverage"],
+        "methods": [METHOD_LEARNED, METHOD_UNIFORM, METHOD_LEVERAGE],
         "trials": 1,
     },
     "output": {"dir": "corelearn-out"},
@@ -76,21 +72,23 @@ DEFAULT_CONFIG = {
 _TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
           float: ((int, float), "a number"), str: ((str,), "a string"),
           list: ((list,), "a list"), dict: ((dict,), "an object")}
-# Keys whose default is typed but that also take null
-_NULLABLE = {"dataset.synth"}
+# Keys that take null, each with the type it takes otherwise
+_NULLABLE = {"dataset.path": str, "dataset.schema": dict,
+             "dataset.synth": dict, "dataset.schema.weight": str}
 
 
 def _merge(base, override, path=""):
     """override laid over base. A key that base lacks, at the top or inside
     a section whose default is a dict, is a ConfigError naming its dotted
-    path, and so is a value whose type is not that of its default (_TYPES).
-    A key whose default is null takes any value."""
+    path, and so is a value whose type is not that of its default (_TYPES),
+    or for a _NULLABLE key neither null nor of the type named there."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         dotted = f"{path}{key}"
         if key not in base:
             raise ConfigError(f"unknown config key {dotted}")
-        types, name = _TYPES.get(type(base[key]), (None, None))
+        types, name = _TYPES.get(_NULLABLE.get(dotted, type(base[key])),
+                                 (None, None))
         if (types and type(value) not in types
                 and not (value is None and dotted in _NULLABLE)):
             raise ConfigError(f"config key {dotted} must be {name}, got {value!r}")
@@ -124,7 +122,7 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(
             f"sweep.sizes must be integers >= 1, got {sweep['sizes']!r}")
     bad = [m for m in sweep["methods"]
-           if m not in ("learned", "uniform", "leverage")]
+           if m not in (METHOD_LEARNED, METHOD_UNIFORM, METHOD_LEVERAGE)]
     if bad:
         raise ConfigError(f"unknown sweep methods: {bad}")
     if sweep["trials"] < 1:
@@ -133,7 +131,7 @@ def validate_config(cfg: dict) -> None:
     if len(split) != 3 or not all(type(s) is int and s >= 0 for s in split):
         raise ConfigError(
             f"queries.split must be three nonnegative integers, got {split!r}")
-    _learner_config(cfg)
+    train_config_from(cfg, sweep["sizes"][0])
     ds = cfg["dataset"]
     if ds["path"] is None and ds["synth"] is None:
         raise ConfigError("dataset needs either a path or a synth block")
@@ -146,10 +144,8 @@ def config_hash(cfg: dict) -> str:
 
 def _schema_from(section) -> Schema:
     """The dataset.schema section laid over Schema's defaults, as _merge
-    does; a section that is not an object, or lacks a field that has no
-    default, is a ConfigError."""
-    if not isinstance(section, dict):
-        raise ConfigError("dataset.schema must be an object")
+    does; a section that lacks a field that has no default is a
+    ConfigError."""
     defaults = {f.name: f.default for f in dataclasses.fields(Schema)}
     schema = _merge(defaults, section, "dataset.schema.")
     for name, default in defaults.items():
@@ -178,36 +174,15 @@ def resolve_dataset(cfg: dict) -> tuple[WeightedLabeledSet, LossModel]:
     return data.normalized(), loss
 
 
-def generate_pool(P, loss, cfg) -> np.ndarray:
-    qc = cfg["queries"]
-    return queries.trajectory_queries(
-        P, loss, qc["n_starts"], qc["steps_per_start"], qc["gd_lr"],
-        qc["init_scale"], seed=cfg["seed"])
-
-
-def _learner_config(cfg: dict) -> TrainConfig:
-    """The learner section as a TrainConfig of the default coreset size. A
-    value that TrainConfig rejects is a ConfigError naming the section."""
-    lrn = cfg["learner"]
+def train_config_from(cfg: dict, size: int) -> TrainConfig:
+    """The learner section as a TrainConfig of the given size and the root
+    seed; a value TrainConfig rejects is a ConfigError naming the section."""
+    field = {key: name for name, key in _LEARNER_KEYS.items()}
+    section = {field.get(key, key): v for key, v in cfg["learner"].items()}
     try:
-        return TrainConfig(
-            epochs=lrn["epochs"],
-            learning_rate=lrn["learning_rate"],
-            lam=lrn["lambda"],
-            batch_size=lrn["batch_size"],
-            algorithm=lrn["algorithm"],
-            learn_weights=lrn["learn_weights"],
-            learn_labels=lrn["learn_labels"],
-            early_stop_on_validation=lrn["early_stop_on_validation"],
-            init_strategy=lrn["init_strategy"],
-        )
+        return TrainConfig(coreset_size=size, seed=cfg["seed"], **section)
     except ContractError as exc:
         raise ConfigError(f"learner: {exc}") from exc
-
-
-def train_config_from(cfg: dict, size: int) -> TrainConfig:
-    return dataclasses.replace(_learner_config(cfg), coreset_size=size,
-                               seed=cfg["seed"])
 
 
 def _save_coreset(coreset: Coreset, path):
@@ -258,9 +233,11 @@ def _prepare(config_path, seed=None):
     if seed is not None:
         cfg["seed"] = int(seed)
     P, loss = resolve_dataset(cfg)
-    pool = generate_pool(P, loss, cfg)
-    splits = queries.split_queries(pool, cfg["queries"]["split"],
-                                   seed=cfg["seed"])
+    qc = cfg["queries"]
+    pool = queries.trajectory_queries(
+        P, loss, qc["n_starts"], qc["steps_per_start"], qc["gd_lr"],
+        qc["init_scale"], seed=cfg["seed"])
+    splits = queries.split_queries(pool, qc["split"], seed=cfg["seed"])
     return cfg, P, loss, pool, splits
 
 
@@ -326,7 +303,7 @@ def _cmd_learn(args):
 
 def _cmd_baseline(args):
     cfg, P, _, _, _ = _prepare(args.config, args.seed)
-    if args.method == "uniform":
+    if args.method == METHOD_UNIFORM:
         coreset = baselines.uniform_coreset(P, args.size, cfg["seed"])
     else:
         coreset = baselines.leverage_coreset(P, args.size, cfg["seed"])
@@ -420,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="construct one baseline coreset")
     common(p)
-    p.add_argument("--method", choices=["uniform", "leverage"], required=True)
+    p.add_argument("--method", required=True,
+                   choices=[METHOD_UNIFORM, METHOD_LEVERAGE])
     p.add_argument("--size", type=int, required=True)
     p.set_defaults(func=_cmd_baseline)
 

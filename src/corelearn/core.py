@@ -282,11 +282,9 @@ def set_costs(dataset, loss, queries) -> np.ndarray:
     return costs
 
 
-def expected_cost(space: MeasurableQuerySpace, dataset=None) -> float:
+def expected_cost(space: MeasurableQuerySpace) -> float:
     """Exact expectation of the total cost over the finite query universe."""
-    if dataset is None:
-        dataset = space.ground
-    costs = set_costs(dataset, space.loss, space.query_matrix())
+    costs = set_costs(space.ground, space.loss, space.query_matrix())
     return float(np.sum(space.measure * costs))
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,8 @@ class Schema:
     """Column layout of a CSV dataset.
 
     Columns are named when the file has a header, or referenced by index
-    strings ("0", "1", ...) when it does not.
+    strings ("0", "1", ...) when it does not. A field that names no column
+    this way is a DatasetError naming the field.
     """
 
     features: list
@@ -37,12 +38,33 @@ class Schema:
     standardize: bool = False
     binary_label: bool = False  # map {0,1} to {-1,+1}
 
+    def __post_init__(self):
+        if (type(self.features) is not list or not self.features
+                or not all(isinstance(f, str) for f in self.features)):
+            raise DatasetError("schema features must be a non-empty list of "
+                               f"column names, got {self.features!r}")
+        if not isinstance(self.label, str):
+            raise DatasetError(
+                f"schema label must be a column name, got {self.label!r}")
+        if self.weight is not None and not isinstance(self.weight, str):
+            raise DatasetError("schema weight must be a column name or null, "
+                               f"got {self.weight!r}")
+        if not self.has_header:
+            named = [("features", f) for f in self.features]
+            named += [("label", self.label), ("weight", self.weight)]
+            for key, name in named:
+                if name is not None and not (name.isascii() and name.isdigit()):
+                    raise DatasetError(
+                        f"schema {key} column {name!r} must be a column "
+                        "index (0, 1, ...) in a file without a header")
+
 
 def load_dataset(path, schema: Schema) -> WeightedLabeledSet:
     """Parse a CSV file into a weighted labeled set.
 
-    Rows with missing or non-numeric cells produce errors naming the
-    offending line and column. Weights default to 1/n when no weight
+    Rows with missing or non-numeric cells, and negative weights, produce
+    errors naming the offending line and column; weights that are all zero
+    are an error naming the file. Weights default to 1/n when no weight
     column is given. Standardization (per-feature mean 0, variance 1)
     is applied when requested.
     """
@@ -95,8 +117,13 @@ def load_dataset(path, schema: Schema) -> WeightedLabeledSet:
         labels.append(col(schema.label, row, line_no))
         if schema.weight is not None:
             weights.append(col(schema.weight, row, line_no))
+            if weights[-1] < 0:
+                raise DatasetError(f"{path}: line {line_no}: column "
+                                   f"{schema.weight!r}: negative weight {weights[-1]!r}")
     if not points:
         raise DatasetError(f"{path}: no data rows")
+    if weights and not any(weights):
+        raise DatasetError(f"{path}: weights are all zero")
     pts = np.array(points)
     lab = np.array(labels)
     n = pts.shape[0]

@@ -48,12 +48,12 @@ INIT_GAUSSIAN = "gaussian"
 @dataclass
 class TrainConfig:
     coreset_size: int = 50
+    algorithm: str = ALG_PRACTICAL
     epochs: int = 10
     learning_rate: float = 0.01
     lam: float = 1.0
     batch_size: int = 25
     seed: int = 0
-    algorithm: str = ALG_PRACTICAL
     learn_weights: bool = True
     learn_labels: bool = True
     early_stop_on_validation: bool = True

@@ -79,11 +79,8 @@ def split_queries(pool, sizes, seed: int = 0):
             f"requested {total} queries from a pool of {pool.shape[0]}")
     rng = stream_rng(seed, "split_queries")
     order = rng.permutation(pool.shape[0])
-    shuffled = pool[order]
-    train = QueryBatch(shuffled[:k_train].reshape(k_train, pool.shape[1]))
-    val = QueryBatch(shuffled[k_train:k_train + k_val].reshape(k_val, pool.shape[1]))
-    test = QueryBatch(shuffled[k_train + k_val:total].reshape(k_test, pool.shape[1]))
-    return train, val, test
+    parts = np.split(pool[order][:total], [k_train, k_train + k_val])
+    return tuple(QueryBatch(part) for part in parts)
 
 
 def iid_sample(space: MeasurableQuerySpace, k: int, seed: int = 0) -> QueryBatch:

@@ -112,11 +112,9 @@ def _trial_means(space, rng, trials, k, *costs):
     return means
 
 
-def exact_set_M(space: MeasurableQuerySpace, dataset=None) -> float:
+def exact_set_M(space: MeasurableQuerySpace) -> float:
     """True max of |f(set, w, q)| over a finite universe (no safety factor)."""
-    if dataset is None:
-        dataset = space.ground
-    costs = set_costs(dataset, space.loss, space.query_matrix())
+    costs = set_costs(space.ground, space.loss, space.query_matrix())
     return float(np.max(np.abs(costs)))
 
 

@@ -101,8 +101,8 @@ def test_solve_two_points_hand_value(linreg):
 
 def test_linreg_gd_matches_closed_form(linreg):
     P = make_synthetic("linear", 60, 3, 0.2, seed=6)
-    exact = solve_optimal(P, linreg, method="exact")
-    gd = solve_optimal(P, linreg, method="gd")
+    exact = solve_optimal(P, linreg)
+    gd = _solve_gd(P, linreg)
     f = lambda q: set_cost(P, linreg, q)
     assert f(gd.params) == pytest.approx(f(exact.params), rel=1e-6)
 

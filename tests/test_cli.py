@@ -90,6 +90,32 @@ def test_standardization(tmp_path):
     assert ds.points.std() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("fields, match", [
+    ({"features": "01", "label": "2"}, "features must be a non-empty list"),
+    ({"features": [], "label": "2"}, "features must be a non-empty list"),
+    ({"features": [0], "label": "2"}, "features must be a non-empty list"),
+    ({"features": ["0"], "label": 2}, "label must be a column name"),
+    ({"features": ["0"], "label": "1", "weight": 2},
+     "weight must be a column name or null"),
+    ({"features": ["0"], "label": "-1"}, "label column '-1' must be a column index"),
+    ({"features": ["a"], "label": "1"}, "features column 'a' must be a column index"),
+    ({"features": ["0"], "label": "1", "weight": "w"},
+     "weight column 'w' must be a column index"),
+], ids=["features-str", "features-empty", "features-int", "label-int",
+        "weight-int", "label-negative", "features-name", "weight-name"])
+def test_schema_rejects_bad_column_names(fields, match):
+    with pytest.raises(DatasetError, match=match):
+        Schema(**fields)
+
+
+def test_schema_with_header_takes_any_column_names(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("-1,a b,w\n1,2,1\n3,4,3\n")
+    ds = load_dataset(p, Schema(features=["-1"], label="a b", weight="w",
+                                has_header=True))
+    assert ds.weights.tolist() == [0.25, 0.75]
+
+
 # -- config ------------------------------------------------------------
 
 
@@ -134,6 +160,9 @@ def test_config_rejects_unknown_synth_key(tmp_path):
      r"dataset\.schema\.standardise"),
     ({"features": ["0"]}, r"dataset\.schema\.label"),
     (["0", "1"], r"dataset\.schema must be an object"),
+    ({"features": "01", "label": "1"}, "features must be a non-empty list"),
+    ({"features": ["0"], "label": "-1"}, "label column '-1'"),
+    ({"features": ["a"], "label": "1"}, "features column 'a'"),
 ])
 def test_config_rejects_malformed_schema(tmp_path, capsys, schema, match):
     data = tmp_path / "data.csv"
@@ -152,6 +181,21 @@ def test_config_schema_loads_csv_dataset(tmp_path):
     out = tmp_path / "pool.csv"
     assert main(["gen-queries", "--config", str(path), "--out", str(out)]) == 0
     assert np.loadtxt(out, delimiter=",", ndmin=2).shape == (2 * 14 + 2, 1)
+
+
+@pytest.mark.parametrize("weights, match", [
+    ("0,-0.0,0", "data.csv: weights are all zero"),
+    ("1,-2,1", "data.csv: line 2: column '2': negative weight -2.0"),
+], ids=["all-zero", "negative"])
+def test_cli_rejects_bad_dataset_weights(tmp_path, capsys, weights, match):
+    data = tmp_path / "data.csv"
+    data.write_text("".join(f"{i}.0,{i + 1}.0,{w}\n"
+                            for i, w in enumerate(weights.split(","))))
+    schema = {"features": ["0"], "label": "1", "weight": "2"}
+    path = _write_config(tmp_path, dataset={"path": str(data), "schema": schema})
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", [
@@ -200,6 +244,9 @@ def test_config_rejects_learner_values_at_load(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "out").exists()
 
 
+_SCHEMA = {"features": ["0"], "label": "1"}
+
+
 @pytest.mark.parametrize("override, match", [
     ({"sweep": {"sizes": [5], "methods": ["uniform"], "trials": "2"}},
      "sweep.trials must be an integer, got '2'"),
@@ -215,8 +262,20 @@ def test_config_rejects_learner_values_at_load(tmp_path, monkeypatch, capsys,
      "queries.split must be three nonnegative integers, got [20, 5.0, 5]"),
     ({"learner": {"lambda": True}}, "learner.lambda must be a number, got True"),
     ({"output": {"dir": None}}, "output.dir must be a string, got None"),
+    ({"dataset": {"path": True, "schema": _SCHEMA}},
+     "dataset.path must be a string, got True"),
+    ({"dataset": {"path": 0, "schema": _SCHEMA}},
+     "dataset.path must be a string, got 0"),
+    ({"dataset": {"path": ["d.csv"], "schema": _SCHEMA}},
+     "dataset.path must be a string, got ['d.csv']"),
+    ({"dataset": {"path": "d.csv", "schema": "0,1"}},
+     "dataset.schema must be an object, got '0,1'"),
+    ({"dataset": {"synth": 5}}, "dataset.synth must be an object, got 5"),
+    ({"dataset": {"path": "d.csv", "schema": {**_SCHEMA, "weight": 2}}},
+     "dataset.schema.weight must be a string, got 2"),
 ], ids=["trials-str", "seed-str", "synth-n-zero", "epochs-float", "epochs-type",
-        "n_starts-str", "split-float", "lambda-bool", "dir-null"])
+        "n_starts-str", "split-float", "lambda-bool", "dir-null", "path-bool",
+        "path-int", "path-list", "schema-str", "synth-int", "weight-int"])
 def test_config_rejects_wrong_types(tmp_path, monkeypatch, capsys, override,
                                     match):
     path = _write_config(tmp_path, **override)
@@ -224,7 +283,7 @@ def test_config_rejects_wrong_types(tmp_path, monkeypatch, capsys, override,
     def no_pool(*args, **kwargs):
         raise AssertionError("query pool built before the config was checked")
 
-    monkeypatch.setattr("corelearn.cli.generate_pool", no_pool)
+    monkeypatch.setattr("corelearn.queries.trajectory_queries", no_pool)
     assert main(["experiment", "--config", str(path)]) == 1
     assert match in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -416,7 +475,7 @@ def test_cli_eval_reads_coreset_before_the_data(tmp_path, monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise RuntimeError("query pool built before the coreset was read")
 
-    monkeypatch.setattr("corelearn.cli.generate_pool", no_pool)
+    monkeypatch.setattr("corelearn.queries.trajectory_queries", no_pool)
     assert main(["eval", "--config", str(path), "--coreset", str(coreset)]) == 1
     err = capsys.readouterr().err
     assert "line 2" in err and "negative weight" in err
