@@ -138,6 +138,10 @@ def validate_config(cfg: dict) -> None:
 
 
 def config_hash(cfg: dict) -> str:
+    """SHA-256 of the config without output.dir: one experiment written to
+    two places has one hash."""
+    cfg = {**cfg, "output": {k: v for k, v in cfg["output"].items()
+                             if k != "dir"}}
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -76,8 +76,12 @@ def _checked_set(points, weights, labels, owner):
 
 
 # Most results remember() keeps on one WeightedLabeledSet; the oldest goes
-# first. A sweep reads four: the costs of three query splits and f(P, q*).
+# first. A sweep reads four: the costs of three query splits and f(P, q*). A
+# bounds-verify body of the benchmark reads five: the costs of the universe,
+# the training sample, the pool and the test split, and f(P, q*).
 MEMO_ENTRIES = 8
+
+RATIO_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -282,9 +286,29 @@ def set_costs(dataset, loss, queries) -> np.ndarray:
     return costs
 
 
+def scored(dataset, loss, queries):
+    """The (k, d') float matrix of queries and set_costs of its rows.
+
+    A WeightedLabeledSet keeps the costs, for later calls to read and never
+    write, keyed on the queries' content, since their owner may change them.
+    A Coreset, which a learner changes in place, is scored afresh."""
+    qm = np.atleast_2d(np.asarray(queries, dtype=float))
+    if not isinstance(dataset, WeightedLabeledSet):
+        return qm, set_costs(dataset, loss, qm)
+    key = ("costs", loss, qm.shape, qm.tobytes())
+    return qm, remember(dataset, key, lambda: set_costs(dataset, loss, qm))
+
+
+def floored(qm: np.ndarray, f_p: np.ndarray):
+    """The scored queries whose cost exceeds RATIO_FLOOR, where a ratio
+    f_C / f_P is defined: their matrix, their costs and the number dropped."""
+    keep = f_p > RATIO_FLOOR
+    return qm[keep], f_p[keep], int(np.sum(~keep))
+
+
 def expected_cost(space: MeasurableQuerySpace) -> float:
     """Exact expectation of the total cost over the finite query universe."""
-    costs = set_costs(space.ground, space.loss, space.query_matrix())
+    costs = scored(space.ground, space.loss, space.query_matrix())[1]
     return float(np.sum(space.measure * costs))
 
 

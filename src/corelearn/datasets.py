@@ -81,6 +81,11 @@ def load_dataset(path, schema: Schema) -> WeightedLabeledSet:
         header = [h.strip() for h in rows[0]]
         rows = rows[1:]
         col_index = {name: i for i, name in enumerate(header)}
+        for name in [*schema.features, schema.label, schema.weight]:
+            if header.count(name) > 1:
+                raise DatasetError(
+                    f"{path}: column {name!r} occurs {header.count(name)} "
+                    "times in the header")
     else:
         col_index = None
     if not rows:

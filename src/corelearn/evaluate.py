@@ -12,9 +12,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, learner
-from .core import (Coreset, ContractError, DegenerateInputError,
-                   WeightedLabeledSet, remember, set_cost, set_costs)
-from .learner import RATIO_FLOOR, TrainConfig
+from .core import (RATIO_FLOOR, Coreset, ContractError, DegenerateInputError,
+                   WeightedLabeledSet, floored, remember, scored, set_cost,
+                   set_costs)
 from .losses import LossModel
 
 METHOD_LEARNED = "learned"
@@ -56,7 +56,7 @@ def err_avg(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel,
     Queries with full-data cost below the ratio floor are excluded; the
     excluded count is part of the result.
     """
-    qm, f_p, filtered = learner._floored(*learner._scored(P, loss, Q_test))
+    qm, f_p, filtered = floored(*scored(P, loss, Q_test))
     if qm.shape[0] == 0:
         raise DegenerateInputError("all test queries filtered; metric undefined")
     f_c = set_costs(coreset, loss, qm)
@@ -133,7 +133,7 @@ def _write_csv(path, cols, rows):
 
 def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
           n_trials: int, base_seed: int, Q_train, Q_val, Q_test,
-          cfg: TrainConfig, collect_reports: bool = False):
+          cfg: learner.TrainConfig, collect_reports: bool = False):
     """Train/construct and evaluate every (size, method, trial) cell.
 
     Each cell builds its coreset (a learned one through train) and calls

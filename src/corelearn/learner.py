@@ -15,6 +15,16 @@ recorded, and the best epoch (by validation error when there is a
 validation split) can be returned. The subgradient of |x| at 0 is taken as
 0, so an exact copy of the data whose costs equal the data's bit for bit is
 a fixed point.
+
+The practical objective widens that kink to a dead zone: a ratio
+|1 - f_C/f_P| at or below RATIO_DEAD_ZONE, a few ulps, gets sign 0. f_C and
+f_P of one query come from BLAS reductions whose last bit depends on the
+query's column position in the (n, k) loss matrix, so an exact copy's
+ratios are ~1e-15 rather than 0, and Adam, blind to a gradient's scale,
+would turn them into learning-rate-sized steps. No reduction removes the
+rounding: w @ F rounds some columns differently when the columns of F are
+permuted, and np.einsum and np.add.reduce, though stable under
+permutation, are not stable for subsets of a few columns and are slower.
 """
 
 from __future__ import annotations
@@ -25,18 +35,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Coreset, ContractError, NumericError, WeightedLabeledSet,
-                   remember, set_costs, stream_rng)
+# the benchmark harness imports RATIO_FLOOR from here
+from .core import (RATIO_FLOOR, Coreset, ContractError, NumericError,
+                   WeightedLabeledSet, floored, scored, stream_rng)
 from .losses import LossModel
-from .queries import as_query_matrix
 
-RATIO_FLOOR = 1e-12
 # global-norm bound on each step's gradient
 GRAD_CLIP = 1e3
 # Adam's moment decay rates and the denominator's guard
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# ratios |1 - f_C/f_P| this small are rounding, not error: see the module
+RATIO_DEAD_ZONE = 64 * np.finfo(float).eps
 
 ALG_AVERAGE = "average"
 ALG_PRACTICAL = "practical"
@@ -167,26 +178,6 @@ class TrainReport:
         }
 
 
-def _scored(P: WeightedLabeledSet, loss: LossModel, Q):
-    """Q's (k, d') matrix and the full-data costs f(P, w, q) of its rows.
-
-    The costs are kept on P and shared by later calls, so they are read,
-    never written. They are keyed on Q's content rather than its identity:
-    the caller owns Q and may change it between calls.
-    """
-    qm = as_query_matrix(Q)
-    key = ("costs", loss, qm.shape, qm.tobytes())
-    return qm, remember(P, key, lambda: set_costs(P, loss, qm))
-
-
-def _floored(qm: np.ndarray, f_p: np.ndarray):
-    """The scored queries whose full-data cost exceeds RATIO_FLOOR: their
-    matrix, their costs and the number dropped; a ratio f_C / f_P is
-    undefined for the others."""
-    keep = f_p > RATIO_FLOOR
-    return qm[keep], f_p[keep], int(np.sum(~keep))
-
-
 def _split(theta: np.ndarray, m: int, d: int):
     """Views (points (m, d), weights (m,), labels (m,)) into one flat vector."""
     return theta[:m * d].reshape(m, d), theta[m * d:m * d + m], theta[m * d + m:]
@@ -269,7 +260,7 @@ def autocl_average(P: WeightedLabeledSet, Q_train, loss: LossModel,
 
     One full-batch gradient step per epoch, scored after the step.
     """
-    qm, f_p = _scored(P, loss, Q_train)
+    qm, f_p = scored(P, loss, Q_train)
     if qm.shape[0] < 1:
         raise ContractError("need at least one training query")
     # the data-side average is constant across epochs; compute it once
@@ -287,12 +278,17 @@ def _ratio_term(f_p):
     """Per-query relative error |1 - f_C/f_P| against full-data costs f_p.
 
     The value is the mean over the queries; the derivative is that of their
-    sum, the minibatch loss that a step descends.
+    sum, the minibatch loss that a step descends, with sign 0 inside the
+    dead zone.
     """
+    # d|1 - f_C/f_P|/d f_C = sign(ratio) * (-1/f_P)
+    slope = -1.0 / f_p
+
     def term(costs, idx):
         ratios = 1.0 - costs / f_p[idx]
-        # d|1 - f_C/f_P|/d f_C = sign(ratio) * (-1/f_P)
-        return float(np.mean(np.abs(ratios))), np.sign(ratios) * (-1.0 / f_p[idx])
+        dev = np.abs(ratios)
+        sign = np.where(dev > RATIO_DEAD_ZONE, np.sign(ratios), 0.0)
+        return float(np.mean(dev)), sign * slope[idx]
     return term
 
 
@@ -313,7 +309,7 @@ def autocl_practical(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     are supplied, the epoch with the lowest validation error is returned
     when cfg.early_stop_on_validation is set.
     """
-    qm, f_p, n_dropped = _floored(*_scored(P, loss, Q_train))
+    qm, f_p, n_dropped = floored(*scored(P, loss, Q_train))
     if n_dropped:
         warnings.warn(
             f"dropping {n_dropped} training queries with near-zero full-data cost")
@@ -321,7 +317,7 @@ def autocl_practical(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
         raise ContractError("no usable training queries above the ratio floor")
     val = None
     if Q_val is not None:
-        val_qm, f_p_val, _ = _floored(*_scored(P, loss, Q_val))
+        val_qm, f_p_val, _ = floored(*scored(P, loss, Q_val))
         if val_qm.shape[0]:
             val = (val_qm, _ratio_term(f_p_val))
     batches = _minibatches(qm.shape[0], cfg.batch_size, cfg.seed)

@@ -18,7 +18,7 @@ from .losses import LossModel
 
 @dataclass(frozen=True)
 class QueryBatch:
-    """An ordered batch of queries."""
+    """An ordered batch of queries; np.asarray(batch) is its (k, d') matrix."""
 
     array: np.ndarray  # (k, d')
 
@@ -26,10 +26,9 @@ class QueryBatch:
         a = np.atleast_2d(np.asarray(self.array, dtype=float))
         object.__setattr__(self, "array", a)
 
-
-def as_query_matrix(Q) -> np.ndarray:
-    """The (k, d') float matrix of a QueryBatch or of an array of queries."""
-    return np.atleast_2d(np.asarray(getattr(Q, "array", Q), dtype=float))
+    def __array__(self, dtype=None, copy=None):
+        a = np.asarray(self.array, dtype=dtype)
+        return a.copy() if copy else a
 
 
 def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,

@@ -6,6 +6,13 @@ variant under which a weight-sum-matched coreset's expected cost lands
 within 3*eps of the data's. Both are verified empirically on finite query
 universes, where expectations are exact.
 
+The data's costs over a universe or a pool are read through core.scored,
+which keeps them on the data set: exact_set_M, expected_cost, verify_claim1,
+the data side of verify_claim2 and estimate_M(level="set") score one query
+matrix on one data set once between them, while the data set keeps it.
+Only a coreset's costs are computed here afresh, with set_costs. A
+QueryBatch may stand wherever a query matrix is taken.
+
 The Monte-Carlo trials draw their queries through the universe's one sampler,
 MeasurableQuerySpace.draw: uniforms from the trial's generator, mapped to
 indices through the measure's CDF and a guide table (Chen & Asau, 1974), so
@@ -28,10 +35,11 @@ from .core import (
     Coreset,
     MeasurableQuerySpace,
     WeightedLabeledSet,
+    expected_cost,
+    scored,
     set_costs,
     stream_rng,
 )
-from .queries import as_query_matrix
 
 
 # Samples drawn per block of Monte-Carlo trials (at least one trial a block).
@@ -74,13 +82,13 @@ def estimate_M(dataset, loss, query_pool, level: str = "point") -> float:
     level="set": max over queries of the weighted total cost.
     A finite pool underestimates a true supremum, hence the safety factor.
     """
-    qm = as_query_matrix(query_pool)
+    qm = np.atleast_2d(np.asarray(query_pool, dtype=float))
     if qm.shape[0] < 1:
         raise ContractError("query pool must be non-empty")
     if level == "point":
         raw = _max_pointwise(dataset, loss, qm)
     elif level == "set":
-        raw = float(np.max(np.abs(set_costs(dataset, loss, qm))))
+        raw = float(np.max(np.abs(scored(dataset, loss, qm)[1])))
     else:
         raise ContractError(f"unknown level {level!r}")
     return M_SAFETY * raw
@@ -114,7 +122,7 @@ def _trial_means(space, rng, trials, k, *costs):
 
 def exact_set_M(space: MeasurableQuerySpace) -> float:
     """True max of |f(set, w, q)| over a finite universe (no safety factor)."""
-    costs = set_costs(space.ground, space.loss, space.query_matrix())
+    costs = scored(space.ground, space.loss, space.query_matrix())[1]
     return float(np.max(np.abs(costs)))
 
 
@@ -144,16 +152,15 @@ def verify_claim1(space: MeasurableQuerySpace, eps: float, delta: float,
     the sample-average cost deviates from the expectation by more than eps.
     """
     _check_trials(trials)
-    costs = set_costs(space.ground, space.loss, space.query_matrix())
-    expect = float(np.sum(space.measure * costs))
-    M = float(np.max(np.abs(costs)))
+    M = exact_set_M(space)
     if M <= 0:
         # all costs zero: deviations are identically zero
         return Claim1Result(0.0, 0, 0.0, eps, delta, trials)
     k = hoeffding_k(eps, delta, M)
+    costs = scored(space.ground, space.loss, space.query_matrix())[1]
     rng = stream_rng(seed, "verify_claim1")
     means, = _trial_means(space, rng, trials, k, costs)
-    violations = int(np.count_nonzero(np.abs(means - expect) > eps))
+    violations = int(np.count_nonzero(np.abs(means - expected_cost(space)) > eps))
     return Claim1Result(violations / trials, k, M, eps, delta, trials)
 
 
@@ -193,7 +200,7 @@ def verify_claim2(P: WeightedLabeledSet, coreset: Coreset,
                 _max_pointwise(coreset, space.loss, qm))
     k = claim2_k(eps, delta, M)
 
-    costs_p = set_costs(P, space.loss, qm)
+    costs_p = scored(P, space.loss, qm)[1]
     costs_c = set_costs(coreset, space.loss, qm)
     exp_gap = abs(float(np.sum(space.measure * (costs_p - costs_c))))
 

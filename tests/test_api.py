@@ -34,6 +34,8 @@ def test_traced_names_resolve():
 
 
 def test_harness_entry_types_exist():
+    from corelearn.learner import RATIO_FLOOR
+    assert RATIO_FLOOR == corelearn.core.RATIO_FLOOR
     assert callable(corelearn.Query)
     assert callable(corelearn.set_cost)
     train, _, _ = corelearn.split_queries(np.zeros((3, 2)), (1, 1, 1))

@@ -108,6 +108,29 @@ def test_schema_rejects_bad_column_names(fields, match):
         Schema(**fields)
 
 
+@pytest.mark.parametrize("schema", [
+    dict(features=["a"], label="y"), dict(features=["b"], label="a"),
+    dict(features=["b"], label="y", weight="a")], ids=["feature", "label", "weight"])
+def test_load_rejects_a_repeated_header_name(tmp_path, schema):
+    p = tmp_path / "d.csv"
+    p.write_text("a,a,b,y\n1,2,3,4\n5,6,7,8\n")
+    with pytest.raises(DatasetError, match=r"d\.csv: column 'a' occurs 2 times"):
+        load_dataset(p, Schema(**schema, has_header=True))
+    # a repeated name the schema does not use is no error
+    ds = load_dataset(p, Schema(features=["b"], label="y", has_header=True))
+    assert ds.points[:, 0].tolist() == [3.0, 7.0]
+
+
+def test_cli_rejects_a_repeated_header_name(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("a,a,y\n1,2,3\n4,5,6\n7,8,9\n")
+    schema = {"features": ["a"], "label": "y", "has_header": True}
+    path = _write_config(tmp_path, dataset={"path": str(data), "schema": schema})
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert "data.csv: column 'a' occurs 2 times" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_schema_with_header_takes_any_column_names(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("-1,a b,w\n1,2,1\n3,4,3\n")
@@ -367,6 +390,20 @@ def test_experiment_byte_identical_reruns(tmp_path):
         return [r.split(",")[:col] + r.split(",")[col + 1:] for r in rows]
 
     assert untimed("a") == untimed("b")
+
+
+def test_config_hash_leaves_out_the_output_dir(tmp_path):
+    path = _write_config(tmp_path)
+    run_experiment(path, out_dir=tmp_path / "a")
+    run_experiment(path, out_dir=tmp_path / "b")
+    a, b = (json.loads((tmp_path / run / "manifest.json").read_text())
+            for run in ("a", "b"))
+    assert a["config_sha256"] == b["config_sha256"]
+    assert a["config"]["output"]["dir"] == str(tmp_path / "a")
+    assert b["config"]["output"]["dir"] == str(tmp_path / "b")
+    changed = load_config(path)
+    changed["seed"] += 1
+    assert config_hash(changed) != a["config_sha256"]
 
 
 def test_experiment_reproducible_from_manifest(tmp_path):

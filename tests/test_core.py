@@ -15,8 +15,7 @@ from corelearn import (
     set_cost,
     set_costs,
 )
-from corelearn.core import MEMO_ENTRIES, remember
-from corelearn.learner import _scored
+from corelearn.core import MEMO_ENTRIES, remember, scored
 from corelearn.losses import LossModel
 
 
@@ -135,16 +134,16 @@ def test_set_arrays_are_read_only_copies(linreg):
         with pytest.raises(ValueError, match="read-only"):
             getattr(P, name)[0] = 9.0
     Q = np.array([[0.5], [1.5]])
-    _, before = _scored(P, linreg, Q)
+    _, before = scored(P, linreg, Q)
     points *= 10.0
     weights[:] = 1.0
     assert P.points.tolist() == [[1.0], [2.0], [4.0]]
     assert P.weights.tolist() == [0.5, 0.25, 0.25]
-    assert np.array_equal(_scored(P, linreg, Q)[1], before)
+    assert np.array_equal(scored(P, linreg, Q)[1], before)
     assert np.array_equal(set_costs(P, linreg, Q), before)
     # the costs are found by the queries' content, so an edited Q is rescored
     Q[0, 0] = 7.0
-    _, after = _scored(P, linreg, Q)
+    _, after = scored(P, linreg, Q)
     assert np.array_equal(after, set_costs(P, linreg, Q))
     assert after[0] != before[0] and after[1] == before[1]
 
@@ -152,7 +151,7 @@ def test_set_arrays_are_read_only_copies(linreg):
 def test_memo_keeps_at_most_its_bound_dropping_the_oldest(tiny_set, linreg):
     rng = np.random.default_rng(9)
     for _ in range(3 * MEMO_ENTRIES):
-        _scored(tiny_set, linreg, rng.standard_normal((2, 1)))
+        scored(tiny_set, linreg, rng.standard_normal((2, 1)))
         assert len(tiny_set._memo) <= MEMO_ENTRIES
     assert len(tiny_set._memo) == MEMO_ENTRIES
     P = WeightedLabeledSet([[1.0]], [1.0], [0.0])

@@ -155,15 +155,9 @@ def test_fixed_point_practical(monkeypatch, linreg):
 
 # A query's cost comes from weights @ (n, k) losses, whose BLAS reduction can
 # round differently with the query's column position. The minibatch ratios
-# 1 - f_C/f_P of the exact copy are then ~1e-15 instead of 0, and Adam, which
-# is blind to the gradient's scale, turns them into learning-rate-sized steps.
-PRACTICAL_DRIFTS = pytest.mark.xfail(
-    reason="practical objective: full-data and minibatch costs of one query "
-           "may differ in the last bits (known defect, see CHANGES.md)")
-
-
-@pytest.mark.parametrize("algorithm", [
-    "average", pytest.param("practical", marks=PRACTICAL_DRIFTS)])
+# 1 - f_C/f_P of the exact copy are then ~1e-15 instead of 0; the practical
+# objective's dead zone keeps the copy fixed all the same.
+@pytest.mark.parametrize("algorithm", ["average", "practical"])
 @pytest.mark.parametrize("intercept", [False, True])
 @pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
 @pytest.mark.parametrize("shape", SEEDED_SHAPES, ids=shape_id)

@@ -5,9 +5,12 @@ from corelearn import (
     ContractError,
     MeasurableQuerySpace,
     Query,
+    QueryBatch,
     WeightedLabeledSet,
+    estimate_M,
     iid_sample,
     set_cost,
+    set_costs,
     split_queries,
     trajectory_queries,
 )
@@ -130,3 +133,22 @@ def test_divergent_trajectory_truncates(linreg):
         pool = trajectory_queries(P, linreg, n_starts=1, steps_per_start=200,
                                   gd_lr=1e6, seed=8)
     assert pool.shape[0] < 201
+
+
+def test_query_batch_is_its_query_matrix(linreg):
+    rng = np.random.default_rng(11)
+    P = WeightedLabeledSet(rng.standard_normal((30, 2)), rng.random(30),
+                           rng.standard_normal(30))
+    batch = QueryBatch(rng.standard_normal((7, 2)))
+    assert np.array_equal(set_costs(P, linreg, batch),
+                          set_costs(P, linreg, batch.array))
+    assert np.array_equal(
+        linreg.costs(P.points, P.labels, P.weights, batch),
+        linreg.costs(P.points, P.labels, P.weights, batch.array))
+    for level in ("point", "set"):
+        assert (estimate_M(P, linreg, batch, level=level)
+                == estimate_M(P, linreg, batch.array, level=level))
+    assert np.asarray(batch) is batch.array
+    copy = np.array(batch)
+    assert np.array_equal(copy, batch.array)
+    assert not np.shares_memory(copy, batch.array)

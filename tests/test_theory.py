@@ -5,11 +5,15 @@ import pytest
 
 from corelearn import (
     Coreset,
+    LossModel,
     MeasurableQuerySpace,
     Query,
+    QueryBatch,
     WeightedLabeledSet,
     claim2_k,
+    err_avg,
     estimate_M,
+    expected_cost,
     hoeffding_k,
     relate_eps,
     verify_claim1,
@@ -91,6 +95,40 @@ def test_estimate_M(linreg):
     space = _space_from_costs(linreg, [4.0])
     M = estimate_M(space.ground, linreg, space.query_matrix(), level="set")
     assert M == pytest.approx(4.4)
+
+
+def test_estimate_M_on_a_coreset_is_scored_afresh(linreg):
+    C = Coreset([[1.0], [2.0]], [0.5, 0.5], [0.0, 1.0])
+    pool = np.array([[1.0], [3.0]])
+    # at q = 3: 0.5 * 3^2 + 0.5 * 5^2
+    assert estimate_M(C, linreg, pool, level="set") == 1.1 * 17.0
+    # a learner changes a coreset in place; no cost of it is kept
+    C.weights[:] = [1.0, 0.0]
+    assert estimate_M(C, linreg, pool, level="set") == 1.1 * 9.0
+
+
+def test_full_data_costs_are_scored_once_per_query_matrix(linreg, monkeypatch):
+    space = _random_space(linreg, 6, 9)
+    P = space.ground
+    split = QueryBatch(np.random.default_rng(6).standard_normal((5, 2)))
+    scored_on_P = []
+    costs = LossModel.costs
+
+    def counting(self, points, labels, weights, queries):
+        if points is P.points:
+            scored_on_P.append(np.asarray(queries).tobytes())
+        return costs(self, points, labels, weights, queries)
+
+    monkeypatch.setattr(LossModel, "costs", counting)
+    M = exact_set_M(space)
+    verify_claim1(space, eps=0.5 * M, delta=0.1, trials=10)
+    C = Coreset(P.points.copy(), P.weights.copy(), P.labels.copy())
+    verify_claim2(P, C, space, eps=0.5 * M, delta=0.1, trials=10, M=M)
+    expected_cost(space)
+    assert scored_on_P == [space.query_matrix().tobytes()]
+    err_avg(P, C, linreg, split)
+    estimate_M(P, linreg, split, level="set")
+    assert scored_on_P == [space.query_matrix().tobytes(), split.array.tobytes()]
 
 
 def test_estimate_M_zero_losses(linreg):
