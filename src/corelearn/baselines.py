@@ -22,7 +22,7 @@ def uniform_coreset(P: WeightedLabeledSet, m: int, seed: int = 0) -> Coreset:
     rng = stream_rng(seed, "uniform_coreset")
     idx = rng.integers(0, P.n, size=m)
     weights = P.weights[idx] * (P.n / m)
-    return Coreset(P.points[idx].copy(), weights, P.labels[idx].copy())
+    return Coreset(P.points[idx], weights, P.labels[idx])
 
 
 def leverage_scores(P: WeightedLabeledSet) -> np.ndarray:
@@ -58,7 +58,7 @@ def leverage_coreset(P: WeightedLabeledSet, m: int, seed: int = 0) -> Coreset:
     rng = stream_rng(seed, "leverage_coreset")
     idx = rng.choice(P.n, size=m, p=probs)
     weights = P.weights[idx] / (m * probs[idx])
-    return Coreset(P.points[idx].copy(), weights, P.labels[idx].copy())
+    return Coreset(P.points[idx], weights, P.labels[idx])
 
 
 @dataclass(frozen=True)

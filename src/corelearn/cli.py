@@ -13,6 +13,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -81,7 +82,8 @@ def _merge(base, override, path=""):
     """override laid over base. A key that base lacks, at the top or inside
     a section whose default is a dict, is a ConfigError naming its dotted
     path, and so is a value whose type is not that of its default (_TYPES),
-    or for a _NULLABLE key neither null nor of the type named there."""
+    or for a _NULLABLE key neither null nor of the type named there, and a
+    non-finite number (JSON's NaN and Infinity)."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         dotted = f"{path}{key}"
@@ -92,6 +94,9 @@ def _merge(base, override, path=""):
         if (types and type(value) not in types
                 and not (value is None and dotted in _NULLABLE)):
             raise ConfigError(f"config key {dotted} must be {name}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(
+                f"config key {dotted} must be a finite number, got {value!r}")
         if isinstance(value, dict) and isinstance(out.get(key), dict):
             out[key] = _merge(out[key], value, f"{dotted}.")
         else:
@@ -194,7 +199,7 @@ def _save_coreset(coreset: Coreset, path):
     with open(path, "w") as fh:
         header = [f"x{i}" for i in range(cols)] + ["weight", "label"]
         fh.write(",".join(header) + "\n")
-        for i in range(coreset.m):
+        for i in range(coreset.n):
             row = [repr(float(v)) for v in coreset.points[i]]
             row.append(repr(float(coreset.weights[i])))
             row.append(repr(float(coreset.labels[i])))

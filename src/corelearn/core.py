@@ -54,27 +54,6 @@ def _as_vector(x, name):
     return a
 
 
-def _checked_set(points, weights, labels, owner):
-    """(points, weights, labels) as float arrays of shapes (n, d), (n,), (n,),
-    checked: at least one point, matching sizes, finite entries, nonnegative
-    weights. Each message names owner, the kind of set ("set" or "coreset")."""
-    arrays = {"points": _as_matrix(points, "points"),
-              "weights": _as_vector(weights, "weights"),
-              "labels": _as_vector(labels, "labels")}
-    n, w, b = (a.shape[0] for a in arrays.values())
-    if n < 1:
-        raise ContractError(f"{owner} needs at least one point")
-    if w != n or b != n:
-        raise ContractError(
-            f"{owner} size mismatch: {n} points, {w} weights, {b} labels")
-    for name, a in arrays.items():
-        if not np.all(np.isfinite(a)):
-            raise ContractError(f"non-finite entries in {owner} {name}")
-    if np.any(arrays["weights"] < 0):
-        raise ContractError(f"{owner} weights must be nonnegative")
-    return tuple(arrays.values())
-
-
 # Most results remember() keeps on one WeightedLabeledSet; the oldest goes
 # first. A sweep reads four: the costs of three query splits and f(P, q*). A
 # bounds-verify body of the benchmark reads five: the costs of the universe,
@@ -86,7 +65,8 @@ RATIO_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class WeightedLabeledSet:
-    """The input data (P, w, b): n points with per-point weights and labels.
+    """A weighted labeled set (P, w, b): n points with per-point weights and
+    labels. The data is one, and so is a coreset of it.
 
     Its arrays are read-only copies of the caller's, so that what remember()
     keeps on the set stays true of it.
@@ -97,8 +77,25 @@ class WeightedLabeledSet:
     labels: np.ndarray
 
     def __post_init__(self):
-        checked = _checked_set(self.points, self.weights, self.labels, "set")
-        for name, a in zip(("points", "weights", "labels"), checked):
+        """Check (points, weights, labels) as float arrays of shapes (n, d),
+        (n,), (n,): at least one point, matching sizes, finite entries,
+        nonnegative weights. Each message names the set's class."""
+        owner = type(self).__name__
+        arrays = {"points": _as_matrix(self.points, "points"),
+                  "weights": _as_vector(self.weights, "weights"),
+                  "labels": _as_vector(self.labels, "labels")}
+        n, w, b = (a.shape[0] for a in arrays.values())
+        if n < 1:
+            raise ContractError(f"{owner} needs at least one point")
+        if w != n or b != n:
+            raise ContractError(
+                f"{owner} size mismatch: {n} points, {w} weights, {b} labels")
+        for name, a in arrays.items():
+            if not np.all(np.isfinite(a)):
+                raise ContractError(f"non-finite entries in {owner} {name}")
+        if np.any(arrays["weights"] < 0):
+            raise ContractError(f"{owner} weights must be nonnegative")
+        for name, a in arrays.items():
             a = np.array(a)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -117,39 +114,12 @@ class WeightedLabeledSet:
         s = float(np.sum(self.weights))
         if s <= 0.0:
             raise DegenerateInputError("cannot normalize all-zero weights")
-        return WeightedLabeledSet(self.points, self.weights / s, self.labels)
+        return type(self)(self.points, self.weights / s, self.labels)
 
 
-@dataclass
-class Coreset:
-    """The learnable summary (C, u, y): synthetic points, weights, labels.
-
-    Mutable: a learner owns and updates it in place between snapshots.
-    Weights are nonnegative at construction, and at every point observable
-    outside an optimizer step (the learner projects after each update).
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.points, self.weights, self.labels = _checked_set(
-            self.points, self.weights, self.labels, "coreset")
-
-    @property
-    def m(self):
-        return self.points.shape[0]
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    def copy(self) -> "Coreset":
-        return Coreset(self.points.copy(), self.weights.copy(), self.labels.copy())
-
-    def as_set(self) -> WeightedLabeledSet:
-        return WeightedLabeledSet(self.points, self.weights, self.labels)
+class Coreset(WeightedLabeledSet):
+    """The learned or sampled summary (C, u, y) of a data set: a weighted
+    labeled set like the data, judged by the same costs."""
 
 
 @dataclass(frozen=True)
@@ -265,14 +235,14 @@ def remember(P: WeightedLabeledSet, key, compute):
 
 
 def set_cost(dataset, loss, q) -> float:
-    """set_costs of a WeightedLabeledSet or Coreset at one query vector q."""
+    """set_costs of a weighted set at one query vector q."""
     q = _as_vector(q, "query")
     return float(set_costs(dataset, loss, q.reshape(1, -1))[0])
 
 
 def set_costs(dataset, loss, queries) -> np.ndarray:
-    """Total cost of a WeightedLabeledSet or Coreset at every row of a query
-    matrix, shape (k,): the one checked cost path.
+    """Total cost of a weighted set at every row of a query matrix, shape
+    (k,): the one checked cost path.
 
     One blocked loss.costs evaluation. Negative weights raise ContractError
     and a non-finite cost raises NumericError.
@@ -289,12 +259,10 @@ def set_costs(dataset, loss, queries) -> np.ndarray:
 def scored(dataset, loss, queries):
     """The (k, d') float matrix of queries and set_costs of its rows.
 
-    A WeightedLabeledSet keeps the costs, for later calls to read and never
-    write, keyed on the queries' content, since their owner may change them.
-    A Coreset, which a learner changes in place, is scored afresh."""
+    The set, data or coreset, keeps the costs, for later calls to read and
+    never write, keyed on the queries' content, since their owner may
+    change them."""
     qm = np.atleast_2d(np.asarray(queries, dtype=float))
-    if not isinstance(dataset, WeightedLabeledSet):
-        return qm, set_costs(dataset, loss, qm)
     key = ("costs", loss, qm.shape, qm.tobytes())
     return qm, remember(dataset, key, lambda: set_costs(dataset, loss, qm))
 

@@ -29,13 +29,12 @@ def err_opt(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel) -> float:
     f(P, q*) is kept on P, so the data is solved once however many
     coresets are judged against it.
     """
-    C = coreset.as_set()
-    if not np.any(C.weights > 0):
+    if not np.any(coreset.weights > 0):
         raise DegenerateInputError(
             "coreset weights are all zero; it has no optimal solution")
     f_star = remember(P, ("optimal", loss), lambda: set_cost(
         P, loss, baselines.solve_optimal(P, loss).params))
-    sol_c = baselines.solve_optimal(C, loss)
+    sol_c = baselines.solve_optimal(coreset, loss)
     if f_star <= RATIO_FLOOR:
         raise DegenerateInputError(
             "full-data optimum cost is zero; optimal-solution error undefined")
@@ -139,10 +138,10 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
     Each cell builds its coreset (a learned one through train) and calls
     err_opt and err_avg. What they compute from P alone (each split's
     full-data costs, f(P, q*)) is kept on P by the first cell that computes
-    it, so only that cell's wall_time_s includes it. Individual trial failures are recorded, not fatal; a failure in
-    that shared work is kept nowhere, so it fails every cell that reads it.
-    Returns the table and, when requested, the training reports of the
-    learned cells.
+    it, so only that cell's wall_time_s includes it. Individual trial
+    failures are recorded, not fatal; a failure in that shared work is kept
+    nowhere, so it fails every cell that reads it. Returns the table and,
+    when requested, the training reports of the learned cells.
     """
     if not sizes or not methods:
         raise ContractError("sizes and methods must be non-empty")

@@ -8,13 +8,15 @@ Two objectives are implemented over a training set of queries:
   weight-sum penalty, one step per seeded minibatch.
 
 Both run through one training loop over one float64 vector that holds the
-coreset's points, weights and labels. Each step is Adam with bias
-correction, a global-norm gradient clip, and a clamp of the coreset weights
-to >= 0. After every epoch the objective over all training queries is
-recorded, and the best epoch (by validation error when there is a
-validation split) can be returned. The subgradient of |x| at 0 is taken as
-0, so an exact copy of the data whose costs equal the data's bit for bit is
-a fixed point.
+coreset's points, weights and labels, and that only the loop sees. Each
+step is Adam with bias correction, a global-norm gradient clip, and a clamp
+of the coreset weights to >= 0. After every epoch the objective over all
+training queries is recorded, and the best epoch (by validation error when
+there is a validation split) can be returned. The loop hands out only
+Coresets built from the vector, the best epoch's and the final one, and a
+Coreset is a read-only copy, so no later step changes what it returned.
+The subgradient of |x| at 0 is taken as 0, so an exact copy of the data
+whose costs equal the data's bit for bit is a fixed point.
 
 The practical objective widens that kink to a dead zone: a ratio
 |1 - f_C/f_P| at or below RATIO_DEAD_ZONE, a few ulps, gets sign 0. f_C and
@@ -30,6 +32,7 @@ permutation, are not stable for subsets of a few columns and are slower.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -75,6 +78,10 @@ class TrainConfig:
             raise ContractError("coreset_size must be >= 1")
         if self.epochs < 1:
             raise ContractError("epochs must be >= 1")
+        for name, value in (("learning_rate", self.learning_rate),
+                            ("lambda", self.lam)):
+            if not math.isfinite(value):
+                raise ContractError(f"{name} must be finite, got {value!r}")
         if self.learning_rate <= 0:
             raise ContractError("learning_rate must be > 0")
         if self.lam < 0:
@@ -148,8 +155,8 @@ def init_coreset(P: WeightedLabeledSet, m: int, seed: int,
             idx = rng.permutation(P.n)[:m]
         else:
             idx = rng.integers(0, P.n, size=m)
-        pts = P.points[idx].copy()
-        labels = P.labels[idx].copy()
+        pts = P.points[idx]
+        labels = P.labels[idx]
     elif strategy == INIT_GAUSSIAN:
         center = P.points.mean(axis=0)
         scale = P.points.std(axis=0) + 1e-12
@@ -196,9 +203,9 @@ def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
     val, a (queries, term) pair, gives a validation error to score it by.
     """
     init = init_coreset(P, cfg.coreset_size, cfg.seed, cfg.init_strategy)
-    m, d = init.m, init.dim
+    m, d = init.n, init.dim
     theta = np.concatenate([init.points.ravel(), init.weights, init.labels])
-    coreset = Coreset(*_split(theta, m, d))
+    pts, wts, lab = _split(theta, m, d)
     grad = np.zeros_like(theta)
     g_pts, g_wts, g_lab = _split(grad, m, d)
     state = OptimizerState.for_params(theta)
@@ -206,14 +213,14 @@ def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
     w_sum = float(np.sum(P.weights))
 
     def penalty():
-        gap = w_sum - float(np.sum(coreset.weights))
+        gap = w_sum - float(np.sum(wts))
         return abs(gap) * cfg.lam, np.sign(gap)
 
     def cost(queries):
-        return loss.costs(coreset.points, coreset.labels, coreset.weights, queries)
+        return loss.costs(pts, lab, wts, queries)
 
     best_score = np.inf
-    best = coreset.copy()
+    best = init
     for epoch, batches in zip(range(cfg.epochs), schedule):
         for step, idx in enumerate(batches):
             pen, pen_sign = penalty()
@@ -226,7 +233,7 @@ def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
                 return d_costs
 
             _, d_pts, d_lab, d_wts = loss.weighted_grads(
-                coreset.points, coreset.labels, coreset.weights, qm[idx], coeffs)
+                pts, lab, wts, qm[idx], coeffs)
             g_pts[:] = d_pts
             if cfg.learn_labels:
                 g_lab[:] = d_lab
@@ -236,7 +243,7 @@ def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
             if norm > GRAD_CLIP:
                 grad *= GRAD_CLIP / norm
             adam_step(state, theta, grad, cfg.learning_rate)
-            project_weights(coreset.weights, out=coreset.weights)
+            project_weights(wts, out=wts)
 
         score = term(cost(qm), slice(None))[0] + penalty()[0]
         report.train_losses.append(score)
@@ -246,12 +253,12 @@ def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
             report.val_errors.append(score)
         if score < best_score:
             best_score = score
-            best = coreset.copy()
+            best = Coreset(pts, wts, lab)
             report.best_epoch = epoch
 
-    report.final_coreset = coreset.copy()
-    out = best if cfg.early_stop_on_validation else coreset
-    return out.copy(), report
+    report.final_coreset = Coreset(pts, wts, lab)
+    out = best if cfg.early_stop_on_validation else report.final_coreset
+    return out, report
 
 
 def autocl_average(P: WeightedLabeledSet, Q_train, loss: LossModel,

@@ -49,12 +49,12 @@ MC_BLOCK = 2 ** 14
 def hoeffding_k(eps: float, delta: float, M: float) -> int:
     """Samples needed so the mean cost deviates from its expectation by more
     than eps with probability at most delta: ceil(2 M^2 ln(2/delta) / eps^2)."""
-    if eps <= 0:
-        raise ContractError("eps must be > 0")
+    if not 0 < eps < math.inf:
+        raise ContractError(f"eps must be finite and > 0, got {eps!r}")
     if not 0 < delta < 1:
         raise ContractError("delta must be in (0, 1)")
-    if M <= 0:
-        raise ContractError("M must be > 0")
+    if not 0 < M < math.inf:
+        raise ContractError(f"M must be finite and > 0, got {M!r}")
     return math.ceil(2.0 * M * M * math.log(2.0 / delta) / (eps * eps))
 
 
@@ -65,10 +65,10 @@ def claim2_k(eps: float, delta: float, M: float) -> int:
 
 def relate_eps(eps_ratio: float, M: float) -> float:
     """Convert an average-ratio error bound into an average-difference bound."""
-    if eps_ratio < 0:
-        raise ContractError("eps_ratio must be >= 0")
-    if M <= 0:
-        raise ContractError("M must be > 0")
+    if not 0 <= eps_ratio < math.inf:
+        raise ContractError(f"eps_ratio must be finite and >= 0, got {eps_ratio!r}")
+    if not 0 < M < math.inf:
+        raise ContractError(f"M must be finite and > 0, got {M!r}")
     return eps_ratio * M
 
 

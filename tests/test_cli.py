@@ -296,9 +296,14 @@ _SCHEMA = {"features": ["0"], "label": "1"}
     ({"dataset": {"synth": 5}}, "dataset.synth must be an object, got 5"),
     ({"dataset": {"path": "d.csv", "schema": {**_SCHEMA, "weight": 2}}},
      "dataset.schema.weight must be a string, got 2"),
+    ({"learner": {"learning_rate": float("nan")}},
+     "learner.learning_rate must be a finite number, got nan"),
+    ({"learner": {"lambda": float("inf")}},
+     "learner.lambda must be a finite number, got inf"),
 ], ids=["trials-str", "seed-str", "synth-n-zero", "epochs-float", "epochs-type",
         "n_starts-str", "split-float", "lambda-bool", "dir-null", "path-bool",
-        "path-int", "path-list", "schema-str", "synth-int", "weight-int"])
+        "path-int", "path-list", "schema-str", "synth-int", "weight-int",
+        "learning_rate-nan", "lambda-inf"])
 def test_config_rejects_wrong_types(tmp_path, monkeypatch, capsys, override,
                                     match):
     path = _write_config(tmp_path, **override)
@@ -428,6 +433,15 @@ def test_cli_bounds_command(capsys):
 
 def test_cli_bounds_validation_error(capsys):
     assert main(["bounds", "--eps", "0.1", "--delta", "1.5", "--M", "1"]) == 1
+
+
+@pytest.mark.parametrize("eps, M, match", [
+    ("nan", "1", "eps must be finite"), ("inf", "1", "eps must be finite"),
+    ("0.1", "nan", "M must be finite"), ("0.1", "inf", "M must be finite")],
+    ids=["eps-nan", "eps-inf", "M-nan", "M-inf"])
+def test_cli_bounds_rejects_non_finite(capsys, eps, M, match):
+    assert main(["bounds", "--eps", eps, "--delta", "0.05", "--M", M]) == 1
+    assert match in capsys.readouterr().err
 
 
 def test_cli_learn_and_eval(tmp_path, capsys):

@@ -61,12 +61,14 @@ def test_err_opt_all_zero_weights_is_undefined(linreg):
 def test_metrics_reject_weights_negated_in_place(linreg):
     P = make_synthetic("linear", 40, 2, 0.3, seed=0)
     C = _identity_coreset(P)
-    np.negative(C.weights, out=C.weights)
     Q = np.random.default_rng(1).standard_normal((5, 2))
     with pytest.raises(ContractError, match="nonnegative"):
-        err_avg(P, C, linreg, Q)
+        err_avg(P, Coreset(C.points, -C.weights, C.labels), linreg, Q)
     with pytest.raises(ContractError, match="nonnegative"):
-        err_opt(P, C, linreg)
+        err_opt(P, Coreset(C.points, -C.weights, C.labels), linreg)
+    with pytest.raises(ValueError, match="read-only"):
+        np.negative(C.weights, out=C.weights)
+    assert err_avg(P, C, linreg, Q).value == 0.0
 
 
 def test_err_avg_identity_zero(linreg):
@@ -89,8 +91,7 @@ def test_err_avg_weight_doubling(linreg):
     P = make_synthetic("linear", 25, 2, 0.2, seed=3)
     Q = np.random.default_rng(4).standard_normal((10, 2))
     C = _identity_coreset(P)
-    C.weights *= 2.0
-    res = err_avg(P, C, linreg, Q)
+    res = err_avg(P, Coreset(C.points, C.weights * 2.0, C.labels), linreg, Q)
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 

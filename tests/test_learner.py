@@ -71,7 +71,7 @@ def test_init_single_point():
     rng = np.random.default_rng(1)
     P = _random_set(rng, n=5)
     c = init_coreset(P, 1, seed=0)
-    assert c.m == 1 and c.weights[0] == 1.0
+    assert c.n == 1 and c.weights[0] == 1.0
 
 
 def test_init_deterministic():
@@ -99,13 +99,21 @@ def test_init_gaussian(linreg):
     cfg = TrainConfig(coreset_size=4, epochs=3, learning_rate=0.02, batch_size=4,
                       seed=9, init_strategy="gaussian")
     coreset, report = train(P, rng.standard_normal((8, 2)), None, linreg, cfg)
-    assert coreset.m == 4 and len(report.train_losses) == 3
+    assert coreset.n == 4 and len(report.train_losses) == 3
     assert np.all(np.isfinite(report.train_losses))
 
 
 def test_train_config_rejects_unknown_init_strategy():
     with pytest.raises(ContractError, match="unknown init strategy 'gausian'"):
         TrainConfig(init_strategy="gausian")
+
+
+@pytest.mark.parametrize("field, name", [("learning_rate", "learning_rate"),
+                                         ("lam", "lambda")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_config_rejects_non_finite_rates(field, name, bad):
+    with pytest.raises(ContractError, match=f"{name} must be finite"):
+        TrainConfig(**{field: bad})
 
 
 def test_average_fixed_point_zero_loss(linreg):
@@ -132,7 +140,7 @@ def _run_fixed_point(monkeypatch, algorithm, loss, P, qm):
 
     import corelearn.learner as ln
     exact = Coreset(P.points.copy(), P.weights.copy(), P.labels.copy())
-    monkeypatch.setattr(ln, "init_coreset", lambda *a, **k: exact.copy())
+    monkeypatch.setattr(ln, "init_coreset", lambda *a, **k: exact)
     coreset, report = train(P, qm, None, loss, cfg)
     assert all(x == 0.0 for x in report.train_losses)
     assert np.array_equal(coreset.points, P.points)
@@ -192,7 +200,7 @@ def test_practical_hand_ratio_values():
                       learn_weights=False)
     import corelearn.learner as ln
     orig = ln.init_coreset
-    ln.init_coreset = lambda *a, **k: exact.copy()
+    ln.init_coreset = lambda *a, **k: exact
     try:
         _, report = ln.autocl_practical(P, np.array([[2.0]]), None,
                                         LossModel("linear_regression"), cfg)
@@ -242,6 +250,38 @@ def test_average_scores_after_the_step(linreg):
     assert report.best_epoch == 0
     assert not np.array_equal(coreset.points, init.points)
     assert np.array_equal(coreset.points, report.final_coreset.points)
+
+
+def test_handed_out_coresets_are_read_only(monkeypatch, tmp_path, linreg):
+    """Every coreset the library hands out refuses writes, and train's
+    shares no memory with the vector that the learner goes on stepping."""
+    import corelearn.learner as ln
+    from corelearn import leverage_coreset, uniform_coreset
+    from corelearn.cli import _load_coreset, _save_coreset
+
+    steps = []
+    adam = ln.adam_step
+
+    def recording(state, params, *args):
+        steps.append(params)
+        adam(state, params, *args)
+
+    monkeypatch.setattr(ln, "adam_step", recording)
+    rng = np.random.default_rng(14)
+    P = _random_set(rng)
+    cfg = TrainConfig(coreset_size=3, epochs=3, learning_rate=0.05,
+                      batch_size=3, seed=2)
+    coreset, report = train(P, rng.standard_normal((6, 2)),
+                            rng.standard_normal((4, 2)), linreg, cfg)
+    theta = steps[-1]
+    for a in (coreset.points, coreset.weights, coreset.labels):
+        assert not np.shares_memory(a, theta)
+    _save_coreset(coreset, tmp_path / "c.csv")
+    for C in (coreset, report.final_coreset, uniform_coreset(P, 3, seed=1),
+              leverage_coreset(P, 3, seed=1), _load_coreset(tmp_path / "c.csv")):
+        for a in (C.points, C.weights, C.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 def _check_weights_nonnegative(monkeypatch, algorithm, loss, P, qm, m):

@@ -74,12 +74,24 @@ def test_k_contracts():
         hoeffding_k(0.1, 1.5, 1.0)
     with pytest.raises(ContractError):
         claim2_k(0.1, 0.05, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ContractError, match="eps must be finite"):
+            hoeffding_k(bad, 0.05, 1.0)
+        with pytest.raises(ContractError, match="M must be finite"):
+            hoeffding_k(0.1, 0.05, bad)
+        with pytest.raises(ContractError, match="eps must be finite"):
+            claim2_k(bad, 0.05, 1.0)
 
 
 def test_relate_eps():
     assert relate_eps(0.05, 2.0) == pytest.approx(0.1)
     assert relate_eps(0.0, 3.0) == 0.0
     assert relate_eps(0.7, 1.0) == 0.7
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ContractError, match="eps_ratio must be finite"):
+            relate_eps(bad, 1.0)
+        with pytest.raises(ContractError, match="M must be finite"):
+            relate_eps(0.1, bad)
 
 
 def _space_from_costs(linreg, target_costs, measure=None):
@@ -102,8 +114,8 @@ def test_estimate_M_on_a_coreset_is_scored_afresh(linreg):
     pool = np.array([[1.0], [3.0]])
     # at q = 3: 0.5 * 3^2 + 0.5 * 5^2
     assert estimate_M(C, linreg, pool, level="set") == 1.1 * 17.0
-    # a learner changes a coreset in place; no cost of it is kept
-    C.weights[:] = [1.0, 0.0]
+    # a set with other weights is another set, with costs of its own
+    C = Coreset(C.points, [1.0, 0.0], C.labels)
     assert estimate_M(C, linreg, pool, level="set") == 1.1 * 9.0
 
 
