@@ -236,18 +236,27 @@ def _load_coreset(path) -> Coreset:
 
 
 def _prepare(config_path, seed=None):
-    """The experiment's inputs: the config (with seed, when given, as its
-    root seed), the dataset, its loss, the query pool and its three splits."""
+    """The config (with seed, when given, as its root seed), the dataset and
+    its loss. A subcommand builds from them only the queries it reads."""
     cfg = load_config(config_path)
     if seed is not None:
         cfg["seed"] = int(seed)
     P, loss = resolve_dataset(cfg)
+    return cfg, P, loss
+
+
+def _pool(cfg, P, loss):
+    """The config's query pool: GD trajectories over P."""
     qc = cfg["queries"]
-    pool = queries.trajectory_queries(
+    return queries.trajectory_queries(
         P, loss, qc["n_starts"], qc["steps_per_start"], qc["gd_lr"],
         qc["init_scale"], seed=cfg["seed"])
-    splits = queries.split_queries(pool, qc["split"], seed=cfg["seed"])
-    return cfg, P, loss, pool, splits
+
+
+def _splits(cfg, P, loss):
+    """The pool's train, validation and test splits, sized by queries.split."""
+    return queries.split_queries(_pool(cfg, P, loss), cfg["queries"]["split"],
+                                 seed=cfg["seed"])
 
 
 def _output_dir(path) -> Path:
@@ -258,7 +267,8 @@ def _output_dir(path) -> Path:
 
 def run_experiment(config_path, seed=None, out_dir=None) -> int:
     """Full protocol: load -> queries -> split -> sweep -> CSVs + manifest."""
-    cfg, P, loss, _, (q_train, q_val, q_test) = _prepare(config_path, seed)
+    cfg, P, loss = _prepare(config_path, seed)
+    q_train, q_val, q_test = _splits(cfg, P, loss)
     if out_dir is not None:
         cfg["output"]["dir"] = str(out_dir)
     out = _output_dir(cfg["output"]["dir"])
@@ -298,7 +308,8 @@ def _cmd_experiment(args):
 
 
 def _cmd_learn(args):
-    cfg, P, loss, _, (q_train, q_val, _) = _prepare(args.config, args.seed)
+    cfg, P, loss = _prepare(args.config, args.seed)
+    q_train, q_val, _ = _splits(cfg, P, loss)
     tc = train_config_from(cfg, args.size)
     coreset, report = learner.train(P, q_train, q_val, loss, tc)
     out = _output_dir(args.out_dir or cfg["output"]["dir"])
@@ -311,7 +322,7 @@ def _cmd_learn(args):
 
 
 def _cmd_baseline(args):
-    cfg, P, _, _, _ = _prepare(args.config, args.seed)
+    cfg, P, _ = _prepare(args.config, args.seed)
     if args.method == METHOD_UNIFORM:
         coreset = baselines.uniform_coreset(P, args.size, cfg["seed"])
     else:
@@ -324,7 +335,8 @@ def _cmd_baseline(args):
 
 def _cmd_eval(args):
     coreset = _load_coreset(args.coreset)
-    cfg, P, loss, _, (_, _, q_test) = _prepare(args.config, args.seed)
+    cfg, P, loss = _prepare(args.config, args.seed)
+    q_test = _splits(cfg, P, loss)[2]
     e_avg = evaluate.err_avg(P, coreset, loss, q_test)
     e_opt = evaluate.err_opt(P, coreset, loss)
     print(f"err_opt={e_opt!r} err_avg={e_avg.value!r} filtered={e_avg.filtered}")
@@ -332,7 +344,8 @@ def _cmd_eval(args):
 
 
 def _cmd_gen_queries(args):
-    cfg, P, loss, pool, _ = _prepare(args.config, args.seed)
+    cfg, P, loss = _prepare(args.config, args.seed)
+    pool = _pool(cfg, P, loss)
     queries.save_pool_csv(pool, args.out)
     print(f"wrote {pool.shape[0]} queries to {args.out}")
     return EXIT_OK
@@ -346,8 +359,8 @@ def _cmd_bounds(args):
     if args.estimate_M:
         if not args.config:
             raise ConfigError("--estimate-M requires --config")
-        cfg, P, loss, pool, _ = _prepare(args.config, args.seed)
-        M = theory.estimate_M(P, loss, pool, level="set")
+        cfg, P, loss = _prepare(args.config, args.seed)
+        M = theory.estimate_M(P, loss, _pool(cfg, P, loss), level="set")
         print(f"M_hat={M!r}")
     else:
         if args.M is None:
@@ -364,7 +377,8 @@ def _cmd_verify(args):
         raise ConfigError("--trials must be >= 1")
     if args.universe_size < 1:
         raise ConfigError("--universe-size must be >= 1")
-    cfg, P, loss, pool, _ = _prepare(args.config, args.seed)
+    cfg, P, loss = _prepare(args.config, args.seed)
+    pool = _pool(cfg, P, loss)
     if args.universe_size > pool.shape[0]:
         raise ConfigError(f"--universe-size {args.universe_size} exceeds the "
                           f"pool size {pool.shape[0]}")

@@ -8,13 +8,17 @@ Two objectives are implemented over a training set of queries:
   weight-sum penalty, one step per seeded minibatch.
 
 Both run through one training loop over one float64 vector that holds the
-coreset's points, weights and labels, and that only the loop sees. Each
-step is Adam with bias correction, a global-norm gradient clip, and a clamp
-of the coreset weights to >= 0. After every epoch the objective over all
-training queries is recorded, and the best epoch (by validation error when
-there is a validation split) can be returned. The loop hands out only
-Coresets built from the vector, the best epoch's and the final one, and a
-Coreset is a read-only copy, so no later step changes what it returned.
+coreset's points, weights and labels, and that only the loop sees. It
+starts from m points of the data, weights 1/m, and learns the points, the
+labels and, unless cfg.learn_weights is off, the weights. Each step is Adam
+with bias correction, a global-norm gradient clip, and a clamp of the
+coreset weights to >= 0. After every epoch the objective over all training
+queries is recorded, and the best-scored epoch is returned: by validation
+error when a validation split survives, by the training objective otherwise
+(always so for average, which takes no validation split). The loop hands
+out only Coresets built from the vector, the best epoch's and the final one
+(report.final_coreset), and a Coreset is a read-only copy, so no later step
+changes what it returned.
 The subgradient of |x| at 0 is taken as 0, so an exact copy of the data
 whose costs equal the data's bit for bit is a fixed point.
 
@@ -55,9 +59,6 @@ RATIO_DEAD_ZONE = 64 * np.finfo(float).eps
 ALG_AVERAGE = "average"
 ALG_PRACTICAL = "practical"
 
-INIT_SUBSAMPLE = "subsample"
-INIT_GAUSSIAN = "gaussian"
-
 
 @dataclass
 class TrainConfig:
@@ -69,9 +70,6 @@ class TrainConfig:
     batch_size: int = 25
     seed: int = 0
     learn_weights: bool = True
-    learn_labels: bool = True
-    early_stop_on_validation: bool = True
-    init_strategy: str = INIT_SUBSAMPLE
 
     def __post_init__(self):
         if self.coreset_size < 1:
@@ -90,8 +88,6 @@ class TrainConfig:
             raise ContractError("batch_size must be >= 1")
         if self.algorithm not in (ALG_AVERAGE, ALG_PRACTICAL):
             raise ContractError(f"unknown algorithm {self.algorithm!r}")
-        if self.init_strategy not in (INIT_SUBSAMPLE, INIT_GAUSSIAN):
-            raise ContractError(f"unknown init strategy {self.init_strategy!r}")
 
     @staticmethod
     def paper_logreg(**overrides):
@@ -144,28 +140,16 @@ def project_weights(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(0.0, u, out=out)
 
 
-def init_coreset(P: WeightedLabeledSet, m: int, seed: int,
-                 strategy: str = INIT_SUBSAMPLE) -> Coreset:
-    """Starting coreset: m points with weights all 1/m."""
+def init_coreset(P: WeightedLabeledSet, m: int, seed: int) -> Coreset:
+    """Starting coreset: m seeded points of P and their labels, weights 1/m."""
     if m < 1:
         raise ContractError("coreset size must be >= 1")
     rng = stream_rng(seed, "init_coreset")
-    if strategy == INIT_SUBSAMPLE:
-        if m <= P.n:
-            idx = rng.permutation(P.n)[:m]
-        else:
-            idx = rng.integers(0, P.n, size=m)
-        pts = P.points[idx]
-        labels = P.labels[idx]
-    elif strategy == INIT_GAUSSIAN:
-        center = P.points.mean(axis=0)
-        scale = P.points.std(axis=0) + 1e-12
-        pts = center + scale * rng.standard_normal((m, P.dim))
-        labels = float(P.labels.mean()) + P.labels.std() * rng.standard_normal(m)
+    if m <= P.n:
+        idx = rng.permutation(P.n)[:m]
     else:
-        raise ContractError(f"unknown init strategy {strategy!r}")
-    weights = np.full(m, 1.0 / m)
-    return Coreset(pts, weights, labels)
+        idx = rng.integers(0, P.n, size=m)
+    return Coreset(P.points[idx], np.full(m, 1.0 / m), P.labels[idx])
 
 
 @dataclass
@@ -197,12 +181,13 @@ def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
     term(costs, idx) maps the coreset's costs on the queries qm[idx] to the
     objective's data term and its derivative with respect to those costs;
     the weight-sum penalty lam * |sum w - sum u| is added to it. schedule
-    yields each epoch's list of batches idx. Frozen learnables get a zero
+    yields each epoch's list of batches idx. Frozen weights get a zero
     gradient, which Adam turns into a zero move. After each epoch the
     objective over all of qm is its train loss, and scores the epoch unless
     val, a (queries, term) pair, gives a validation error to score it by.
+    Returns the best-scored epoch's coreset and the report.
     """
-    init = init_coreset(P, cfg.coreset_size, cfg.seed, cfg.init_strategy)
+    init = init_coreset(P, cfg.coreset_size, cfg.seed)
     m, d = init.n, init.dim
     theta = np.concatenate([init.points.ravel(), init.weights, init.labels])
     pts, wts, lab = _split(theta, m, d)
@@ -235,8 +220,7 @@ def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
             _, d_pts, d_lab, d_wts = loss.weighted_grads(
                 pts, lab, wts, qm[idx], coeffs)
             g_pts[:] = d_pts
-            if cfg.learn_labels:
-                g_lab[:] = d_lab
+            g_lab[:] = d_lab
             if cfg.learn_weights:
                 g_wts[:] = d_wts - cfg.lam * pen_sign
             norm = float(np.sqrt(grad @ grad))
@@ -257,8 +241,7 @@ def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
             report.best_epoch = epoch
 
     report.final_coreset = Coreset(pts, wts, lab)
-    out = best if cfg.early_stop_on_validation else report.final_coreset
-    return out, report
+    return best, report
 
 
 def autocl_average(P: WeightedLabeledSet, Q_train, loss: LossModel,
@@ -312,9 +295,10 @@ def autocl_practical(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     """Learn a coreset minimizing the per-query relative error over Q_train.
 
     Minibatched; queries whose full-data cost falls below RATIO_FLOOR are
-    dropped up front (the ratio is undefined there). If validation queries
-    are supplied, the epoch with the lowest validation error is returned
-    when cfg.early_stop_on_validation is set.
+    dropped up front (the ratio is undefined there). The epoch with the
+    lowest validation error is returned when validation queries above the
+    floor are supplied, and the one with the lowest training objective
+    otherwise.
     """
     qm, f_p, n_dropped = floored(*scored(P, loss, Q_train))
     if n_dropped:
@@ -334,7 +318,10 @@ def autocl_practical(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
 
 
 def train(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel, cfg: TrainConfig):
-    """Dispatch on cfg.algorithm."""
+    """Dispatch on cfg.algorithm. Returns the best-scored epoch's coreset
+    and its TrainReport: practical scores by Q_val's error when any of it
+    survives the ratio floor, by the training objective otherwise; average
+    ignores Q_val and scores by its training objective."""
     if cfg.algorithm == ALG_AVERAGE:
         return autocl_average(P, Q_train, loss, cfg)
     return autocl_practical(P, Q_train, Q_val, loss, cfg)

@@ -14,6 +14,7 @@ from corelearn.cli import (
     validate_config,
 )
 from corelearn.datasets import DatasetError, Schema, load_dataset, make_synthetic
+from corelearn.learner import TrainConfig
 
 
 def _write_config(tmp_path, **overrides):
@@ -222,8 +223,7 @@ def test_cli_rejects_bad_dataset_weights(tmp_path, capsys, weights, match):
 
 
 @pytest.mark.parametrize("key", [
-    "dataset.intercept", "learner.learn_weights", "learner.learn_labels",
-    "learner.early_stop_on_validation", "dataset.schema.has_header",
+    "dataset.intercept", "learner.learn_weights", "dataset.schema.has_header",
     "dataset.schema.standardize", "dataset.schema.binary_label"])
 def test_config_rejects_string_booleans(tmp_path, capsys, key):
     data = tmp_path / "data.csv"
@@ -246,12 +246,10 @@ def test_config_rejects_string_booleans(tmp_path, capsys, key):
 @pytest.mark.parametrize("learner, match", [
     ({"lambda": -1.0}, "lambda must be >= 0"),
     ({"algorithm": "magic"}, "unknown algorithm 'magic'"),
-    ({"init_strategy": "gausian"}, "unknown init strategy 'gausian'"),
     ({"epochs": 0}, "epochs must be >= 1"),
     ({"batch_size": 0}, "batch_size must be >= 1"),
     ({"learning_rate": 0.0}, "learning_rate must be > 0"),
-], ids=["lambda", "algorithm", "init_strategy", "epochs", "batch_size",
-        "learning_rate"])
+], ids=["lambda", "algorithm", "epochs", "batch_size", "learning_rate"])
 def test_config_rejects_learner_values_at_load(tmp_path, monkeypatch, capsys,
                                                learner, match):
     path = _write_config(tmp_path, learner=learner)
@@ -315,6 +313,25 @@ def test_config_rejects_wrong_types(tmp_path, monkeypatch, capsys, override,
     assert main(["experiment", "--config", str(path)]) == 1
     assert match in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, old_default", [
+    ("init_strategy", "subsample"), ("learn_labels", True),
+    ("early_stop_on_validation", True)])
+def test_config_rejects_removed_learner_keys(tmp_path, monkeypatch, capsys,
+                                             key, old_default):
+    """The learner has one policy: a key that chose another is unknown."""
+    path = _write_config(tmp_path, learner={key: old_default})
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("query pool built before the config was checked")
+
+    monkeypatch.setattr("corelearn.queries.trajectory_queries", no_pool)
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert f"unknown config key learner.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(TypeError):
+        TrainConfig(**{key: old_default})
 
 
 def test_config_number_keys_take_integers(tmp_path):
@@ -453,11 +470,45 @@ def test_cli_learn_and_eval(tmp_path, capsys):
     assert "err_avg=" in capsys.readouterr().out
 
 
-def test_cli_baseline(tmp_path):
+def test_cli_baseline(tmp_path, monkeypatch):
     path = _write_config(tmp_path)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("baseline built a query pool it never reads")
+
+    monkeypatch.setattr("corelearn.queries.trajectory_queries", no_pool)
     assert main(["baseline", "--config", str(path), "--method", "uniform",
                  "--size", "4"]) == 0
     assert (tmp_path / "out" / "coreset_uniform_4.csv").exists()
+
+
+# a pool of 2 * (20 + 1) = 42 queries, and a split that asks for 110
+_BIG_SPLIT = {"dataset": {"synth": {"task": "linear", "n": 200, "d": 2}},
+              "queries": {"n_starts": 2, "steps_per_start": 20,
+                          "split": [100, 5, 5]}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-queries", "--out", "{tmp}/pool.csv"],
+    ["bounds", "--estimate-M", "--eps", "0.1", "--delta", "0.05"],
+    ["verify", "--universe-size", "5", "--trials", "50"],
+], ids=["gen-queries", "bounds", "verify"])
+def test_pool_subcommands_ignore_the_split(tmp_path, argv):
+    path = _write_config(tmp_path, **_BIG_SPLIT)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 0
+
+
+@pytest.mark.parametrize("argv", [["experiment"], ["learn", "--size", "5"],
+                                  ["eval", "--coreset", "{tmp}/c.csv"]],
+                         ids=["experiment", "learn", "eval"])
+def test_split_subcommands_reject_a_split_above_the_pool(tmp_path, capsys,
+                                                         argv):
+    path = _write_config(tmp_path, **_BIG_SPLIT)
+    (tmp_path / "c.csv").write_text("x0,x1,weight,label\n0.1,0.2,1.0,1.0\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 1
+    assert "requested 110 queries from a pool of 42" in capsys.readouterr().err
 
 
 def test_cli_gen_queries(tmp_path):

@@ -83,31 +83,6 @@ def test_init_deterministic():
     assert np.array_equal(a.labels, b.labels)
 
 
-def test_init_gaussian(linreg):
-    rng = np.random.default_rng(12)
-    P = _random_set(rng)
-    c = init_coreset(P, 4, seed=9, strategy="gaussian")
-    assert c.points.shape == (4, P.dim) and c.labels.shape == (4,)
-    assert np.all(np.isfinite(c.points)) and np.all(np.isfinite(c.labels))
-    assert np.array_equal(c.weights, np.full(4, 1.0 / 4))
-    same = init_coreset(P, 4, seed=9, strategy="gaussian")
-    assert np.array_equal(c.points, same.points)
-    assert np.array_equal(c.labels, same.labels)
-    other = init_coreset(P, 4, seed=10, strategy="gaussian")
-    assert not np.array_equal(c.points, other.points)
-    assert not np.array_equal(c.labels, other.labels)
-    cfg = TrainConfig(coreset_size=4, epochs=3, learning_rate=0.02, batch_size=4,
-                      seed=9, init_strategy="gaussian")
-    coreset, report = train(P, rng.standard_normal((8, 2)), None, linreg, cfg)
-    assert coreset.n == 4 and len(report.train_losses) == 3
-    assert np.all(np.isfinite(report.train_losses))
-
-
-def test_train_config_rejects_unknown_init_strategy():
-    with pytest.raises(ContractError, match="unknown init strategy 'gausian'"):
-        TrainConfig(init_strategy="gausian")
-
-
 @pytest.mark.parametrize("field, name", [("learning_rate", "learning_rate"),
                                          ("lam", "lambda")])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -133,19 +108,20 @@ def test_average_fixed_point_zero_loss(linreg):
 
 
 def _run_fixed_point(monkeypatch, algorithm, loss, P, qm):
-    """Training from an exact-copy coreset must stay at the copy."""
+    """Training from an exact-copy coreset must stay at the copy, in the
+    returned coreset and in the last iterate."""
     cfg = TrainConfig(coreset_size=P.n, epochs=2, learning_rate=0.05, lam=1.0,
-                      batch_size=qm.shape[0], seed=0, algorithm=algorithm,
-                      early_stop_on_validation=False)
+                      batch_size=qm.shape[0], seed=0, algorithm=algorithm)
 
     import corelearn.learner as ln
     exact = Coreset(P.points.copy(), P.weights.copy(), P.labels.copy())
     monkeypatch.setattr(ln, "init_coreset", lambda *a, **k: exact)
     coreset, report = train(P, qm, None, loss, cfg)
     assert all(x == 0.0 for x in report.train_losses)
-    assert np.array_equal(coreset.points, P.points)
-    assert np.array_equal(coreset.weights, P.weights)
-    assert np.array_equal(coreset.labels, P.labels)
+    for c in (coreset, report.final_coreset):
+        assert np.array_equal(c.points, P.points)
+        assert np.array_equal(c.weights, P.weights)
+        assert np.array_equal(c.labels, P.labels)
 
 
 def _fixed_point_input():
@@ -215,36 +191,35 @@ def test_weights_frozen_when_not_learned(linreg):
     qm = rng.standard_normal((6, 2))
     cfg = TrainConfig(coreset_size=3, epochs=5, learning_rate=0.05, lam=0.0,
                       batch_size=3, seed=1, algorithm="practical",
-                      learn_weights=False, early_stop_on_validation=False)
-    coreset, _ = autocl_practical(P, qm, None, linreg, cfg)
+                      learn_weights=False)
+    _, report = autocl_practical(P, qm, None, linreg, cfg)
+    coreset = report.final_coreset
     assert np.allclose(coreset.weights, 1.0 / 3)
     assert coreset.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
-    # frozen labels and weights stay bit-equal to the initial coreset, for
-    # both objectives, while the points move
+    # frozen weights stay bit-equal to the initial coreset's in the last
+    # iterate, for both objectives, while the points move
     init = init_coreset(P, 3, seed=1)
     for algorithm in ("practical", "average"):
         cfg = TrainConfig(coreset_size=3, epochs=5, learning_rate=0.05,
                           lam=1.0, batch_size=3, seed=1, algorithm=algorithm,
-                          learn_weights=False, learn_labels=False,
-                          early_stop_on_validation=False)
+                          learn_weights=False)
         if algorithm == "practical":
-            coreset, _ = autocl_practical(P, qm, None, linreg, cfg)
+            _, report = autocl_practical(P, qm, None, linreg, cfg)
         else:
-            coreset, _ = autocl_average(P, qm, linreg, cfg)
+            _, report = autocl_average(P, qm, linreg, cfg)
+        coreset = report.final_coreset
         assert np.array_equal(coreset.weights, init.weights)
-        assert np.array_equal(coreset.labels, init.labels)
         assert not np.array_equal(coreset.points, init.points)
 
 
 def test_average_scores_after_the_step(linreg):
-    """epochs=1 with early stopping returns the trained state, not the init."""
+    """epochs=1 returns the trained state, not the init."""
     rng = np.random.default_rng(13)
     P = _random_set(rng)
     qm = rng.standard_normal((6, 2))
     cfg = TrainConfig(coreset_size=3, epochs=1, learning_rate=0.05, lam=1.0,
-                      batch_size=6, seed=4, algorithm="average",
-                      early_stop_on_validation=True)
+                      batch_size=6, seed=4, algorithm="average")
     coreset, report = autocl_average(P, qm, linreg, cfg)
     init = init_coreset(P, 3, seed=4)
     assert report.best_epoch == 0

@@ -83,6 +83,28 @@ def test_k_contracts():
             claim2_k(bad, 0.05, 1.0)
 
 
+@pytest.mark.parametrize("eps, M", [("1e-200", "1"), ("1e-170", "1"),
+                                    ("0.1", "1e200")],
+                         ids=["eps-underflow", "eps-subnormal", "M-overflow"])
+def test_k_rejects_a_sample_size_past_float_range(capsys, eps, M):
+    from corelearn.cli import main
+    for k_of in (hoeffding_k, claim2_k):
+        with pytest.raises(ContractError, match="not a finite integer at "
+                           f"eps={float(eps)!r}"):
+            k_of(float(eps), 0.05, float(M))
+    assert main(["bounds", "--eps", eps, "--delta", "0.05", "--M", M]) == 1
+    assert "not a finite integer" in capsys.readouterr().err
+
+
+def test_k_huge_but_finite_is_an_integer(capsys):
+    from corelearn.cli import main
+    k = hoeffding_k(1e-150, 0.05, 1.0)
+    assert type(k) is int
+    assert k == math.ceil(2.0 * math.log(40.0) / (1e-150 * 1e-150))
+    assert main(["bounds", "--eps", "1e-150", "--delta", "0.05", "--M", "1"]) == 0
+    assert f"k1={k}" in capsys.readouterr().out
+
+
 def test_relate_eps():
     assert relate_eps(0.05, 2.0) == pytest.approx(0.1)
     assert relate_eps(0.0, 3.0) == 0.0
