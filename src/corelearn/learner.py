@@ -12,10 +12,14 @@ coreset's points, weights and labels, and that only the loop sees. It
 starts from m points of the data, weights 1/m, and learns the points, the
 labels and, unless cfg.learn_weights is off, the weights. Each step is Adam
 with bias correction, a global-norm gradient clip, and a clamp of the
-coreset weights to >= 0. After every epoch the objective over all training
-queries is recorded, and the best-scored epoch is returned: by validation
-error when a validation split survives, by the training objective otherwise
-(always so for average, which takes no validation split). The loop hands
+coreset weights to >= 0. Each epoch records a train loss, and the
+best-scored epoch is returned: by validation error when a validation split
+survives, by the training objective otherwise (always so for average, which
+takes no validation split). Where the training objective selects, the train
+loss is that objective over all training queries after the epoch's steps.
+Where validation selects, no such pass is made: the train loss is the mean
+of the objective values the epoch's steps computed anyway, each over its
+minibatch before its step, weighted by batch size. The loop hands
 out only Coresets built from the vector, the best epoch's and the final one
 (report.final_coreset), and a Coreset is a read-only copy, so no later step
 changes what it returned.
@@ -154,6 +158,16 @@ def init_coreset(P: WeightedLabeledSet, m: int, seed: int) -> Coreset:
 
 @dataclass
 class TrainReport:
+    """Per-epoch record of one training run.
+
+    train_losses[e] is the training objective at epoch e: over all training
+    queries after the epoch's steps when it selects the epoch (average, and
+    practical without a surviving validation split), and otherwise the
+    batch-size-weighted mean of its minibatch values, each taken before its
+    step. val_errors[e] is the validation error after epoch e, empty without
+    validation. best_epoch is the returned coreset's epoch.
+    """
+
     train_losses: list = field(default_factory=list)
     val_errors: list = field(default_factory=list)
     best_epoch: int = -1
@@ -182,9 +196,11 @@ def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
     objective's data term and its derivative with respect to those costs;
     the weight-sum penalty lam * |sum w - sum u| is added to it. schedule
     yields each epoch's list of batches idx. Frozen weights get a zero
-    gradient, which Adam turns into a zero move. After each epoch the
-    objective over all of qm is its train loss, and scores the epoch unless
-    val, a (queries, term) pair, gives a validation error to score it by.
+    gradient, which Adam turns into a zero move. Without val, an epoch is
+    scored by its train loss, the objective over all of qm after its steps.
+    With val, a (queries, term) pair, it is scored by the validation error,
+    and its train loss is the batch-size-weighted mean of the objective
+    (data term plus penalty) that each step evaluated before it moved.
     Returns the best-scored epoch's coreset and the report.
     """
     init = init_coreset(P, cfg.coreset_size, cfg.seed)
@@ -207,14 +223,18 @@ def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
     best_score = np.inf
     best = init
     for epoch, batches in zip(range(cfg.epochs), schedule):
+        # each step's objective before it moves, and its batch size
+        stepped = []
         for step, idx in enumerate(batches):
             pen, pen_sign = penalty()
 
             def coeffs(costs):
                 value, d_costs = term(costs, idx)
-                if not np.isfinite(value + pen):
+                value += pen
+                if not np.isfinite(value):
                     raise NumericError(
                         f"non-finite training loss at epoch {epoch}, step {step}")
+                stepped.append((value, costs.shape[0]))
                 return d_costs
 
             _, d_pts, d_lab, d_wts = loss.weighted_grads(
@@ -229,9 +249,12 @@ def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
             adam_step(state, theta, grad, cfg.learning_rate)
             project_weights(wts, out=wts)
 
-        score = term(cost(qm), slice(None))[0] + penalty()[0]
-        report.train_losses.append(score)
-        if val is not None:
+        if val is None:
+            score = term(cost(qm), slice(None))[0] + penalty()[0]
+            report.train_losses.append(score)
+        else:
+            report.train_losses.append(
+                sum(v * k for v, k in stepped) / sum(k for _, k in stepped))
             val_qm, val_term = val
             score = val_term(cost(val_qm), slice(None))[0]
             report.val_errors.append(score)
@@ -298,7 +321,9 @@ def autocl_practical(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     dropped up front (the ratio is undefined there). The epoch with the
     lowest validation error is returned when validation queries above the
     floor are supplied, and the one with the lowest training objective
-    otherwise.
+    otherwise. report.train_losses then holds each epoch's minibatch
+    objective, averaged over its steps before they moved, or its objective
+    over all of Q_train after them: see TrainReport.
     """
     qm, f_p, n_dropped = floored(*scored(P, loss, Q_train))
     if n_dropped:

@@ -48,21 +48,23 @@ MC_BLOCK = 2 ** 14
 
 def hoeffding_k(eps: float, delta: float, M: float) -> int:
     """Samples needed so the mean cost deviates from its expectation by more
-    than eps with probability at most delta: ceil(2 M^2 ln(2/delta) / eps^2).
-    Where eps^2 underflows to 0 or the quotient overflows, k is not a finite
-    integer, and that is a ContractError too."""
+    than eps with probability at most delta: ceil(2 (M/eps)^2 ln(2/delta)),
+    and at least one. The ratio M/eps is squared, not M and eps apart, so
+    that neither square under- or overflows where the ratio does not. Where
+    (M/eps)^2 overflows, k is not a finite integer, and that is a
+    ContractError too."""
     if not 0 < eps < math.inf:
         raise ContractError(f"eps must be finite and > 0, got {eps!r}")
     if not 0 < delta < 1:
         raise ContractError("delta must be in (0, 1)")
     if not 0 < M < math.inf:
         raise ContractError(f"M must be finite and > 0, got {M!r}")
-    eps2 = eps * eps
-    k = 2.0 * M * M * math.log(2.0 / delta) / eps2 if eps2 else math.inf
+    r = M / eps
+    k = 2.0 * math.log(2.0 / delta) * r * r
     if not math.isfinite(k):
-        raise ContractError(f"sample size 2 M^2 ln(2/delta) / eps^2 is not a "
+        raise ContractError(f"sample size 2 (M/eps)^2 ln(2/delta) is not a "
                             f"finite integer at eps={eps!r}, M={M!r}")
-    return math.ceil(k)
+    return max(1, math.ceil(k))
 
 
 def claim2_k(eps: float, delta: float, M: float) -> int:

@@ -418,3 +418,124 @@ def test_filtered_training_queries_warn(linreg):
     with pytest.warns(UserWarning, match="near-zero"):
         _, report = autocl_practical(P, qm, None, linreg, cfg)
     assert report.filtered_train_queries == 1
+
+
+def _validated_run(kind):
+    """A small practical run with a validation split whose best epoch is
+    neither the first nor the last."""
+    rng = np.random.default_rng(15)
+    n, d = 40, 3
+    labels = rng.standard_normal(n)
+    if kind == "logistic_regression":
+        labels = np.where(labels < 0, -1.0, 1.0)
+    points = rng.standard_normal((n, d))
+    w = rng.random(n) + 0.1
+    P = WeightedLabeledSet(points, w / w.sum(), labels)
+    q_train, q_val = rng.standard_normal((30, d)), rng.standard_normal((10, d))
+    cfg = TrainConfig(coreset_size=5, epochs=12, learning_rate=0.2, lam=1.0,
+                      batch_size=7, seed=3,
+                      learn_weights=kind == "linear_regression")
+    return train(P, q_train, q_val, LossModel(kind), cfg)
+
+
+# SHA-256 of what a validated run returns, recorded with the learner that
+# still scored every epoch by a full pass over the training queries, before
+# train_losses came from the epoch's own steps (NumPy 2.4.6, OpenBLAS
+# 0.3.31, x86-64). What the run returns must not depend on train_losses.
+VALIDATED_RUN_SHA256 = {
+    "linear_regression":
+        "e6441e0b8f76033e962eefacba4b0bcfee9026854d8d9d2bae97993a9f36a3d2",
+    "logistic_regression":
+        "fc1583ad40f15568502c7e10e9cfac5226296636a407574338bd5f060b56f017",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALIDATED_RUN_SHA256))
+def test_validated_run_is_bit_identical(kind):
+    import hashlib
+    coreset, report = _validated_run(kind)
+    assert 0 < report.best_epoch < len(report.val_errors) - 1
+    h = hashlib.sha256()
+    for C in (coreset, report.final_coreset):
+        for a in (C.points, C.weights, C.labels):
+            h.update(np.ascontiguousarray(a).tobytes())
+    h.update(np.array(report.val_errors).tobytes())
+    h.update(str(report.best_epoch).encode())
+    assert h.hexdigest() == VALIDATED_RUN_SHA256[kind]
+
+
+def _objective(C, P, qm, loss, lam):
+    """C's mean |1 - f_C/f_P| over qm plus its weight-sum penalty, from
+    set_costs."""
+    from corelearn.core import set_costs
+    ratios = 1.0 - set_costs(C, loss, qm) / set_costs(P, loss, qm)
+    return float(np.mean(np.abs(ratios))) + lam * abs(P.weights.sum()
+                                                      - C.weights.sum())
+
+
+def test_validated_train_loss_is_the_steps_objective(linreg):
+    """With a validation split, an epoch's train loss is its steps' objective
+    before each step: with one batch of every query, the initial coreset's."""
+    rng = np.random.default_rng(16)
+    P = _random_set(rng)
+    qm, q_val = rng.standard_normal((9, 2)), rng.standard_normal((4, 2))
+    cfg = TrainConfig(coreset_size=3, epochs=1, learning_rate=0.2, lam=0.5,
+                      batch_size=9, seed=5)
+    _, report = train(P, qm, q_val, linreg, cfg)
+    init = init_coreset(P, cfg.coreset_size, cfg.seed)
+    want = _objective(init, P, qm, linreg, cfg.lam)
+    # the batch holds the queries in another order, so the costs' last bits
+    # may differ from set_costs'
+    assert report.train_losses == [pytest.approx(want, rel=1e-12)]
+    # the step moved the coreset: the objective after it is another number
+    after = _objective(report.final_coreset, P, qm, linreg, cfg.lam)
+    assert after != pytest.approx(want, rel=1e-6)
+
+
+def test_validated_train_loss_weights_batches_by_size(monkeypatch, linreg):
+    """Batches of 4, 4 and 1 queries: with no step taken, every epoch's train
+    loss is the mean over all queries, not over the three batch means."""
+    import corelearn.learner as ln
+    monkeypatch.setattr(ln, "adam_step", lambda *args: None)
+    rng = np.random.default_rng(17)
+    P = _random_set(rng)
+    qm, q_val = rng.standard_normal((9, 2)), rng.standard_normal((4, 2))
+    cfg = TrainConfig(coreset_size=3, epochs=3, lam=0.5, batch_size=4, seed=6)
+    _, report = train(P, qm, q_val, linreg, cfg)
+    init = init_coreset(P, cfg.coreset_size, cfg.seed)
+    want = _objective(init, P, qm, linreg, cfg.lam)
+    assert report.train_losses == [pytest.approx(want, rel=1e-12)] * 3
+
+
+@pytest.mark.parametrize("algorithm, val, passes", [
+    ("practical", "surviving", 0),
+    ("practical", None, 1),
+    ("practical", "floored", 1),
+    ("average", None, 1),
+])
+def test_full_training_pass_only_without_validation(monkeypatch, linreg,
+                                                    algorithm, val, passes):
+    """The coreset's costs over the whole training matrix are computed once
+    per epoch when they select the epoch, and never when a validation split
+    that survives the ratio floor does."""
+    rng = np.random.default_rng(18)
+    # labels 0: the data's cost is 0 at the query 0, below the ratio floor
+    P = WeightedLabeledSet(rng.standard_normal((12, 2)), np.full(12, 1 / 12),
+                           np.zeros(12))
+    qm = rng.standard_normal((10, 2))
+    q_val = {"surviving": rng.standard_normal((4, 2)),
+             "floored": np.zeros((4, 2)), None: None}[val]
+    cfg = TrainConfig(coreset_size=3, epochs=4, learning_rate=0.05, lam=1.0,
+                      batch_size=3, seed=7, algorithm=algorithm)
+    full = []
+    costs = LossModel.costs
+
+    def counted(self, points, labels, weights, queries):
+        if len(points) == cfg.coreset_size and np.array_equal(queries, qm):
+            full.append(1)
+        return costs(self, points, labels, weights, queries)
+
+    monkeypatch.setattr(LossModel, "costs", counted)
+    _, report = train(P, qm, q_val, linreg, cfg)
+    assert len(report.train_losses) == cfg.epochs
+    assert len(full) == passes * cfg.epochs

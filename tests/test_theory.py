@@ -105,6 +105,18 @@ def test_k_huge_but_finite_is_an_integer(capsys):
     assert f"k1={k}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("eps, M, k", [("0.1", "1e-200", 1), ("1e-300", "1e-300", 8)],
+                         ids=["M-squared-underflows", "both-squares-out-of-range"])
+def test_k_squares_the_ratio_of_M_and_eps(capsys, eps, M, k):
+    """k depends on M/eps alone: a sample of no draws is never sized, and a
+    ratio of 1 is sized ceil(2 ln 40) = 8 however small M and eps are."""
+    from corelearn.cli import main
+    assert hoeffding_k(float(eps), 0.05, float(M)) == k
+    assert claim2_k(float(eps), 0.05, float(M)) == k
+    assert main(["bounds", "--eps", eps, "--delta", "0.05", "--M", M]) == 0
+    assert f"k1={k} k2={k}" in capsys.readouterr().out
+
+
 def test_relate_eps():
     assert relate_eps(0.05, 2.0) == pytest.approx(0.1)
     assert relate_eps(0.0, 3.0) == 0.0
