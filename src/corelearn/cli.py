@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, baselines, evaluate, learner, queries, theory
-from .core import (ContractError, Coreset, MeasurableQuerySpace, Query,
-                   WeightedLabeledSet)
+from .core import ContractError, Coreset, MeasurableQuerySpace, WeightedLabeledSet
 from .datasets import (SYNTHETIC_TASKS, DatasetError, Schema, load_dataset,
-                       make_synthetic)
+                       make_synthetic, write_csv)
 from .evaluate import METHOD_LEARNED, METHOD_LEVERAGE, METHOD_UNIFORM
 from .learner import TrainConfig
 from .losses import LINEAR, LOGISTIC, LossModel
@@ -195,15 +194,10 @@ def train_config_from(cfg: dict, size: int) -> TrainConfig:
 
 
 def _save_coreset(coreset: Coreset, path):
-    cols = coreset.dim
-    with open(path, "w") as fh:
-        header = [f"x{i}" for i in range(cols)] + ["weight", "label"]
-        fh.write(",".join(header) + "\n")
-        for i in range(coreset.n):
-            row = [repr(float(v)) for v in coreset.points[i]]
-            row.append(repr(float(coreset.weights[i])))
-            row.append(repr(float(coreset.labels[i])))
-            fh.write(",".join(row) + "\n")
+    """One point per row: its features x0, x1, ..., its weight and label."""
+    header = [f"x{i}" for i in range(coreset.dim)] + ["weight", "label"]
+    write_csv(path, np.column_stack(
+        [coreset.points, coreset.weights, coreset.labels]), header)
 
 
 def _load_coreset(path) -> Coreset:
@@ -383,9 +377,8 @@ def _cmd_verify(args):
         raise ConfigError(f"--universe-size {args.universe_size} exceeds the "
                           f"pool size {pool.shape[0]}")
     rng_idx = np.linspace(0, pool.shape[0] - 1, args.universe_size).astype(int)
-    universe = tuple(Query(pool[i]) for i in rng_idx)
-    measure = np.full(len(universe), 1.0 / len(universe))
-    space = MeasurableQuerySpace(P, loss, universe, measure)
+    measure = np.full(len(rng_idx), 1.0 / len(rng_idx))
+    space = MeasurableQuerySpace(P, loss, pool[rng_idx], measure)
     M = theory.exact_set_M(space)
     eps = args.eps_frac * M
     res = theory.verify_claim1(space, eps, args.delta, trials=args.trials,

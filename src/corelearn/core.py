@@ -54,6 +54,14 @@ def _as_vector(x, name):
     return a
 
 
+def check_count(value, name) -> int:
+    """value as an int. A bool, or anything but an int or a NumPy integer,
+    is a ContractError naming the parameter."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 # Most results remember() keeps on one WeightedLabeledSet; the oldest goes
 # first. A sweep reads four: the costs of three query splits and f(P, q*). A
 # bounds-verify body of the benchmark reads five: the costs of the universe,
@@ -124,7 +132,7 @@ class Coreset(WeightedLabeledSet):
 
 @dataclass(frozen=True)
 class Query:
-    """A candidate model: one parameter vector evaluated against the data."""
+    """A candidate model: one parameter vector, array-like as that vector."""
 
     params: np.ndarray
 
@@ -134,9 +142,9 @@ class Query:
             raise ContractError("non-finite query parameters")
         object.__setattr__(self, "params", p)
 
-    @property
-    def dim(self):
-        return self.params.shape[0]
+    def __array__(self, dtype=None, copy=None):
+        a = np.asarray(self.params, dtype=dtype)
+        return a.copy() if copy else a
 
 
 # Buckets of the guide table that MeasurableQuerySpace.draw indexes its CDF
@@ -150,28 +158,33 @@ class MeasurableQuerySpace:
     """A dataset + loss + finite query universe + probability vector over it.
 
     The finite universe stands in for a general query distribution; it is the
-    representation under which expectations are exactly computable. Its
-    (size, d') query matrix is built once, at construction, and is read-only.
+    representation under which expectations are exactly computable. It is
+    kept as one read-only (size, d') matrix of any array-like of queries.
     """
 
     ground: WeightedLabeledSet
     loss: "object"  # LossModel; kept loose to avoid an import cycle
-    universe: tuple
+    universe: np.ndarray
     measure: np.ndarray
 
     def __post_init__(self):
-        universe = tuple(self.universe)
-        if len(universe) < 1:
-            raise ContractError("universe must be non-empty")
-        dim = universe[0].dim
-        for i, q in enumerate(universe):
-            if q.dim != dim:
-                raise ContractError(
-                    f"universe query {i} has dimension {q.dim}, query 0 has {dim}")
-        qm = np.stack([q.params for q in universe])
+        try:
+            qm = np.array(self.universe, dtype=float)
+        except ValueError as exc:  # a ragged sequence, or not numbers
+            dims = [np.size(q) for q in self.universe]
+            bad = [i for i, dim in enumerate(dims) if dim != dims[0]]
+            if not bad:
+                raise ContractError(f"universe is not numbers: {exc}") from None
+            raise ContractError(f"universe query {bad[0]} has dimension "
+                                f"{dims[bad[0]]}, query 0 has {dims[0]}") from None
+        if qm.ndim != 2 or qm.size == 0:
+            raise ContractError(f"universe must be a non-empty (size, d') "
+                                f"matrix, got shape {qm.shape}")
+        if not np.all(np.isfinite(qm)):
+            raise ContractError("non-finite entries in universe")
         qm.flags.writeable = False
         mu = _as_vector(self.measure, "measure")
-        if mu.shape[0] != len(universe):
+        if mu.shape[0] != qm.shape[0]:
             raise ContractError("measure length must match universe size")
         if not np.all(np.isfinite(mu)):
             raise ContractError("non-finite entries in measure")
@@ -185,25 +198,17 @@ class MeasurableQuerySpace:
         cdf /= cdf[-1]
         guide = cdf.searchsorted(
             np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS, side="right")
-        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "universe", qm)
         object.__setattr__(self, "measure", mu)
-        object.__setattr__(self, "_queries", qm)
         object.__setattr__(self, "_cdf", cdf)
         object.__setattr__(self, "_guide", guide)
-
-    @property
-    def size(self):
-        return len(self.universe)
-
-    def query_matrix(self) -> np.ndarray:
-        return self._queries
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Indices of i.i.d. draws from the measure, an int array of `shape`.
 
         Equal, draw for draw and in the generator's state afterwards, to
-        rng.choice(self.size, size=shape, p=self.measure): the same uniforms,
-        rng.random(shape), are mapped through the same CDF to
+        rng.choice(len(self.universe), size=shape, p=self.measure): the same
+        uniforms, rng.random(shape), are mapped through the same CDF to
         cdf.searchsorted(u, side="right"), the unique i with
         cdf[i - 1] <= u < cdf[i]. Instead of a binary search per uniform, a
         guide table (Chen & Asau, 1974) looks up the answer for the lower end
@@ -276,7 +281,7 @@ def floored(qm: np.ndarray, f_p: np.ndarray):
 
 def expected_cost(space: MeasurableQuerySpace) -> float:
     """Exact expectation of the total cost over the finite query universe."""
-    costs = scored(space.ground, space.loss, space.query_matrix())[1]
+    costs = scored(space.ground, space.loss, space.universe)[1]
     return float(np.sum(space.measure * costs))
 
 

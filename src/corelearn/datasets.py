@@ -1,4 +1,4 @@
-"""CSV dataset ingestion and synthetic stand-in generation."""
+"""CSV dataset ingestion, the one CSV writer, and synthetic stand-in generation."""
 
 from __future__ import annotations
 
@@ -147,6 +147,22 @@ def load_dataset(path, schema: Schema) -> WeightedLabeledSet:
             raise DatasetError(f"{path}: binary labels must be 0/1 or -1/+1")
     dataset = WeightedLabeledSet(pts, w, lab).normalized()
     return dataset
+
+
+def write_csv(path, rows, header=None):
+    """Write rows of cells, after an optional header, as csv lines ending in
+    "\n": a float (NumPy's too) as the repr of the Python float, so that it
+    reads back bit for bit, None as an empty cell, anything else as str."""
+    def cell(x):
+        if isinstance(x, float):
+            return repr(float(x))
+        return "" if x is None else str(x)
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows([cell(x) for x in row] for row in rows)
 
 
 def make_synthetic(task: str, n: int, d: int, noise: float = 0.1,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 import warnings
@@ -15,6 +14,7 @@ from . import baselines, learner
 from .core import (RATIO_FLOOR, Coreset, ContractError, DegenerateInputError,
                    WeightedLabeledSet, floored, remember, scored, set_cost,
                    set_costs)
+from .datasets import write_csv
 from .losses import LossModel
 
 METHOD_LEARNED = "learned"
@@ -116,18 +116,8 @@ class ResultTable:
         _write_csv(path, cols, agg)
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return "" if x is None else str(x)
-
-
 def _write_csv(path, cols, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in cols])
+    write_csv(path, ([row.get(c) for c in cols] for row in rows), cols)
 
 
 def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,

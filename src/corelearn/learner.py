@@ -48,7 +48,7 @@ import numpy as np
 
 # the benchmark harness imports RATIO_FLOOR from here
 from .core import (RATIO_FLOOR, Coreset, ContractError, NumericError,
-                   WeightedLabeledSet, floored, scored, stream_rng)
+                   WeightedLabeledSet, check_count, floored, scored, stream_rng)
 from .losses import LossModel
 
 # global-norm bound on each step's gradient
@@ -76,6 +76,8 @@ class TrainConfig:
     learn_weights: bool = True
 
     def __post_init__(self):
+        for name in ("coreset_size", "epochs", "batch_size", "seed"):
+            check_count(getattr(self, name), name)
         if self.coreset_size < 1:
             raise ContractError("coreset_size must be >= 1")
         if self.epochs < 1:

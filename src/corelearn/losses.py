@@ -7,9 +7,9 @@ gains one coordinate and all gradient formulas stay uniform.
 
 Each family is written once, in LossModel._link: the losses at predictions
 z = <p, q> and, on request, their derivatives w.r.t. z and the label. The
-values (pointwise, pointwise_matrix, blocks, costs), the coreset gradients
-(weighted_grads) and the query's cost and gradient (query_grad) are all
-built on it by the chain rule through z.
+values (pointwise_matrix, its one-query column pointwise, costs), the coreset
+gradients (weighted_grads) and the query's cost and gradient (query_grad) are
+all built on it by the chain rule through z.
 """
 
 from __future__ import annotations
@@ -99,11 +99,9 @@ class LossModel:
         return f, dz, db
 
     def pointwise(self, points, labels, q) -> np.ndarray:
-        """Per-point loss values f(p_i, b_i, q), shape (n,)."""
-        q = np.asarray(q, dtype=float)
-        a = self._features(points, q.shape[0])
-        labels = np.atleast_1d(np.asarray(labels, dtype=float))
-        return self._link(a @ q, labels)[0]
+        """Per-point losses f(p_i, b_i, q), shape (n,): pointwise_matrix at q."""
+        return self.pointwise_matrix(points, np.atleast_1d(labels),
+                                     np.reshape(q, (1, -1)))[:, 0]
 
     def pointwise_matrix(self, points, labels, queries) -> np.ndarray:
         """Loss values for every (point, query) pair, shape (n, k)."""
@@ -112,27 +110,20 @@ class LossModel:
         labels = np.asarray(labels, dtype=float)
         return self._link(a @ qm.T, labels[:, None])[0]
 
-    def blocks(self, points, labels, queries):
-        """pointwise_matrix over consecutive blocks of queries.
-
-        Yields (lo, block), where block is pointwise_matrix for the queries
-        from row lo on. A block holds at most BLOCK_ELEMENTS pairs, and at
-        least one query.
-        """
-        qm = np.atleast_2d(np.asarray(queries, dtype=float))
-        step = max(1, BLOCK_ELEMENTS // np.atleast_2d(points).shape[0])
-        for lo in range(0, qm.shape[0], step):
-            yield lo, self.pointwise_matrix(points, labels, qm[lo:lo + step])
-
     def costs(self, points, labels, weights, queries) -> np.ndarray:
         """Weighted total cost per query, weights @ pointwise_matrix, shape (k,).
 
-        The (n, k) loss matrix is never held whole: see blocks().
+        The (n, k) loss matrix is never held whole: see BLOCK_ELEMENTS.
         """
+        qm = np.atleast_2d(np.asarray(queries, dtype=float))
         weights = np.asarray(weights, dtype=float)
-        out = np.empty(np.atleast_2d(queries).shape[0])
-        for lo, block in self.blocks(points, labels, queries):
-            out[lo:lo + block.shape[1]] = weights @ block
+        step = max(1, BLOCK_ELEMENTS // np.atleast_2d(points).shape[0])
+        out = np.empty(qm.shape[0])
+        for lo in range(0, qm.shape[0], step):
+            # the old block is freed only after the next is built, which keeps
+            # glibc from trimming the heap and faulting it in again per block
+            block = self.pointwise_matrix(points, labels, qm[lo:lo + step])
+            out[lo:lo + step] = weights @ block
         return out
 
     # -- gradients ------------------------------------------------------

@@ -11,8 +11,10 @@ from .core import (
     ContractError,
     MeasurableQuerySpace,
     WeightedLabeledSet,
+    check_count,
     stream_rng,
 )
+from .datasets import write_csv
 from .losses import LossModel
 
 
@@ -40,9 +42,9 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
     plus the iterate after every step. A trajectory whose cost goes
     non-finite is truncated with a warning.
     """
-    if n_starts < 1:
+    if check_count(n_starts, "n_starts") < 1:
         raise ContractError("n_starts must be >= 1")
-    if steps_per_start < 0:
+    if check_count(steps_per_start, "steps_per_start") < 0:
         raise ContractError("steps_per_start must be >= 0")
     rng = stream_rng(seed, "trajectory_queries")
     dq = loss.query_dim(P.dim)
@@ -67,9 +69,14 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
 
 
 def split_queries(pool, sizes, seed: int = 0):
-    """Shuffle the pool by seed and slice into train/validation/test batches."""
+    """Shuffle the pool by seed and slice into train/validation/test batches
+    of the three integer sizes."""
     pool = np.atleast_2d(np.asarray(pool, dtype=float))
-    k_train, k_val, k_test = (int(s) for s in sizes)
+    sizes = tuple(sizes)
+    if len(sizes) != 3:
+        raise ContractError(f"split sizes must be three counts, got {sizes!r}")
+    k_train, k_val, k_test = (check_count(s, f"split size {i}")
+                              for i, s in enumerate(sizes))
     if min(k_train, k_val, k_test) < 0:
         raise ContractError("split sizes must be nonnegative")
     total = k_train + k_val + k_test
@@ -84,15 +91,12 @@ def split_queries(pool, sizes, seed: int = 0):
 
 def iid_sample(space: MeasurableQuerySpace, k: int, seed: int = 0) -> QueryBatch:
     """k independent draws (with replacement) from the finite query measure."""
-    if k < 1:
+    if check_count(k, "k") < 1:
         raise ContractError("k must be >= 1")
     rng = stream_rng(seed, "iid_sample")
-    return QueryBatch(space.query_matrix()[space.draw(rng, k)])
+    return QueryBatch(space.universe[space.draw(rng, k)])
 
 
 def save_pool_csv(pool, path):
     """One query per row, plain comma-separated floats."""
-    pool = np.atleast_2d(np.asarray(pool, dtype=float))
-    with open(path, "w") as fh:
-        for row in pool:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    write_csv(path, np.atleast_2d(np.asarray(pool, dtype=float)))

@@ -3,15 +3,17 @@
 Two sample-size formulas are provided: the plain one for approximating the
 expected full-data cost by a sample average, and the inflated (1+eps)M
 variant under which a weight-sum-matched coreset's expected cost lands
-within 3*eps of the data's. Both are verified empirically on finite query
-universes, where expectations are exact.
+within 3*eps of the data's. Both take one loss bound M, the max over queries
+of the data's total cost |f(P, w, q)|: exact_set_M over a finite universe,
+estimate_M over a pool. The formulas are verified empirically on finite
+query universes, where expectations are exact.
 
 The data's costs over a universe or a pool are read through core.scored,
 which keeps them on the data set: exact_set_M, expected_cost, verify_claim1,
-the data side of verify_claim2 and estimate_M(level="set") score one query
-matrix on one data set once between them, while the data set keeps it.
-Only a coreset's costs are computed here afresh, with set_costs. A
-QueryBatch may stand wherever a query matrix is taken.
+the data side of verify_claim2 and estimate_M score one query matrix on one
+data set once between them, while the data set keeps it. Only a coreset's
+costs are computed here afresh, with set_costs. A QueryBatch may stand
+wherever a query matrix is taken.
 
 The Monte-Carlo trials draw their queries through the universe's one sampler,
 MeasurableQuerySpace.draw: uniforms from the trial's generator, mapped to
@@ -84,29 +86,18 @@ def relate_eps(eps_ratio: float, M: float) -> float:
 M_SAFETY = 1.1
 
 
-def estimate_M(dataset, loss, query_pool, level: str = "point") -> float:
-    """Empirical loss bound over a query pool, times a 1.1 safety factor.
-
-    level="point": max over individual points and queries of |f(p, b, q)|.
-    level="set": max over queries of the weighted total cost.
-    A finite pool underestimates a true supremum, hence the safety factor.
+def estimate_M(dataset, loss, query_pool, level: str = "set") -> float:
+    """Empirical loss bound over a query pool, times a 1.1 safety factor:
+    the max over queries of the weighted total cost. level is "set", the
+    one level there is. A finite pool underestimates a true supremum, hence
+    the safety factor.
     """
+    if level != "set":
+        raise ContractError(f"unknown level {level!r}")
     qm = np.atleast_2d(np.asarray(query_pool, dtype=float))
     if qm.shape[0] < 1:
         raise ContractError("query pool must be non-empty")
-    if level == "point":
-        raw = _max_pointwise(dataset, loss, qm)
-    elif level == "set":
-        raw = float(np.max(np.abs(scored(dataset, loss, qm)[1])))
-    else:
-        raise ContractError(f"unknown level {level!r}")
-    return M_SAFETY * raw
-
-
-def _max_pointwise(dataset, loss, qm) -> float:
-    """max over points and queries of |f(p, b, q)|, one query block at a time."""
-    return max(float(np.max(np.abs(block)))
-               for _, block in loss.blocks(dataset.points, dataset.labels, qm))
+    return M_SAFETY * float(np.max(np.abs(scored(dataset, loss, qm)[1])))
 
 
 def _check_trials(trials):
@@ -131,7 +122,7 @@ def _trial_means(space, rng, trials, k, *costs):
 
 def exact_set_M(space: MeasurableQuerySpace) -> float:
     """True max of |f(set, w, q)| over a finite universe (no safety factor)."""
-    costs = scored(space.ground, space.loss, space.query_matrix())[1]
+    costs = scored(space.ground, space.loss, space.universe)[1]
     return float(np.max(np.abs(costs)))
 
 
@@ -166,7 +157,7 @@ def verify_claim1(space: MeasurableQuerySpace, eps: float, delta: float,
         # all costs zero: deviations are identically zero
         return Claim1Result(0.0, 0, 0.0, eps, delta, trials)
     k = hoeffding_k(eps, delta, M)
-    costs = scored(space.ground, space.loss, space.query_matrix())[1]
+    costs = scored(space.ground, space.loss, space.universe)[1]
     rng = stream_rng(seed, "verify_claim1")
     means, = _trial_means(space, rng, trials, k, costs)
     violations = int(np.count_nonzero(np.abs(means - expected_cost(space)) > eps))
@@ -197,19 +188,17 @@ def verify_claim2(P: WeightedLabeledSet, coreset: Coreset,
 
     Premise 1: |sum w - sum u| <= eps (exact).
     Premise 2: |avg_Q f(P) - avg_Q f(C)| <= eps on an i.i.d. sample of
-    k = claim2_k(eps, delta, M) queries.
+    k = claim2_k(eps, delta, M) queries, M by default max_q |f(P, q)|.
     If both hold, the expected costs under the finite measure must differ by
     less than 3*eps; since the expectations are exact, the violation rate is
     the same in every trial.
     """
     _check_trials(trials)
-    qm = space.query_matrix()
+    qm, costs_p = scored(P, space.loss, space.universe)
     if M is None:
-        M = max(_max_pointwise(P, space.loss, qm),
-                _max_pointwise(coreset, space.loss, qm))
+        M = float(np.max(np.abs(costs_p)))
     k = claim2_k(eps, delta, M)
 
-    costs_p = scored(P, space.loss, qm)[1]
     costs_c = set_costs(coreset, space.loss, qm)
     exp_gap = abs(float(np.sum(space.measure * (costs_p - costs_c))))
 

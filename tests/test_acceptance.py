@@ -173,7 +173,7 @@ def test_criterion_4_claim2_pipeline():
     f_p = np.array([set_cost(P, loss, q) for q in Q_train.array])
     f_c = np.array([set_cost(coreset, loss, q) for q in Q_train.array])
     eps2 = abs(float(np.mean(f_p)) - float(np.mean(f_c)))
-    qm_u = space.query_matrix()
+    qm_u = space.universe
     M = float(max(
         np.max(np.abs(loss.pointwise_matrix(P.points, P.labels, qm_u))),
         np.max(np.abs(loss.pointwise_matrix(

@@ -13,8 +13,11 @@ from corelearn.cli import (
     run_experiment,
     validate_config,
 )
+from corelearn import Coreset
+from corelearn.cli import _save_coreset
 from corelearn.datasets import DatasetError, Schema, load_dataset, make_synthetic
 from corelearn.learner import TrainConfig
+from corelearn.queries import save_pool_csv
 
 
 def _write_config(tmp_path, **overrides):
@@ -600,3 +603,20 @@ def test_cli_eval_rejects_bad_coreset(tmp_path, capsys, cell, match):
     assert main(["eval", "--config", str(path), "--coreset", str(coreset)]) == 1
     err = capsys.readouterr().err
     assert "line 3" in err and match in err
+
+
+def test_coreset_and_pool_csv_bytes(tmp_path):
+    # floats are written as the repr of a Python float, so they read back
+    # bit for bit; a coreset has a header, a pool has none
+    coreset = Coreset([[0.1, -2.0], [1.0 / 3.0, 1e-300]], [0.25, 0.75],
+                      [1.0, -1.5])
+    _save_coreset(coreset, tmp_path / "coreset.csv")
+    assert (tmp_path / "coreset.csv").read_bytes() == (
+        b"x0,x1,weight,label\n"
+        b"0.1,-2.0,0.25,1.0\n"
+        b"0.3333333333333333,1e-300,0.75,-1.5\n")
+    save_pool_csv(np.array([[0.1, -2.0, 3.0], [1.0 / 3.0, 1e-300, 5e20]]),
+                  tmp_path / "pool.csv")
+    assert (tmp_path / "pool.csv").read_bytes() == (
+        b"0.1,-2.0,3.0\n"
+        b"0.3333333333333333,1e-300,5e+20\n")

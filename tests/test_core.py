@@ -17,6 +17,7 @@ from corelearn import (
 )
 from corelearn.core import MEMO_ENTRIES, remember, scored
 from corelearn.losses import LossModel
+from corelearn.theory import exact_set_M
 
 
 def test_total_cost_exact_fit(linreg):
@@ -241,10 +242,40 @@ def test_measure_rejects_non_finite(tiny_set, linreg, bad):
 def test_universe_query_matrix_built_once(tiny_set, linreg):
     universe = (Query([1.0]), Query([2.0]))
     space = MeasurableQuerySpace(tiny_set, linreg, universe, [0.5, 0.5])
-    qm = space.query_matrix()
-    assert qm is space.query_matrix()
+    qm = space.universe
+    assert qm is space.universe
     assert np.array_equal(qm, [[1.0], [2.0]])
     assert not qm.flags.writeable
+
+
+def test_universe_of_queries_is_its_matrix(linreg):
+    rng = np.random.default_rng(12)
+    P = WeightedLabeledSet(rng.standard_normal((7, 2)), rng.random(7),
+                           rng.standard_normal(7))
+    qm = rng.standard_normal((9, 2))
+    mu = rng.dirichlet(np.ones(9))
+    of_queries = MeasurableQuerySpace(P, linreg, tuple(Query(q) for q in qm), mu)
+    of_matrix = MeasurableQuerySpace(P, linreg, qm, mu)
+    assert of_queries.universe.tobytes() == of_matrix.universe.tobytes()
+    assert of_matrix.universe.shape == (9, 2)
+    assert qm.flags.writeable  # the space keeps a copy
+    draws = [space.draw(np.random.default_rng(5), (3, 40))
+             for space in (of_queries, of_matrix)]
+    assert np.array_equal(*draws)
+    assert exact_set_M(of_queries) == exact_set_M(of_matrix)
+    assert expected_cost(of_queries) == expected_cost(of_matrix)
+
+
+@pytest.mark.parametrize("universe, message", [
+    ((), "non-empty"),
+    (np.zeros((0, 2)), "non-empty"),
+    ([1.0, 2.0], r"matrix, got shape \(2,\)"),
+    ([[1.0], [np.nan]], "non-finite entries in universe"),
+    ([["a"]], "not numbers"),
+])
+def test_universe_matrix_is_checked(tiny_set, linreg, universe, message):
+    with pytest.raises(ContractError, match=message):
+        MeasurableQuerySpace(tiny_set, linreg, universe, [1.0])
 
 
 def test_universe_rejects_mismatched_dimensions(tiny_set, linreg):
@@ -289,7 +320,7 @@ def test_draw_equals_generator_choice(shape):
         space = _space_with(mu)
         ours, ref = np.random.default_rng(i), np.random.default_rng(i)
         idx = space.draw(ours, shape)
-        expected = ref.choice(space.size, size=shape, p=space.measure)
+        expected = ref.choice(len(space.universe), size=shape, p=space.measure)
         assert idx.dtype == expected.dtype and idx.shape == expected.shape
         assert np.array_equal(idx, expected), (i, mu.shape)
         assert ours.random() == ref.random()  # same stream position after

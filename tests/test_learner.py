@@ -91,6 +91,14 @@ def test_train_config_rejects_non_finite_rates(field, name, bad):
         TrainConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("field", ["coreset_size", "epochs", "batch_size", "seed"])
+@pytest.mark.parametrize("bad", [2.5, True, "3"])
+def test_train_config_counts_are_integers(field, bad):
+    with pytest.raises(ContractError, match=f"{field} must be an integer"):
+        TrainConfig(**{field: bad})
+    assert getattr(TrainConfig(**{field: np.int64(3)}), field) == 3
+
+
 def test_average_fixed_point_zero_loss(linreg):
     rng = np.random.default_rng(4)
     P = _random_set(rng, n=6)

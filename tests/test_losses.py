@@ -176,10 +176,17 @@ def test_costs_match_full_matrix_across_blocks(monkeypatch, kind, intercept):
               if kind == "logistic_regression" else rng.standard_normal(n))
     w = rng.random(n)
     qm = rng.standard_normal((k, loss.query_dim(d)))
-    sizes = [block.shape[1] for _, block in loss.blocks(pts, labels, qm)]
-    assert sizes == [6, 6, 5]
-    got = loss.costs(pts, labels, w, qm)
     ref = w @ loss.pointwise_matrix(pts, labels, qm)
+    sizes = []
+    pointwise_matrix = LossModel.pointwise_matrix
+
+    def counting(self, points, labels, queries):
+        sizes.append(len(queries))
+        return pointwise_matrix(self, points, labels, queries)
+
+    monkeypatch.setattr(LossModel, "pointwise_matrix", counting)
+    got = loss.costs(pts, labels, w, qm)
+    assert sizes == [6, 6, 5]
     assert got.shape == (k,)
     assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 

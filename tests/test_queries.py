@@ -79,6 +79,28 @@ def test_split_insufficient_pool():
         split_queries(np.zeros((3, 2)), (2, 1, 1), seed=0)
 
 
+@pytest.mark.parametrize("sizes, message", [
+    ((2.5, 1, 1), "split size 0 must be an integer"),
+    ((1, True, 1), "split size 1 must be an integer"),
+    ((1, 2), "three counts"),
+    ((1, 1, 1, 1), "three counts"),
+])
+def test_split_sizes_are_three_integers(sizes, message):
+    with pytest.raises(ContractError, match=message):
+        split_queries(np.zeros((9, 2)), sizes, seed=0)
+    parts = split_queries(np.zeros((9, 2)), (np.int32(2), 1, 1), seed=0)
+    assert [p.array.shape[0] for p in parts] == [2, 1, 1]
+
+
+@pytest.mark.parametrize("args, name", [((2.5, 3), "n_starts"),
+                                        ((1, 3.0), "steps_per_start"),
+                                        ((True, 3), "n_starts")])
+def test_trajectory_counts_are_integers(linreg, args, name):
+    P = WeightedLabeledSet([[1.0]], [1.0], [0.0])
+    with pytest.raises(ContractError, match=f"{name} must be an integer"):
+        trajectory_queries(P, linreg, *args)
+
+
 def _uniform_space(linreg, queries):
     P = WeightedLabeledSet([[1.0]], [1.0], [0.0])
     universe = tuple(Query(np.atleast_1d(q)) for q in queries)
@@ -92,6 +114,14 @@ def test_iid_point_mass(linreg):
         (Query([2.0]),), [1.0])
     batch = iid_sample(space, 5, seed=1)
     assert np.allclose(batch.array, 2.0)
+
+
+@pytest.mark.parametrize("k", [2.5, True])
+def test_iid_k_is_an_integer(linreg, k):
+    space = _uniform_space(linreg, [1.0, 3.0])
+    with pytest.raises(ContractError, match="k must be an integer"):
+        iid_sample(space, k)
+    assert iid_sample(space, np.int64(4), seed=1).array.shape == (4, 1)
 
 
 def test_iid_single_draw_from_support(linreg):
@@ -145,9 +175,8 @@ def test_query_batch_is_its_query_matrix(linreg):
     assert np.array_equal(
         linreg.costs(P.points, P.labels, P.weights, batch),
         linreg.costs(P.points, P.labels, P.weights, batch.array))
-    for level in ("point", "set"):
-        assert (estimate_M(P, linreg, batch, level=level)
-                == estimate_M(P, linreg, batch.array, level=level))
+    assert (estimate_M(P, linreg, batch, level="set")
+            == estimate_M(P, linreg, batch.array, level="set"))
     assert np.asarray(batch) is batch.array
     copy = np.array(batch)
     assert np.array_equal(copy, batch.array)

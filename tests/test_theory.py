@@ -139,7 +139,7 @@ def _space_from_costs(linreg, target_costs, measure=None):
 
 def test_estimate_M(linreg):
     space = _space_from_costs(linreg, [4.0])
-    M = estimate_M(space.ground, linreg, space.query_matrix(), level="set")
+    M = estimate_M(space.ground, linreg, space.universe, level="set")
     assert M == pytest.approx(4.4)
 
 
@@ -171,10 +171,19 @@ def test_full_data_costs_are_scored_once_per_query_matrix(linreg, monkeypatch):
     C = Coreset(P.points.copy(), P.weights.copy(), P.labels.copy())
     verify_claim2(P, C, space, eps=0.5 * M, delta=0.1, trials=10, M=M)
     expected_cost(space)
-    assert scored_on_P == [space.query_matrix().tobytes()]
+    assert scored_on_P == [space.universe.tobytes()]
     err_avg(P, C, linreg, split)
     estimate_M(P, linreg, split, level="set")
-    assert scored_on_P == [space.query_matrix().tobytes(), split.array.tobytes()]
+    assert scored_on_P == [space.universe.tobytes(), split.array.tobytes()]
+
+
+@pytest.mark.parametrize("level", ["point", "Set", None])
+def test_estimate_M_has_one_level(linreg, level):
+    # the default is the set level; any other value is a ContractError
+    P = WeightedLabeledSet([[1.0], [2.0]], [0.5, 0.5], [0.0, 0.0])
+    assert estimate_M(P, linreg, [[2.0]]) == 1.1 * 10.0
+    with pytest.raises(ContractError, match="unknown level"):
+        estimate_M(P, linreg, [[2.0]], level=level)
 
 
 def test_estimate_M_zero_losses(linreg):
@@ -253,6 +262,17 @@ def test_claim2_sample_premise_violation(linreg):
     assert res.violation_rate is None
 
 
+def test_claim2_default_M_is_the_set_level_bound(linreg):
+    # costs of P at q = 1 and q = 2: 0.5 + 2 and 2 + 8; the largest cost of
+    # one point is 16, at p = 2, q = 2
+    P = WeightedLabeledSet([[1.0], [2.0]], [0.5, 0.5], [0.0, 0.0])
+    space = MeasurableQuerySpace(P, linreg, [[1.0], [2.0]], [0.5, 0.5])
+    C = Coreset(P.points.copy(), P.weights.copy(), P.labels.copy())
+    res = verify_claim2(P, C, space, eps=1.0, delta=0.1, trials=5, seed=0)
+    assert res.M == exact_set_M(space) == 10.0
+    assert res.k == claim2_k(1.0, 0.1, 10.0)
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_claims_reject_trials_below_one(linreg, trials):
     space = _space_from_costs(linreg, [1.0, 2.0])
@@ -268,26 +288,26 @@ def test_claims_reject_trials_below_one(linreg, trials):
 
 
 def _reference_claim1(space, eps, delta, trials, seed):
-    costs = set_costs(space.ground, space.loss, space.query_matrix())
+    costs = set_costs(space.ground, space.loss, space.universe)
     expect = float(np.sum(space.measure * costs))
     M = float(np.max(np.abs(costs)))
     k = hoeffding_k(eps, delta, M)
     rng = stream_rng(seed, "verify_claim1")
     violations = 0
     for _ in range(trials):
-        idx = rng.choice(space.size, size=k, p=space.measure)
+        idx = rng.choice(len(space.universe), size=k, p=space.measure)
         if abs(float(np.mean(costs[idx])) - expect) > eps:
             violations += 1
     return Claim1Result(violations / trials, k, M, eps, delta, trials)
 
 
 def _reference_premise2_gap(P, C, space, k, trials, seed):
-    costs_p = set_costs(P, space.loss, space.query_matrix())
-    costs_c = set_costs(C, space.loss, space.query_matrix())
+    costs_p = set_costs(P, space.loss, space.universe)
+    costs_c = set_costs(C, space.loss, space.universe)
     rng = stream_rng(seed, "verify_claim2")
     gaps = np.empty(trials)
     for t in range(trials):
-        idx = rng.choice(space.size, size=k, p=space.measure)
+        idx = rng.choice(len(space.universe), size=k, p=space.measure)
         gaps[t] = abs(float(np.mean(costs_p[idx]) - np.mean(costs_c[idx])))
     return float(np.median(gaps))
 
