@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Coreset, ContractError, WeightedLabeledSet, stream_rng
+from .core import (Coreset, ContractError, WeightedLabeledSet, check_count,
+                   stream_rng)
 from .losses import LINEAR, LossModel
 
 
@@ -17,7 +18,7 @@ def uniform_coreset(P: WeightedLabeledSet, m: int, seed: int = 0) -> Coreset:
     With these weights the coreset cost is an unbiased estimator of the full
     weighted cost at every query.
     """
-    if not 1 <= m <= P.n:
+    if not 1 <= check_count(m, "m") <= P.n:
         raise ContractError(f"need 1 <= m <= n, got m={m}, n={P.n}")
     rng = stream_rng(seed, "uniform_coreset")
     idx = rng.integers(0, P.n, size=m)
@@ -46,7 +47,7 @@ def leverage_scores(P: WeightedLabeledSet) -> np.ndarray:
 
 def leverage_coreset(P: WeightedLabeledSet, m: int, seed: int = 0) -> Coreset:
     """Importance sampling by leverage scores; weights w_i / (m * prob_i)."""
-    if not 1 <= m:
+    if check_count(m, "m") < 1:
         raise ContractError("m must be >= 1")
     if P.dim > P.n:
         raise ContractError("leverage sampling needs d <= n")

@@ -71,7 +71,7 @@ MEMO_ENTRIES = 8
 RATIO_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedLabeledSet:
     """A weighted labeled set (P, w, b): n points with per-point weights and
     labels. The data is one, and so is a coreset of it.
@@ -153,7 +153,7 @@ class Query:
 GUIDE_BUCKETS = 2 ** 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurableQuerySpace:
     """A dataset + loss + finite query universe + probability vector over it.
 

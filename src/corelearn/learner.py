@@ -1,28 +1,26 @@
 """Coreset learning by gradient descent.
 
-Two objectives are implemented over a training set of queries:
+Two objectives are implemented over a training set of queries. They differ
+only in their data term, each over a minibatch of queries:
 
-* average: | mean_q f(P,w,q) - mean_q f(C,u,q) | + lambda * |sum w - sum u|,
-  one full-batch step per epoch;
-* practical: sum over a minibatch of |1 - f(C,u,q)/f(P,w,q)|, plus the same
-  weight-sum penalty, one step per seeded minibatch.
+* average: | mean_q f(P,w,q) - mean_q f(C,u,q) |;
+* practical: mean_q |1 - f(C,u,q)/f(P,w,q)|;
 
-Both run through one training loop over one float64 vector that holds the
-coreset's points, weights and labels, and that only the loop sees. It
+and each adds lambda * |sum w - sum u|. Both run through one training loop
+over one float64 vector that holds the coreset's points, weights and
+labels, and that only the loop sees. The loop drops the training and
+validation queries whose full-data cost is at or below RATIO_FLOOR. It
 starts from m points of the data, weights 1/m, and learns the points, the
-labels and, unless cfg.learn_weights is off, the weights. Each step is Adam
-with bias correction, a global-norm gradient clip, and a clamp of the
-coreset weights to >= 0. Each epoch records a train loss, and the
-best-scored epoch is returned: by validation error when a validation split
-survives, by the training objective otherwise (always so for average, which
-takes no validation split). Where the training objective selects, the train
-loss is that objective over all training queries after the epoch's steps.
-Where validation selects, no such pass is made: the train loss is the mean
-of the objective values the epoch's steps computed anyway, each over its
-minibatch before its step, weighted by batch size. The loop hands
-out only Coresets built from the vector, the best epoch's and the final one
-(report.final_coreset), and a Coreset is a read-only copy, so no later step
-changes what it returned.
+labels and, unless cfg.learn_weights is off, the weights. An epoch takes a
+step per batch of a fresh seeded permutation of the queries, or one step
+on all of them in their given order when one batch holds them. Each step
+is Adam with bias correction, a global-norm gradient clip, and a clamp of
+the coreset weights to >= 0. The best-scored epoch is returned: by the
+data term over the validation queries when any survive the floor, by the
+training objective otherwise; TrainReport says what each epoch records.
+The loop hands out only Coresets built from the vector, the best epoch's
+and the final one (report.final_coreset), and a Coreset is a read-only
+copy, so no later step changes what it returned.
 The subgradient of |x| at 0 is taken as 0, so an exact copy of the data
 whose costs equal the data's bit for bit is a fixed point.
 
@@ -39,7 +37,6 @@ permutation, are not stable for subsets of a few columns and are slower.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -148,7 +145,7 @@ def project_weights(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def init_coreset(P: WeightedLabeledSet, m: int, seed: int) -> Coreset:
     """Starting coreset: m seeded points of P and their labels, weights 1/m."""
-    if m < 1:
+    if check_count(m, "m") < 1:
         raise ContractError("coreset size must be >= 1")
     rng = stream_rng(seed, "init_coreset")
     if m <= P.n:
@@ -163,11 +160,12 @@ class TrainReport:
     """Per-epoch record of one training run.
 
     train_losses[e] is the training objective at epoch e: over all training
-    queries after the epoch's steps when it selects the epoch (average, and
-    practical without a surviving validation split), and otherwise the
-    batch-size-weighted mean of its minibatch values, each taken before its
-    step. val_errors[e] is the validation error after epoch e, empty without
-    validation. best_epoch is the returned coreset's epoch.
+    queries after the epoch's steps when it selects the epoch (no validation
+    query survives the ratio floor), and otherwise the batch-size-weighted
+    mean of its minibatch values, each taken before its step. val_errors[e]
+    is the validation data term after epoch e, empty without validation.
+    best_epoch is the returned coreset's epoch. filtered_train_queries counts
+    the training queries dropped at the ratio floor.
     """
 
     train_losses: list = field(default_factory=list)
@@ -190,21 +188,32 @@ def _split(theta: np.ndarray, m: int, d: int):
     return theta[:m * d].reshape(m, d), theta[m * d:m * d + m], theta[m * d + m:]
 
 
-def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
-         cfg: TrainConfig, term, schedule, val=None):
+def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
+         cfg: TrainConfig, term_of):
     """Adam on the coreset (C, u, y), held as views into one float64 vector.
 
-    term(costs, idx) maps the coreset's costs on the queries qm[idx] to the
-    objective's data term and its derivative with respect to those costs;
-    the weight-sum penalty lam * |sum w - sum u| is added to it. schedule
-    yields each epoch's list of batches idx. Frozen weights get a zero
-    gradient, which Adam turns into a zero move. Without val, an epoch is
-    scored by its train loss, the objective over all of qm after its steps.
-    With val, a (queries, term) pair, it is scored by the validation error,
-    and its train loss is the batch-size-weighted mean of the objective
-    (data term plus penalty) that each step evaluated before it moved.
-    Returns the best-scored epoch's coreset and the report.
+    Q_train and Q_val are scored on P and floored at RATIO_FLOOR; dropped
+    training queries warn. term_of(f_p) is the data term against full-data
+    costs f_p: term(costs, idx) maps the coreset's costs on the queries
+    qm[idx] to the term and its derivative with respect to those costs, and
+    the weight-sum penalty lam * |sum w - sum u| is added to it. Frozen
+    weights get a zero gradient, which Adam turns into a zero move. An
+    epoch is scored by the validation data term when a validation query
+    survives, by its train loss otherwise (see TrainReport). Returns the
+    best-scored epoch's coreset and the report.
     """
+    qm, f_p, n_dropped = floored(*scored(P, loss, Q_train))
+    if n_dropped:
+        warnings.warn(
+            f"dropping {n_dropped} training queries with near-zero full-data cost")
+    if qm.shape[0] < 1:
+        raise ContractError("no usable training queries above the ratio floor")
+    term = term_of(f_p)
+    val = None
+    if Q_val is not None:
+        val_qm, f_p_val, _ = floored(*scored(P, loss, Q_val))
+        if val_qm.shape[0]:
+            val = (val_qm, term_of(f_p_val))
     init = init_coreset(P, cfg.coreset_size, cfg.seed)
     m, d = init.n, init.dim
     theta = np.concatenate([init.points.ravel(), init.weights, init.labels])
@@ -212,7 +221,7 @@ def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
     grad = np.zeros_like(theta)
     g_pts, g_wts, g_lab = _split(grad, m, d)
     state = OptimizerState.for_params(theta)
-    report = TrainReport()
+    report = TrainReport(filtered_train_queries=n_dropped)
     w_sum = float(np.sum(P.weights))
 
     def penalty():
@@ -224,6 +233,7 @@ def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
 
     best_score = np.inf
     best = init
+    schedule = _minibatches(qm.shape[0], cfg.batch_size, cfg.seed)
     for epoch, batches in zip(range(cfg.epochs), schedule):
         # each step's objective before it moves, and its batch size
         stepped = []
@@ -269,24 +279,29 @@ def _fit(P: WeightedLabeledSet, qm: np.ndarray, loss: LossModel,
     return best, report
 
 
-def autocl_average(P: WeightedLabeledSet, Q_train, loss: LossModel,
-                   cfg: TrainConfig):
-    """Learn a coreset minimizing the gap between average losses over Q_train.
+def _minibatches(k: int, batch_size: int, seed: int):
+    """Each epoch's batches: all k queries in their order as one batch when
+    batch_size >= k, otherwise a fresh seeded permutation of range(k),
+    chunked."""
+    # the stream keeps its old name: another would move practical's batches
+    rng = stream_rng(seed, "practical_batches")
+    while True:
+        if batch_size >= k:
+            yield [slice(None)]
+        else:
+            order = rng.permutation(k)
+            yield [order[lo:lo + batch_size] for lo in range(0, k, batch_size)]
 
-    One full-batch gradient step per epoch, scored after the step.
-    """
-    qm, f_p = scored(P, loss, Q_train)
-    if qm.shape[0] < 1:
-        raise ContractError("need at least one training query")
-    # the data-side average is constant across epochs; compute it once
-    f_p_avg = float(np.mean(f_p))
+
+def _gap_term(f_p):
+    """Average-loss gap |mean f_P - mean f_C| over the queries idx, against
+    full-data costs f_p; its subgradient in each cost is -sign/|idx|, 0 at
+    the kink."""
 
     def term(costs, idx):
-        diff = f_p_avg - float(np.mean(costs))
-        # subgradient of |diff|, 0 at the kink
+        diff = float(np.mean(f_p[idx])) - float(np.mean(costs))
         return abs(diff), np.full(costs.shape[0], -np.sign(diff) / costs.shape[0])
-
-    return _fit(P, qm, loss, cfg, term, itertools.repeat([slice(None)]))
+    return term
 
 
 def _ratio_term(f_p):
@@ -307,48 +322,29 @@ def _ratio_term(f_p):
     return term
 
 
-def _minibatches(k: int, batch_size: int, seed: int):
-    """Each epoch's batches: a fresh seeded permutation of range(k), chunked."""
-    rng = stream_rng(seed, "practical_batches")
-    while True:
-        order = rng.permutation(k)
-        yield [order[lo:lo + batch_size] for lo in range(0, k, batch_size)]
+def autocl_average(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
+                   cfg: TrainConfig):
+    """Learn a coreset minimizing the gap between average losses over Q_train
+    (see train)."""
+    return _fit(P, Q_train, Q_val, loss, cfg, _gap_term)
 
 
 def autocl_practical(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
                      cfg: TrainConfig):
-    """Learn a coreset minimizing the per-query relative error over Q_train.
-
-    Minibatched; queries whose full-data cost falls below RATIO_FLOOR are
-    dropped up front (the ratio is undefined there). The epoch with the
-    lowest validation error is returned when validation queries above the
-    floor are supplied, and the one with the lowest training objective
-    otherwise. report.train_losses then holds each epoch's minibatch
-    objective, averaged over its steps before they moved, or its objective
-    over all of Q_train after them: see TrainReport.
-    """
-    qm, f_p, n_dropped = floored(*scored(P, loss, Q_train))
-    if n_dropped:
-        warnings.warn(
-            f"dropping {n_dropped} training queries with near-zero full-data cost")
-    if qm.shape[0] < 1:
-        raise ContractError("no usable training queries above the ratio floor")
-    val = None
-    if Q_val is not None:
-        val_qm, f_p_val, _ = floored(*scored(P, loss, Q_val))
-        if val_qm.shape[0]:
-            val = (val_qm, _ratio_term(f_p_val))
-    batches = _minibatches(qm.shape[0], cfg.batch_size, cfg.seed)
-    coreset, report = _fit(P, qm, loss, cfg, _ratio_term(f_p), batches, val)
-    report.filtered_train_queries = n_dropped
-    return coreset, report
+    """Learn a coreset minimizing the per-query relative error over Q_train
+    (see train)."""
+    return _fit(P, Q_train, Q_val, loss, cfg, _ratio_term)
 
 
 def train(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel, cfg: TrainConfig):
-    """Dispatch on cfg.algorithm. Returns the best-scored epoch's coreset
-    and its TrainReport: practical scores by Q_val's error when any of it
-    survives the ratio floor, by the training objective otherwise; average
-    ignores Q_val and scores by its training objective."""
+    """Learn a coreset of P by cfg.algorithm's objective over Q_train.
+
+    Both objectives score and floor Q_train and Q_val at RATIO_FLOOR, step
+    through minibatches of cfg.batch_size (one of every query, in their
+    given order, when it holds them all), and return the best-scored
+    epoch's coreset and its TrainReport: by Q_val's data term when any of
+    it survives the floor, by the training objective otherwise.
+    """
     if cfg.algorithm == ALG_AVERAGE:
-        return autocl_average(P, Q_train, loss, cfg)
+        return autocl_average(P, Q_train, Q_val, loss, cfg)
     return autocl_practical(P, Q_train, Q_val, loss, cfg)

@@ -150,12 +150,11 @@ def verify_claim1(space: MeasurableQuerySpace, eps: float, delta: float,
     Uses the exact set-level M over the universe and the exact expectation;
     each trial samples k queries i.i.d. from the measure and tests whether
     the sample-average cost deviates from the expectation by more than eps.
+    A universe whose costs are all 0 has M = 0, which hoeffding_k rejects,
+    as verify_claim2 does through claim2_k.
     """
     _check_trials(trials)
     M = exact_set_M(space)
-    if M <= 0:
-        # all costs zero: deviations are identically zero
-        return Claim1Result(0.0, 0, 0.0, eps, delta, trials)
     k = hoeffding_k(eps, delta, M)
     costs = scored(space.ground, space.loss, space.universe)[1]
     rng = stream_rng(seed, "verify_claim1")

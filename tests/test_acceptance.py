@@ -165,7 +165,7 @@ def test_criterion_4_claim2_pipeline():
     Q_train = iid_sample(space, 60, seed=4)
     cfg = TrainConfig(coreset_size=6, epochs=400, learning_rate=0.01, lam=1.0,
                       batch_size=60, seed=4, algorithm="average")
-    coreset, _ = autocl_average(P, Q_train, loss, cfg)
+    coreset, _ = autocl_average(P, Q_train, None, loss, cfg)
 
     # measured slacks of the two premises, floored at a fraction of the
     # loss bound so the required sample size stays tractable

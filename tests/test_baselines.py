@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from corelearn import (
+    ContractError,
     WeightedLabeledSet,
+    init_coreset,
     leverage_coreset,
     set_cost,
     solve_optimal,
@@ -120,3 +122,16 @@ def test_logreg_separable_flags_nonconvergence(logreg):
     with pytest.warns(UserWarning):
         res = _solve_gd(P, logreg, max_iter=2000)
     assert not res.converged
+
+
+@pytest.mark.parametrize("build, m", [
+    (uniform_coreset, 1.5),
+    (leverage_coreset, 1.5),
+    (lambda P, m: init_coreset(P, m, 0), 1.5),
+    (uniform_coreset, True),
+], ids=["uniform", "leverage", "init", "uniform-bool"])
+def test_coreset_size_is_an_integer(build, m):
+    P = make_synthetic("linear", 10, 2, 0.3, seed=2)
+    with pytest.raises(ContractError, match=f"m must be an integer, got {m!r}"):
+        build(P, m)
+    assert build(P, np.int64(3)).n == 3

@@ -149,6 +149,19 @@ def test_set_arrays_are_read_only_copies(linreg):
     assert after[0] != before[0] and after[1] == before[1]
 
 
+def test_sets_and_spaces_compare_by_identity(tiny_set, linreg):
+    """Sets, coresets and query spaces hold arrays, so == is identity and
+    hash works, rather than an elementwise comparison that raises."""
+    C = Coreset(tiny_set.points, tiny_set.weights, tiny_set.labels)
+    space = MeasurableQuerySpace(tiny_set, linreg, [[1.0]], [1.0])
+    twin = MeasurableQuerySpace(tiny_set, linreg, [[1.0]], [1.0])
+    for a, b in ((tiny_set, tiny_set.normalized()), (C, C.normalized()),
+                 (space, twin)):
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+
 def test_memo_keeps_at_most_its_bound_dropping_the_oldest(tiny_set, linreg):
     rng = np.random.default_rng(9)
     for _ in range(3 * MEMO_ENTRIES):

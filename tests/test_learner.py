@@ -105,7 +105,7 @@ def test_average_fixed_point_zero_loss(linreg):
     qm = rng.standard_normal((5, 2))
     cfg = TrainConfig(coreset_size=6, epochs=3, learning_rate=0.01,
                       lam=1.0, batch_size=5, seed=0, algorithm="average")
-    coreset, report = autocl_average(P, qm, linreg, cfg)
+    coreset, report = autocl_average(P, qm, None, linreg, cfg)
     # cannot force the exact init, so check the invariant directly instead:
     # a coreset equal to the data has objective 0 and zero subgradient
     exact = Coreset(P.points.copy(), P.weights.copy(), P.labels.copy())
@@ -215,7 +215,7 @@ def test_weights_frozen_when_not_learned(linreg):
         if algorithm == "practical":
             _, report = autocl_practical(P, qm, None, linreg, cfg)
         else:
-            _, report = autocl_average(P, qm, linreg, cfg)
+            _, report = autocl_average(P, qm, None, linreg, cfg)
         coreset = report.final_coreset
         assert np.array_equal(coreset.weights, init.weights)
         assert not np.array_equal(coreset.points, init.points)
@@ -228,7 +228,7 @@ def test_average_scores_after_the_step(linreg):
     qm = rng.standard_normal((6, 2))
     cfg = TrainConfig(coreset_size=3, epochs=1, learning_rate=0.05, lam=1.0,
                       batch_size=6, seed=4, algorithm="average")
-    coreset, report = autocl_average(P, qm, linreg, cfg)
+    coreset, report = autocl_average(P, qm, None, linreg, cfg)
     init = init_coreset(P, 3, seed=4)
     assert report.best_epoch == 0
     assert not np.array_equal(coreset.points, init.points)
@@ -347,7 +347,7 @@ def test_one_point_problem_reaches_tiny_loss(linreg):
     qm = np.array([[0.5], [2.0]])
     cfg = TrainConfig(coreset_size=1, epochs=2000, learning_rate=0.01, lam=1.0,
                       batch_size=2, seed=0, algorithm="average")
-    coreset, report = autocl_average(P, qm, linreg, cfg)
+    coreset, report = autocl_average(P, qm, None, linreg, cfg)
     assert min(report.train_losses) < 1e-6
 
     # independent oracle: grid search over 1-point coresets confirms a
@@ -519,7 +519,9 @@ def test_validated_train_loss_weights_batches_by_size(monkeypatch, linreg):
     ("practical", "surviving", 0),
     ("practical", None, 1),
     ("practical", "floored", 1),
+    ("average", "surviving", 0),
     ("average", None, 1),
+    ("average", "floored", 1),
 ])
 def test_full_training_pass_only_without_validation(monkeypatch, linreg,
                                                     algorithm, val, passes):
@@ -547,3 +549,76 @@ def test_full_training_pass_only_without_validation(monkeypatch, linreg,
     _, report = train(P, qm, q_val, linreg, cfg)
     assert len(report.train_losses) == cfg.epochs
     assert len(full) == passes * cfg.epochs
+
+
+def test_average_selects_by_validation(linreg):
+    """average scores an epoch by the validation gap when a validation split
+    survives, and returns the best-scored epoch's coreset."""
+    from corelearn.core import set_costs
+    rng = np.random.default_rng(19)
+    P = _random_set(rng)
+    qm, q_val = rng.standard_normal((10, 2)), rng.standard_normal((4, 2))
+    cfg = TrainConfig(coreset_size=3, epochs=12, learning_rate=0.2, lam=1.0,
+                      batch_size=4, seed=8, algorithm="average")
+    coreset, report = train(P, qm, q_val, linreg, cfg)
+    assert len(report.val_errors) == len(report.train_losses) == cfg.epochs
+    assert report.best_epoch == int(np.argmin(report.val_errors))
+    assert report.best_epoch != int(np.argmin(report.train_losses))
+    gap = abs(np.mean(set_costs(P, linreg, q_val))
+              - np.mean(set_costs(coreset, linreg, q_val)))
+    assert gap == pytest.approx(report.val_errors[report.best_epoch], rel=1e-12)
+
+
+def test_average_steps_once_per_minibatch(monkeypatch, linreg):
+    """batch_size < k: ceil(k / b) Adam steps per epoch, on batches of b
+    queries and a last one of the rest."""
+    import corelearn.learner as ln
+    steps, batches = [], []
+    adam, grads = ln.adam_step, LossModel.weighted_grads
+
+    def counted(*args):
+        steps.append(1)
+        adam(*args)
+
+    def sized(self, points, labels, weights, queries, coeffs):
+        batches.append(len(queries))
+        return grads(self, points, labels, weights, queries, coeffs)
+
+    monkeypatch.setattr(ln, "adam_step", counted)
+    monkeypatch.setattr(LossModel, "weighted_grads", sized)
+    rng = np.random.default_rng(20)
+    P = _random_set(rng)
+    cfg = TrainConfig(coreset_size=3, epochs=3, learning_rate=0.05,
+                      batch_size=3, seed=9, algorithm="average")
+    train(P, rng.standard_normal((10, 2)), None, linreg, cfg)
+    assert len(steps) == 4 * cfg.epochs
+    assert batches == [3, 3, 3, 1] * cfg.epochs
+
+
+@pytest.mark.parametrize("algorithm", ["average", "practical"])
+@pytest.mark.parametrize("validated", [False, True])
+def test_one_batch_of_every_query_whatever_its_size(monkeypatch, linreg,
+                                                    algorithm, validated):
+    """Any batch_size >= k trains one batch of all queries in their given
+    order, as batch_size == k does."""
+    rng = np.random.default_rng(21)
+    P = _random_set(rng)
+    qm, q_val = rng.standard_normal((7, 2)), rng.standard_normal((4, 2))
+    grads = LossModel.weighted_grads
+
+    def in_order(self, points, labels, weights, queries, coeffs):
+        assert np.array_equal(queries, qm)
+        return grads(self, points, labels, weights, queries, coeffs)
+
+    monkeypatch.setattr(LossModel, "weighted_grads", in_order)
+    runs = [train(P, qm, q_val if validated else None, linreg,
+                  TrainConfig(coreset_size=3, epochs=5, learning_rate=0.05,
+                              batch_size=b, seed=10, algorithm=algorithm))
+            for b in (7, 8, 100)]
+    (want, want_report), rest = runs[0], runs[1:]
+    for coreset, report in rest:
+        assert report.to_dict() == want_report.to_dict()
+        for a, b in ((coreset, want),
+                     (report.final_coreset, want_report.final_coreset)):
+            for name in ("points", "weights", "labels"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))

@@ -9,13 +9,16 @@ from corelearn import (
     MeasurableQuerySpace,
     Query,
     QueryBatch,
+    TrainConfig,
     WeightedLabeledSet,
     claim2_k,
     err_avg,
     estimate_M,
     expected_cost,
     hoeffding_k,
+    iid_sample,
     relate_eps,
+    train,
     verify_claim1,
     verify_claim2,
 )
@@ -361,3 +364,35 @@ def test_claim2_equals_per_trial_choice(linreg, monkeypatch, block):
         assert res.premise2_gap > 0
         assert res.premise2_gap == _reference_premise2_gap(P, C, space, res.k,
                                                             33, seed)
+
+
+def test_claims_on_a_logistic_universe(logreg):
+    """The claims do not depend on the loss: on a logistic universe, claim 1
+    passes, and an average-trained coreset meets claim 2's premises with an
+    expectation gap below 3 eps."""
+    rng = np.random.default_rng(1005)
+    n = 30
+    w = rng.random(n)
+    P = WeightedLabeledSet(rng.standard_normal((n, 2)), w / w.sum(),
+                           np.where(rng.standard_normal(n) < 0, -1.0, 1.0))
+    space = MeasurableQuerySpace(P, logreg, rng.standard_normal((8, 2)),
+                                 rng.dirichlet(np.ones(8)))
+    eps = 0.05 * exact_set_M(space)
+    assert verify_claim1(space, eps, 0.05, trials=500, seed=1).passes()
+    cfg = TrainConfig(coreset_size=5, epochs=100, learning_rate=0.01, lam=1.0,
+                      batch_size=200, seed=3, algorithm="average")
+    coreset, _ = train(P, iid_sample(space, 200, seed=2), None, logreg, cfg)
+    res = verify_claim2(P, coreset, space, eps, 0.05, trials=50, seed=4)
+    assert res.ok, f"premise failed: {res.failed_premise}"
+    assert res.expectation_gap < 3.0 * eps
+
+
+def test_claims_agree_on_an_all_zero_cost_universe(linreg):
+    """Every cost 0 makes M = 0, which both claims reject."""
+    space = _space_from_costs(linreg, [0.0])
+    P = space.ground
+    C = Coreset(P.points.copy(), P.weights.copy(), P.labels.copy())
+    with pytest.raises(ContractError, match=r"M must be finite and > 0"):
+        verify_claim1(space, eps=0.1, delta=0.05, trials=10)
+    with pytest.raises(ContractError, match=r"M must be finite and > 0"):
+        verify_claim2(P, C, space, eps=0.1, delta=0.05, trials=10)
