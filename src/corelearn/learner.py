@@ -24,6 +24,12 @@ copy, so no later step changes what it returned.
 The subgradient of |x| at 0 is taken as 0, so an exact copy of the data
 whose costs equal the data's bit for bit is a fixed point.
 
+A step's arithmetic lives in LossModel._weighted_grads, the routine behind
+the checking public LossModel.weighted_grads. The loop checks and augments
+its arrays once per run, so each step is one call of that routine on the
+vector's views, writing the gradients into the gradient vector's views,
+then the clip, adam_step and the clamp.
+
 The practical objective widens that kink to a dead zone: a ratio
 |1 - f_C/f_P| at or below RATIO_DEAD_ZONE, a few ulps, gets sign 0. f_C and
 f_P of one query come from BLAS reductions whose last bit depends on the
@@ -223,10 +229,16 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     state = OptimizerState.for_params(theta)
     report = TrainReport(filtered_train_queries=n_dropped)
     w_sum = float(np.sum(P.weights))
+    # each step hands the checked arrays straight to the gradient routine:
+    # the features as the queries see them (with an intercept, a buffer
+    # whose last column is 1), the label column, and the gradient views to
+    # write (none for frozen weights, whose gradient stays 0)
+    feats = np.ones((m, d + 1)) if loss.intercept else pts
+    lab_col = lab[:, None]
+    out = (g_pts, g_lab, g_wts if cfg.learn_weights else None)
 
     def penalty():
-        gap = w_sum - float(np.sum(wts))
-        return abs(gap) * cfg.lam, np.sign(gap)
+        return abs(w_sum - float(wts.sum())) * cfg.lam
 
     def cost(queries):
         return loss.costs(pts, lab, wts, queries)
@@ -238,31 +250,28 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
         # each step's objective before it moves, and its batch size
         stepped = []
         for step, idx in enumerate(batches):
-            pen, pen_sign = penalty()
-
-            def coeffs(costs):
-                value, d_costs = term(costs, idx)
-                value += pen
-                if not np.isfinite(value):
-                    raise NumericError(
-                        f"non-finite training loss at epoch {epoch}, step {step}")
-                stepped.append((value, costs.shape[0]))
-                return d_costs
-
-            _, d_pts, d_lab, d_wts = loss.weighted_grads(
-                pts, lab, wts, qm[idx], coeffs)
-            g_pts[:] = d_pts
-            g_lab[:] = d_lab
+            gap = w_sum - float(wts.sum())
+            batch = qm[idx]
+            if loss.intercept:
+                feats[:, :d] = pts
+            _, value = loss._weighted_grads(feats, lab_col, wts, batch, term,
+                                            idx, out)
+            value += abs(gap) * cfg.lam
+            if not math.isfinite(value):
+                raise NumericError(
+                    f"non-finite training loss at epoch {epoch}, step {step}")
+            stepped.append((value, batch.shape[0]))
             if cfg.learn_weights:
-                g_wts[:] = d_wts - cfg.lam * pen_sign
-            norm = float(np.sqrt(grad @ grad))
+                # the penalty's subgradient, sign(gap) with sign(0) = 0
+                g_wts -= cfg.lam * ((gap > 0) - (gap < 0))
+            norm = math.sqrt(grad @ grad)
             if norm > GRAD_CLIP:
                 grad *= GRAD_CLIP / norm
             adam_step(state, theta, grad, cfg.learning_rate)
             project_weights(wts, out=wts)
 
         if val is None:
-            score = term(cost(qm), slice(None))[0] + penalty()[0]
+            score = term(cost(qm), slice(None))[0] + penalty()
             report.train_losses.append(score)
         else:
             report.train_losses.append(
@@ -299,8 +308,9 @@ def _gap_term(f_p):
     the kink."""
 
     def term(costs, idx):
-        diff = float(np.mean(f_p[idx])) - float(np.mean(costs))
-        return abs(diff), np.full(costs.shape[0], -np.sign(diff) / costs.shape[0])
+        k = costs.shape[0]
+        diff = float(np.add.reduce(f_p[idx]) / k) - float(np.add.reduce(costs) / k)
+        return abs(diff), np.full(k, -np.sign(diff) / k)
     return term
 
 
@@ -318,7 +328,7 @@ def _ratio_term(f_p):
         ratios = 1.0 - costs / f_p[idx]
         dev = np.abs(ratios)
         sign = np.where(dev > RATIO_DEAD_ZONE, np.sign(ratios), 0.0)
-        return float(np.mean(dev)), sign * slope[idx]
+        return float(np.add.reduce(dev) / dev.shape[0]), sign * slope[idx]
     return term
 
 

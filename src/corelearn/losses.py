@@ -10,10 +10,17 @@ z = <p, q> and, on request, their derivatives w.r.t. z and the label. The
 values (pointwise_matrix, its one-query column pointwise, costs), the coreset
 gradients (weighted_grads) and the query's cost and gradient (query_grad) are
 all built on it by the chain rule through z.
+
+The public entries convert and check their inputs: labels and weights must
+hold one entry per point, and a ContractError names the one that does not.
+The coreset gradients' arithmetic lives in LossModel._weighted_grads, which
+takes arrays that are already checked and augmented; weighted_grads is its
+checking entry, and the learner calls it directly once per step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +65,15 @@ class LossModel:
                 f"query dim {query_dim} does not match feature dim {a.shape[1]}"
             )
         return a
+
+    @staticmethod
+    def _per_point(name, values, n):
+        """values as a float array, which must hold one entry per point."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != (n,):
+            raise ContractError(
+                f"{name} have shape {values.shape}, expected ({n},): one per point")
+        return values
 
     def _link(self, z, labels, grad=False):
         """Losses f(z, b) at predictions z and labels b, which broadcast
@@ -107,7 +123,7 @@ class LossModel:
         """Loss values for every (point, query) pair, shape (n, k)."""
         qm = np.atleast_2d(np.asarray(queries, dtype=float))
         a = self._features(points, qm.shape[1])
-        labels = np.asarray(labels, dtype=float)
+        labels = self._per_point("labels", labels, a.shape[0])
         return self._link(a @ qm.T, labels[:, None])[0]
 
     def costs(self, points, labels, weights, queries) -> np.ndarray:
@@ -116,8 +132,10 @@ class LossModel:
         The (n, k) loss matrix is never held whole: see BLOCK_ELEMENTS.
         """
         qm = np.atleast_2d(np.asarray(queries, dtype=float))
-        weights = np.asarray(weights, dtype=float)
-        step = max(1, BLOCK_ELEMENTS // np.atleast_2d(points).shape[0])
+        n = np.atleast_2d(points).shape[0]
+        labels = self._per_point("labels", labels, n)
+        weights = self._per_point("weights", weights, n)
+        step = max(1, BLOCK_ELEMENTS // n)
         out = np.empty(qm.shape[0])
         for lo in range(0, qm.shape[0], step):
             # the old block is freed only after the next is built, which keeps
@@ -141,26 +159,57 @@ class LossModel:
         """
         qm = np.atleast_2d(np.asarray(queries, dtype=float))
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        labels = np.asarray(labels, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        d = points.shape[1]
-        z = self._features(points, qm.shape[1]) @ qm.T  # (m, k)
-        per_point, dz, db = self._link(z, labels[:, None], grad=True)
+        m, d = points.shape
+        labels = self._per_point("labels", labels, m)
+        weights = self._per_point("weights", weights, m)
+        k = qm.shape[0]
+
+        def term(costs, _idx):
+            c = np.asarray(coeffs(costs) if callable(coeffs) else coeffs,
+                           dtype=float)
+            if c.shape != (k,):
+                raise ContractError(
+                    f"coeffs have shape {c.shape}, expected ({k},): one per query")
+            return 0.0, c
+
+        out = (np.empty((m, d)), np.empty(m), np.empty(m))
+        costs, _ = self._weighted_grads(self._features(points, qm.shape[1]),
+                                        labels[:, None], weights, qm, term,
+                                        slice(None), out)
+        return (costs,) + out
+
+    def _weighted_grads(self, a, labels, weights, qm, term, idx, out):
+        """weighted_grads' arithmetic, on checked float arrays.
+
+        a: the (m, d') features as the queries see them (augmented), labels:
+        their (m, 1) column, weights: (m,), qm: the (k, d') batch of queries,
+        term(costs, idx): maps the batch's costs to (value, coeffs (k,)).
+        The gradients of sum_q coeffs_q * f(C, u, q) w.r.t. the points (the
+        first d columns of a), the labels and the weights are written into
+        out = (d_points (m, d), d_labels (m,), d_weights (m,) or None to
+        skip it), unless value is not finite. Returns (costs, value).
+        """
+        per_point, dz, db = self._link(a @ qm.T, labels, grad=True)
         costs = weights @ per_point
-        coeffs = np.asarray(coeffs(costs) if callable(coeffs) else coeffs,
-                            dtype=float)
+        value, coeffs = term(costs, idx)
+        if not math.isfinite(value):
+            return costs, value
+        d_points, d_labels, d_weights = out
         # sum_q coeffs_q * u_i * (d f_iq / d z_iq) * q
-        d_points = weights[:, None] * (dz @ (coeffs[:, None] * qm[:, :d]))
-        d_labels = weights * (db @ coeffs)
-        d_weights = per_point @ coeffs
-        return costs, d_points, d_labels, d_weights
+        np.matmul(dz, coeffs[:, None] * qm[:, :d_points.shape[1]], out=d_points)
+        d_points *= weights[:, None]
+        np.matmul(db, coeffs, out=d_labels)
+        d_labels *= weights
+        if d_weights is not None:
+            np.matmul(per_point, coeffs, out=d_weights)
+        return costs, value
 
     def query_grad(self, points, labels, weights, q) -> tuple[float, np.ndarray]:
         """Total cost sum_i w_i f(p_i, b_i, q) and its gradient w.r.t. the
         query vector, (cost, grad (d',)), from one pass over the points."""
         q = np.asarray(q, dtype=float)
         a = self._features(points, q.shape[0])
-        labels = np.asarray(labels, dtype=float)
-        weights = np.asarray(weights, dtype=float)
+        labels = self._per_point("labels", labels, a.shape[0])
+        weights = self._per_point("weights", weights, a.shape[0])
         f, dz, _ = self._link(a @ q, labels, grad=True)
         return float(weights @ f), a.T @ (weights * dz)

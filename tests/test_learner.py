@@ -268,8 +268,8 @@ def test_handed_out_coresets_are_read_only(monkeypatch, tmp_path, linreg):
 
 
 def _check_weights_nonnegative(monkeypatch, algorithm, loss, P, qm, m):
-    """Every weighted_grads call of a run sees nonnegative coreset weights,
-    and so do the returned coreset and the final iterate.
+    """Every step's gradient call sees nonnegative coreset weights, and so do
+    the returned coreset and the final iterate.
 
     The data's total weight is scaled to 0.01, a hundredth of the initial
     coreset's, so that both the data term and the weight-sum penalty push
@@ -279,17 +279,17 @@ def _check_weights_nonnegative(monkeypatch, algorithm, loss, P, qm, m):
     P = WeightedLabeledSet(P.points, 0.01 * P.weights / P.weights.sum(),
                            P.labels)
     seen, clamped = [], []
-    orig_grads, orig_project = LossModel.weighted_grads, ln.project_weights
+    orig_grads, orig_project = LossModel._weighted_grads, ln.project_weights
 
-    def checked(self, points, labels, weights, queries, coeffs):
+    def checked(self, a, labels, weights, queries, term, idx, out):
         seen.append(float(np.min(weights)))
-        return orig_grads(self, points, labels, weights, queries, coeffs)
+        return orig_grads(self, a, labels, weights, queries, term, idx, out)
 
     def project(u, out=None):
         clamped.append(bool(np.any(u < 0.0)))
         return orig_project(u, out=out)
 
-    monkeypatch.setattr(LossModel, "weighted_grads", checked)
+    monkeypatch.setattr(LossModel, "_weighted_grads", checked)
     monkeypatch.setattr(ln, "project_weights", project)
     cfg = TrainConfig(coreset_size=m, epochs=30, learning_rate=0.1, lam=2.0,
                       batch_size=5, seed=2, algorithm=algorithm)
@@ -574,18 +574,18 @@ def test_average_steps_once_per_minibatch(monkeypatch, linreg):
     queries and a last one of the rest."""
     import corelearn.learner as ln
     steps, batches = [], []
-    adam, grads = ln.adam_step, LossModel.weighted_grads
+    adam, grads = ln.adam_step, LossModel._weighted_grads
 
     def counted(*args):
         steps.append(1)
         adam(*args)
 
-    def sized(self, points, labels, weights, queries, coeffs):
+    def sized(self, a, labels, weights, queries, term, idx, out):
         batches.append(len(queries))
-        return grads(self, points, labels, weights, queries, coeffs)
+        return grads(self, a, labels, weights, queries, term, idx, out)
 
     monkeypatch.setattr(ln, "adam_step", counted)
-    monkeypatch.setattr(LossModel, "weighted_grads", sized)
+    monkeypatch.setattr(LossModel, "_weighted_grads", sized)
     rng = np.random.default_rng(20)
     P = _random_set(rng)
     cfg = TrainConfig(coreset_size=3, epochs=3, learning_rate=0.05,
@@ -604,17 +604,20 @@ def test_one_batch_of_every_query_whatever_its_size(monkeypatch, linreg,
     rng = np.random.default_rng(21)
     P = _random_set(rng)
     qm, q_val = rng.standard_normal((7, 2)), rng.standard_normal((4, 2))
-    grads = LossModel.weighted_grads
+    grads, calls = LossModel._weighted_grads, []
 
-    def in_order(self, points, labels, weights, queries, coeffs):
+    def in_order(self, a, labels, weights, queries, term, idx, out):
+        calls.append(1)
         assert np.array_equal(queries, qm)
-        return grads(self, points, labels, weights, queries, coeffs)
+        return grads(self, a, labels, weights, queries, term, idx, out)
 
-    monkeypatch.setattr(LossModel, "weighted_grads", in_order)
+    monkeypatch.setattr(LossModel, "_weighted_grads", in_order)
     runs = [train(P, qm, q_val if validated else None, linreg,
                   TrainConfig(coreset_size=3, epochs=5, learning_rate=0.05,
                               batch_size=b, seed=10, algorithm=algorithm))
             for b in (7, 8, 100)]
+    # one step per epoch of each run
+    assert len(calls) == 3 * 5
     (want, want_report), rest = runs[0], runs[1:]
     for coreset, report in rest:
         assert report.to_dict() == want_report.to_dict()
@@ -622,3 +625,163 @@ def test_one_batch_of_every_query_whatever_its_size(monkeypatch, linreg,
                      (report.final_coreset, want_report.final_coreset)):
             for name in ("points", "weights", "labels"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def _reference_fit(P, Q_train, Q_val, loss, cfg):
+    """The training loop as first written: every step goes through the
+    public weighted_grads with a closure for the data term, copies the
+    gradients into the flat vector, and reduces with np.mean and np.sum.
+    The lean loop in _fit must return what this returns, bit for bit."""
+    import warnings
+
+    import corelearn.learner as ln
+    from corelearn.core import NumericError, floored, scored
+
+    def gap_term(f_p):
+        def term(costs, idx):
+            diff = float(np.mean(f_p[idx])) - float(np.mean(costs))
+            return abs(diff), np.full(costs.shape[0],
+                                      -np.sign(diff) / costs.shape[0])
+        return term
+
+    def ratio_term(f_p):
+        slope = -1.0 / f_p
+
+        def term(costs, idx):
+            ratios = 1.0 - costs / f_p[idx]
+            dev = np.abs(ratios)
+            sign = np.where(dev > ln.RATIO_DEAD_ZONE, np.sign(ratios), 0.0)
+            return float(np.mean(dev)), sign * slope[idx]
+        return term
+
+    term_of = gap_term if cfg.algorithm == "average" else ratio_term
+    qm, f_p, n_dropped = floored(*scored(P, loss, Q_train))
+    if n_dropped:
+        warnings.warn(f"dropping {n_dropped} training queries")
+    term = term_of(f_p)
+    val = None
+    if Q_val is not None:
+        val_qm, f_p_val, _ = floored(*scored(P, loss, Q_val))
+        if val_qm.shape[0]:
+            val = (val_qm, term_of(f_p_val))
+    init = init_coreset(P, cfg.coreset_size, cfg.seed)
+    m, d = init.n, init.dim
+    theta = np.concatenate([init.points.ravel(), init.weights, init.labels])
+    pts, wts, lab = ln._split(theta, m, d)
+    grad = np.zeros_like(theta)
+    g_pts, g_wts, g_lab = ln._split(grad, m, d)
+    state = OptimizerState.for_params(theta)
+    report = ln.TrainReport(filtered_train_queries=n_dropped)
+    w_sum = float(np.sum(P.weights))
+
+    def penalty():
+        gap = w_sum - float(np.sum(wts))
+        return abs(gap) * cfg.lam, np.sign(gap)
+
+    def cost(queries):
+        return loss.costs(pts, lab, wts, queries)
+
+    best_score = np.inf
+    best = init
+    schedule = ln._minibatches(qm.shape[0], cfg.batch_size, cfg.seed)
+    for epoch, batches in zip(range(cfg.epochs), schedule):
+        stepped = []
+        for step, idx in enumerate(batches):
+            pen, pen_sign = penalty()
+
+            def coeffs(costs):
+                value, d_costs = term(costs, idx)
+                value += pen
+                if not np.isfinite(value):
+                    raise NumericError("non-finite training loss")
+                stepped.append((value, costs.shape[0]))
+                return d_costs
+
+            _, d_pts, d_lab, d_wts = loss.weighted_grads(
+                pts, lab, wts, qm[idx], coeffs)
+            g_pts[:] = d_pts
+            g_lab[:] = d_lab
+            if cfg.learn_weights:
+                g_wts[:] = d_wts - cfg.lam * pen_sign
+            norm = float(np.sqrt(grad @ grad))
+            if norm > ln.GRAD_CLIP:
+                grad *= ln.GRAD_CLIP / norm
+            adam_step(state, theta, grad, cfg.learning_rate)
+            project_weights(wts, out=wts)
+
+        if val is None:
+            score = term(cost(qm), slice(None))[0] + penalty()[0]
+            report.train_losses.append(score)
+        else:
+            report.train_losses.append(
+                sum(v * k for v, k in stepped) / sum(k for _, k in stepped))
+            val_qm, val_term = val
+            score = val_term(cost(val_qm), slice(None))[0]
+            report.val_errors.append(score)
+        if score < best_score:
+            best_score = score
+            best = Coreset(pts, wts, lab)
+            report.best_epoch = epoch
+
+    report.final_coreset = Coreset(pts, wts, lab)
+    return best, report
+
+
+@pytest.mark.parametrize("batch_size", [5, 12], ids=["batch<k", "batch>=k"])
+@pytest.mark.parametrize("validated", [False, True], ids=["no-val", "val"])
+@pytest.mark.parametrize("learn_weights", [True, False],
+                         ids=["weights", "frozen"])
+@pytest.mark.parametrize("algorithm", ["average", "practical"])
+@pytest.mark.parametrize("intercept", [False, True], ids=["no-icpt", "icpt"])
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+def test_lean_step_equals_reference_loop(kind, intercept, algorithm,
+                                         learn_weights, validated, batch_size):
+    """train returns what the reference loop returns, bit for bit: both
+    coresets and every report field, over every branch of a step."""
+    rng = np.random.default_rng(22)
+    n, d, k = 40, 2, 12
+    labels = rng.standard_normal(n)
+    if kind == "logistic_regression":
+        labels = np.where(labels < 0, -1.0, 1.0)
+    w = rng.random(n) + 0.1
+    P = WeightedLabeledSet(rng.standard_normal((n, d)), w / w.sum(), labels)
+    loss = LossModel(kind, intercept)
+    d_q = loss.query_dim(d)
+    qm = rng.standard_normal((k, d_q))
+    q_val = rng.standard_normal((5, d_q)) if validated else None
+    cfg = TrainConfig(coreset_size=4, epochs=6, learning_rate=0.1, lam=0.5,
+                      batch_size=batch_size, seed=11, algorithm=algorithm,
+                      learn_weights=learn_weights)
+    coreset, report = train(P, qm, q_val, loss, cfg)
+    want, want_report = _reference_fit(P, qm, q_val, loss, cfg)
+    assert len(report.val_errors) == (cfg.epochs if validated else 0)
+    assert report.to_dict() == want_report.to_dict()
+    # to_dict casts to float; the raw lists must hold the same Python floats
+    assert repr(report.train_losses) == repr(want_report.train_losses)
+    assert repr(report.val_errors) == repr(want_report.val_errors)
+    for got, ref in ((coreset, want),
+                     (report.final_coreset, want_report.final_coreset)):
+        for name in ("points", "weights", "labels"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+    # the run moved the coreset, so the comparison covers real steps
+    init = init_coreset(P, cfg.coreset_size, cfg.seed)
+    assert not np.array_equal(report.final_coreset.points, init.points)
+
+
+def test_non_finite_step_value_raises_before_the_step(monkeypatch, linreg):
+    """A data term that reads inf stops training with a NumericError that
+    names the step, before any gradient is formed or any Adam step taken."""
+    import corelearn.learner as ln
+    from corelearn.core import NumericError
+    steps = []
+    monkeypatch.setattr(ln, "adam_step", lambda *args: steps.append(1))
+    rng = np.random.default_rng(24)
+    P = _random_set(rng)
+    cfg = TrainConfig(coreset_size=3, epochs=2, batch_size=4, seed=12)
+
+    def term_of(f_p):
+        return lambda costs, idx: (np.inf, np.full(costs.shape[0], np.inf))
+
+    with pytest.raises(NumericError, match="epoch 0, step 0"):
+        ln._fit(P, rng.standard_normal((8, 2)), None, linreg, cfg, term_of)
+    assert steps == []

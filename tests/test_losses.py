@@ -239,3 +239,86 @@ def test_logistic_gradients_at_large_margin(margin):
     _, dq = loss.query_grad(pts, labels, w, q)
     fd_q = central_diff(lambda x: w @ loss.pointwise(pts, labels, x), q)
     assert rel_close(dq, fd_q, rtol=1e-5, floor=0.0)
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+def test_weighted_grads_is_the_private_routine_bit_for_bit(kind, intercept):
+    """The checking entry and the routine a training step calls give the
+    same bits, and both equal the gradients as first written: each product
+    formed into a fresh array, not into the caller's."""
+    rng = np.random.default_rng(23)
+    loss = LossModel(kind, intercept)
+    m, d, k = 6, 3, 8
+    pts = rng.standard_normal((m, d))
+    labels = rng.standard_normal(m)
+    w = rng.random(m)
+    qm = rng.standard_normal((k, loss.query_dim(d)))
+    coeffs = rng.standard_normal(k)
+    got = loss.weighted_grads(pts, labels, w, qm, coeffs)
+
+    # a training step's arrays: the features in one buffer, the gradients
+    # in views of one flat vector
+    feats = np.ones((m, loss.query_dim(d)))
+    feats[:, :d] = pts
+    grad = np.zeros(m * d + 2 * m)
+    out = (grad[:m * d].reshape(m, d), grad[m * d:m * d + m], grad[m * d + m:])
+    seen = []
+
+    def term(costs, idx):
+        seen.append(idx)
+        return 0.5, coeffs
+
+    costs, value = loss._weighted_grads(feats, labels[:, None], w, qm, term,
+                                        slice(None), out)
+    assert value == 0.5 and seen == [slice(None)]
+    for a, b in zip(got, (costs,) + out):
+        assert np.array_equal(a, b)
+
+    per_point, dz, db = loss._link(loss.augment(pts) @ qm.T, labels[:, None],
+                                   grad=True)
+    first = (w @ per_point, w[:, None] * (dz @ (coeffs[:, None] * qm[:, :d])),
+             w * (db @ coeffs), per_point @ coeffs)
+    for a, b in zip(got, first):
+        assert np.array_equal(a, b)
+
+
+def test_private_routine_skips_gradients_at_a_non_finite_value(linreg):
+    """A non-finite term value leaves the gradient buffers as they were."""
+    out = (np.full((2, 1), 7.0), np.full(2, 7.0), np.full(2, 7.0))
+    _, value = linreg._weighted_grads(np.ones((2, 1)), np.zeros((2, 1)),
+                                      np.ones(2), np.ones((3, 1)),
+                                      lambda costs, idx: (np.inf, costs),
+                                      slice(None), out)
+    assert value == np.inf
+    assert all(np.all(a == 7.0) for a in out)
+
+
+_PTS, _Q = np.ones((3, 2)), np.ones((5, 2))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda L: L.weighted_grads(_PTS, [1.0], np.ones(3), _Q, np.ones(5)),
+     "labels"),
+    (lambda L: L.costs(_PTS, [1.0], np.ones(3), _Q), "labels"),
+    (lambda L: L.query_grad(_PTS, [1.0], np.ones(3), _Q[0]), "labels"),
+    (lambda L: L.pointwise_matrix(_PTS, [1.0], _Q), "labels"),
+    (lambda L: L.weighted_grads(_PTS, np.ones(3), [1.0], _Q, np.ones(5)),
+     "weights"),
+    (lambda L: L.costs(_PTS, np.ones(3), [1.0], _Q), "weights"),
+    (lambda L: L.query_grad(_PTS, np.ones(3), [1.0], _Q[0]), "weights"),
+    (lambda L: L.weighted_grads(_PTS, np.ones(3), np.ones(3), _Q, np.ones(4)),
+     "coeffs"),
+    (lambda L: L.weighted_grads(_PTS, np.ones(3), np.ones(3), _Q,
+                                lambda costs: 1.0),
+     "coeffs"),
+], ids=["grads-labels", "costs-labels", "query_grad-labels",
+        "pointwise_matrix-labels", "grads-weights", "costs-weights",
+        "query_grad-weights", "grads-coeffs", "grads-scalar-coeffs"])
+def test_public_entries_reject_mismatched_shapes(call, name):
+    """One label or weight per point and one coefficient per query: anything
+    else is a ContractError that names the argument, never a label or
+    coefficient broadcast over the rest."""
+    for kind in ("linear_regression", "logistic_regression"):
+        with pytest.raises(ContractError, match=name):
+            call(LossModel(kind))
