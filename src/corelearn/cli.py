@@ -125,8 +125,7 @@ def validate_config(cfg: dict) -> None:
                                      for s in sweep["sizes"]):
         raise ConfigError(
             f"sweep.sizes must be integers >= 1, got {sweep['sizes']!r}")
-    bad = [m for m in sweep["methods"]
-           if m not in (METHOD_LEARNED, METHOD_UNIFORM, METHOD_LEVERAGE)]
+    bad = [m for m in sweep["methods"] if m not in evaluate.METHODS]
     if bad:
         raise ConfigError(f"unknown sweep methods: {bad}")
     if sweep["trials"] < 1:

@@ -109,6 +109,11 @@ class WeightedLabeledSet:
             object.__setattr__(self, name, a)
         object.__setattr__(self, "_memo", {})
 
+    def __reduce__(self):
+        """Pickle and copy the arrays alone: the set is rebuilt through its
+        constructor, read-only and keeping nothing."""
+        return type(self), (self.points, self.weights, self.labels)
+
     @property
     def n(self):
         return self.points.shape[0]

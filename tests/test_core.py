@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -147,6 +148,22 @@ def test_set_arrays_are_read_only_copies(linreg):
     _, after = scored(P, linreg, Q)
     assert np.array_equal(after, set_costs(P, linreg, Q))
     assert after[0] != before[0] and after[1] == before[1]
+
+
+@pytest.mark.parametrize("cls", [WeightedLabeledSet, Coreset])
+def test_a_pickled_set_keeps_its_contract(cls, linreg):
+    """A set crosses a process boundary (a sweep worker's final coresets)
+    as its arrays alone: it comes back read-only, equal, and keeping
+    nothing it computed before."""
+    S = cls([[1.0, 2.0], [3.0, 5.0]], [0.5, 1.5], [1.0, -2.0])
+    scored(S, linreg, np.array([[0.5, 0.5]]))
+    assert S._memo
+    copy = pickle.loads(pickle.dumps(S))
+    assert type(copy) is cls and copy is not S
+    for name in ("points", "weights", "labels"):
+        assert np.array_equal(getattr(copy, name), getattr(S, name))
+        assert not getattr(copy, name).flags.writeable
+    assert copy._memo == {}
 
 
 def test_sets_and_spaces_compare_by_identity(tiny_set, linreg):

@@ -1,8 +1,12 @@
-import numpy as np
-import pytest
-
+import multiprocessing
+import os
+import time
+import warnings
 from collections import Counter
 from dataclasses import replace
+
+import numpy as np
+import pytest
 
 from corelearn import (
     Coreset,
@@ -279,6 +283,61 @@ def test_sweep_scores_each_split_and_solves_the_data_once(linreg, monkeypatch):
         assert work.solved == {"P": 1}
 
 
+def _logged(monkeypatch, log, module, name, line=None):
+    """Wrap module.name, as a tracer wraps it, to append one line per call
+    to the file log: its name, or line(). A file, because a sweep's forked
+    workers call it too."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{name if line is None else line()}\n")
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _lines(log):
+    return Counter(log.read_text().split()) if log.exists() else Counter()
+
+
+def test_workers_read_the_work_kept_before_the_cells(linreg, monkeypatch,
+                                                     tmp_path):
+    """Across every process a sweep runs cells in, each split is scored on
+    P once and P is solved once: forked workers inherit what the sweep kept
+    on P before the cells started."""
+    log = tmp_path / "work.log"
+    splits = _scoring_splits()
+    P = make_synthetic("linear", 60, 2, 0.3, seed=23)
+    costs, solve = LossModel.costs, baselines.solve_optimal
+
+    def note(line):
+        with open(log, "a") as fh:
+            fh.write(f"{line}\n")
+
+    def counting_costs(model, points, labels, weights, queries):
+        if points is P.points:
+            note(next((name for name, split in splits.items()
+                       if np.array_equal(queries, split)), "one-query"))
+        return costs(model, points, labels, weights, queries)
+
+    def counting_solve(dataset, loss, *args, **kwargs):
+        if dataset.points is P.points:
+            note("solve")
+        return solve(dataset, loss, *args, **kwargs)
+
+    monkeypatch.setattr(LossModel, "costs", counting_costs)
+    monkeypatch.setattr(baselines, "solve_optimal", counting_solve)
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
+    table = sweep(P, linreg, [6, 9], METHODS, 2, 3, splits["train"],
+                  splits["val"], splits["test"], cfg)
+    assert all(row["ok"] for row in table.rows)
+    # one-query costs: f(P, q*) once, and each cell's err_opt at its
+    # coreset's optimum
+    assert _lines(log) == {"train": 1, "val": 1, "test": 1, "solve": 1,
+                           "one-query": 1 + 12}
+
+
 def test_public_calls_on_one_set_score_each_split_and_solve_once(linreg,
                                                                  monkeypatch):
     splits = _scoring_splits()
@@ -298,32 +357,24 @@ def test_public_calls_on_one_set_score_each_split_and_solve_once(linreg,
     assert work.solved == {"P": 1}
 
 
-def test_sweep_calls_the_public_operations_once_per_cell(linreg, monkeypatch):
-    """Wrapped by module attribute, as a tracer wraps them: every cell that
-    gets there calls train (learned cells), then err_opt, then err_avg."""
-    calls = Counter()
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(learner, "train")
-    counted(evaluate, "err_opt")
-    counted(evaluate, "err_avg")
+def test_sweep_calls_the_public_operations_once_per_cell(linreg, monkeypatch,
+                                                         tmp_path):
+    """Every cell that gets there calls train (learned cells), then err_opt,
+    then err_avg, in whichever process runs it."""
+    log = tmp_path / "calls.log"
+    for module, name in ((learner, "train"), (evaluate, "err_opt"),
+                         (evaluate, "err_avg")):
+        _logged(monkeypatch, log, module, name)
     P = make_synthetic("linear", 60, 2, 0.3, seed=23)
     splits = _scoring_splits()
     cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
     table = sweep(P, linreg, [6, 9], METHODS, 2, 3, splits["train"],
                   splits["val"], splits["test"], cfg)
     assert all(row["ok"] for row in table.rows)
-    assert calls == {"train": 4, "err_opt": 12, "err_avg": 12}
+    assert _lines(log) == {"train": 4, "err_opt": 12, "err_avg": 12}
 
     # a cell that fails in err_opt never reaches err_avg
-    calls.clear()
+    log.unlink()
     flat = WeightedLabeledSet([[1.0], [2.0]], [0.5, 0.5], [1.0, 2.0])
     Q = np.array([[0.5], [1.5], [3.0]])
     with pytest.warns(UserWarning, match="trial failed"):
@@ -331,7 +382,7 @@ def test_sweep_calls_the_public_operations_once_per_cell(linreg, monkeypatch):
                       replace(cfg, batch_size=1))
     assert [row["error"] for row in table.rows] == [
         "full-data optimum cost is zero; optimal-solution error undefined"] * 3
-    assert calls == {"train": 1, "err_opt": 3}
+    assert _lines(log) == {"train": 1, "err_opt": 3}
 
 
 def test_failed_scoring_is_raised_again(linreg, monkeypatch):
@@ -394,3 +445,113 @@ def test_sweep_records_filtered_train_split_per_learned_cell(logreg):
             assert row["error"] == "no usable training queries above the ratio floor"
         else:
             assert row["ok"], row["error"]
+
+
+@pytest.mark.parametrize("methods, n_trials, match", [
+    (["uniform"], 2.0, "n_trials must be an integer"),
+    (["uniform"], True, "n_trials must be an integer"),
+    (["uniform"], 0, "n_trials must be >= 1"),
+    (["uniform"], -1, "n_trials must be >= 1"),
+    (["uniform", "bogus", "learned"], 1, r"unknown sweep methods: \['bogus'\]"),
+], ids=["float", "bool", "zero", "negative", "unknown-method"])
+def test_sweep_rejects_bad_input_before_any_work(linreg, monkeypatch, methods,
+                                                 n_trials, match):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started work")
+
+    monkeypatch.setattr(baselines, "uniform_coreset", no_work)
+    monkeypatch.setattr(baselines, "solve_optimal", no_work)
+    P = make_synthetic("linear", 30, 2, 0.3, seed=8)
+    splits = _scoring_splits()
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match=match):
+            sweep(P, linreg, [5], methods, n_trials, 0, splits["train"],
+                  splits["val"], splits["test"], cfg)
+
+
+def _sweep_outputs(monkeypatch, tmp_path, cpus, args):
+    """All that a sweep over `cpus` usable CPUs returns and warns, but its
+    timings, and the processes its cells ran in."""
+    log = tmp_path / f"pids-{cpus}.log"
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+    with monkeypatch.context() as patch:
+        _logged(patch, log, evaluate, "_cell_seed", line=os.getpid)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table, reports = sweep(*args, collect_reports=True)
+    assert multiprocessing.active_children() == []
+    rows = [{k: v for k, v in row.items() if k != "wall_time_s"}
+            for row in table.rows]
+    kept = {}
+    for cell, report in reports.items():
+        final = report.final_coreset
+        assert not any(a.flags.writeable
+                       for a in (final.points, final.weights, final.labels))
+        kept[cell] = (report.to_dict(), final.points.tobytes(),
+                      final.weights.tobytes(), final.labels.tobytes())
+    shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+    return (rows, kept, shown), _lines(log)
+
+
+def _learning_sweep(kind, algorithm):
+    loss = LossModel(f"{kind}_regression")
+    P = make_synthetic(kind, 80, 2, 0.5, seed=21)
+    Q = np.random.default_rng(22).standard_normal((45, 2))
+    cfg = TrainConfig(epochs=4, batch_size=10, learning_rate=0.05, lam=1.0,
+                      algorithm=algorithm)
+    return (P, loss, [12, 20], METHODS, 2, 7, Q[:30], Q[30:37], Q[37:], cfg)
+
+
+def _failing_sweep():
+    # test_sweep_records_failures' 1-point set: leverage sampling fails on it
+    P = WeightedLabeledSet([[1.0, 2.0]], [1.0], [3.0])
+    Q = np.array([[0.5, 0.5], [1.0, -1.0]])
+    cfg = TrainConfig(coreset_size=1, epochs=2, batch_size=1,
+                      learning_rate=0.02, seed=0)
+    return (P, LossModel("linear_regression"), [1], ["uniform", "leverage"], 2,
+            0, Q, None, Q, cfg)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _learning_sweep("linear", "practical"),
+    lambda: _learning_sweep("logistic", "average"),
+    _failing_sweep,
+], ids=["linear-practical", "logistic-average", "failing-cell"])
+def test_parallel_sweep_equals_serial(monkeypatch, tmp_path, make):
+    serial, pids = _sweep_outputs(monkeypatch, tmp_path, 1, make())
+    assert set(pids) == {str(os.getpid())}
+    rows = serial[0]
+    if make is _failing_sweep:
+        # cells 1 and 3 make the second share, a worker's
+        assert not rows[3]["ok"] and rows[3]["method"] == "leverage"
+        assert any("trial failed (1, leverage, 1)" in w[0] for w in serial[2])
+    for cpus in (2, 3):
+        parallel, pids = _sweep_outputs(monkeypatch, tmp_path, cpus, make())
+        assert len(pids) == cpus and sum(pids.values()) == len(rows)
+        assert parallel == serial
+
+
+def test_a_dead_worker_is_an_error_not_a_hang(linreg, monkeypatch):
+    parent = os.getpid()
+    uniform = baselines.uniform_coreset
+
+    def dying(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return uniform(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "uniform_coreset", dying)
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+    P = make_synthetic("linear", 60, 2, 0.3, seed=23)
+    splits = _scoring_splits()
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
+    t0 = time.monotonic()
+    with pytest.raises(evaluate.WorkerLostError) as lost:
+        sweep(P, linreg, [6], ["uniform"], 2, 3, splits["train"],
+              splits["val"], splits["test"], cfg)
+    assert time.monotonic() - t0 < 30
+    assert "(6, 'uniform', 1)" in str(lost.value)
+    assert "(6, 'uniform', 0)" not in str(lost.value)
+    assert multiprocessing.active_children() == []
