@@ -47,8 +47,7 @@ def leverage_scores(P: WeightedLabeledSet) -> np.ndarray:
 
 def leverage_coreset(P: WeightedLabeledSet, m: int, seed: int = 0) -> Coreset:
     """Importance sampling by leverage scores; weights w_i / (m * prob_i)."""
-    if check_count(m, "m") < 1:
-        raise ContractError("m must be >= 1")
+    check_count(m, "m", 1)
     if P.dim > P.n:
         raise ContractError("leverage sampling needs d <= n")
     scores = leverage_scores(P)

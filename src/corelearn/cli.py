@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, baselines, evaluate, learner, queries, theory
-from .core import ContractError, Coreset, MeasurableQuerySpace, WeightedLabeledSet
+from .core import (ContractError, Coreset, MeasurableQuerySpace,
+                   WeightedLabeledSet, check_count, check_real)
 from .datasets import (SYNTHETIC_TASKS, DatasetError, Schema, load_dataset,
-                       make_synthetic, write_csv)
+                       make_synthetic, parse_rows, read_rows, write_csv)
 from .evaluate import METHOD_LEARNED, METHOD_LEVERAGE, METHOD_UNIFORM
 from .learner import TrainConfig
 from .losses import LINEAR, LOGISTIC, LossModel
@@ -128,8 +129,10 @@ def validate_config(cfg: dict) -> None:
     bad = [m for m in sweep["methods"] if m not in evaluate.METHODS]
     if bad:
         raise ConfigError(f"unknown sweep methods: {bad}")
-    if sweep["trials"] < 1:
-        raise ConfigError("sweep.trials must be >= 1")
+    try:
+        check_count(sweep["trials"], "sweep.trials", 1)
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from exc
     split = cfg["queries"]["split"]
     if len(split) != 3 or not all(type(s) is int and s >= 0 for s in split):
         raise ConfigError(
@@ -174,7 +177,7 @@ def resolve_dataset(cfg: dict) -> tuple[WeightedLabeledSet, LossModel]:
         try:
             data = make_synthetic(synth["task"], synth["n"], synth["d"],
                                   synth["noise"], seed=cfg["seed"])
-        except DatasetError as exc:
+        except (DatasetError, ContractError) as exc:
             raise ConfigError(f"dataset.synth: {exc}") from exc
         kind = SYNTHETIC_TASKS[synth["task"]]
     loss = LossModel(kind, intercept=ds["intercept"])
@@ -200,32 +203,19 @@ def _save_coreset(coreset: Coreset, path):
 
 
 def _load_coreset(path) -> Coreset:
-    """Read a coreset CSV as written by _save_coreset (x..., weight, label).
-
-    A malformed file, a non-finite cell or a negative weight is a
-    DatasetError naming the line and column, and weights that are all zero
-    are one naming the file.
-    """
-    try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise DatasetError(f"cannot read coreset {path}: {exc}") from exc
-    if raw.shape[0] < 1 or raw.shape[1] < 3:
-        raise DatasetError(
-            f"{path}: need at least one row of features, weight and label")
-    bad = np.argwhere(~np.isfinite(raw))
-    if bad.size:
-        row, col = bad[0]
-        raise DatasetError(
-            f"{path}: line {row + 2}: column {col + 1}: non-finite value")
-    negative = np.flatnonzero(raw[:, -2] < 0)
-    if negative.size:
-        raise DatasetError(
-            f"{path}: line {negative[0] + 2}: negative weight {raw[negative[0], -2]!r}")
-    if not np.any(raw[:, -2] > 0):
-        raise DatasetError(
-            f"{path}: weights are all zero; the coreset has no optimal solution")
-    return Coreset(raw[:, :-2], raw[:, -2], raw[:, -1])
+    """Read a coreset CSV as written by _save_coreset (x..., weight, label)
+    with the dataset reader, datasets.parse_rows: the header names the
+    columns, the last two the weight and the label. A malformed file, a
+    non-finite cell, a negative weight or a row whose width is not the
+    header's is a DatasetError naming the line and column, and weights
+    that are all zero are one naming the file."""
+    rows = read_rows(path)
+    header = [h.strip() for h in rows[0]] if rows else []
+    if len(header) < 3:
+        raise DatasetError(f"{path}: the header must name the features, the "
+                           f"weight and the label, got {header!r}")
+    return Coreset(*parse_rows(path, rows, Schema(
+        header[:-2], label=header[-1], weight=header[-2], has_header=True)))
 
 
 def _prepare(config_path, seed=None):
@@ -347,8 +337,7 @@ def _cmd_gen_queries(args):
 def _cmd_bounds(args):
     if not 0 < args.delta < 1:
         raise ConfigError("delta must be in (0, 1)")
-    if args.eps <= 0:
-        raise ConfigError("eps must be > 0")
+    check_real(args.eps, "eps")
     if args.estimate_M:
         if not args.config:
             raise ConfigError("--estimate-M requires --config")
@@ -366,10 +355,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_verify(args):
-    if args.trials < 1:
-        raise ConfigError("--trials must be >= 1")
-    if args.universe_size < 1:
-        raise ConfigError("--universe-size must be >= 1")
+    check_count(args.trials, "--trials", 1)
+    check_count(args.universe_size, "--universe-size", 1)
     cfg, P, loss = _prepare(args.config, args.seed)
     pool = _pool(cfg, P, loss)
     if args.universe_size > pool.shape[0]:

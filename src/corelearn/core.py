@@ -6,6 +6,8 @@ weights @ values, and set_costs is the one checked way to a set's cost.
 
 from __future__ import annotations
 
+import math
+import numbers
 import zlib
 from dataclasses import dataclass
 
@@ -54,12 +56,27 @@ def _as_vector(x, name):
     return a
 
 
-def check_count(value, name) -> int:
-    """value as an int. A bool, or anything but an int or a NumPy integer,
-    is a ContractError naming the parameter."""
+def check_count(value, name, low=None) -> int:
+    """value as an int, at least low when low is given. A bool, anything
+    but an int or a NumPy integer, or a count below low is a ContractError
+    naming the parameter."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ContractError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ContractError(f"{name} must be >= {low}, got {value!r}")
     return int(value)
+
+
+def check_real(value, name, closed=False) -> float:
+    """value as a float: a real number, finite and > 0, or >= 0 when
+    closed. An int passes; a bool, a non-number, a NaN, an infinity or a
+    value out of range is a ContractError naming the parameter."""
+    bound = ">= 0" if closed else "> 0"
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        x = float(value)
+        if math.isfinite(x) and (x >= 0 if closed else x > 0):
+            return x
+    raise ContractError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 # Most results remember() keeps on one WeightedLabeledSet; the oldest goes

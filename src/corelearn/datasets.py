@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import WeightedLabeledSet, stream_rng
+from .core import WeightedLabeledSet, check_count, check_real, stream_rng
 from .losses import LINEAR, LOGISTIC
 
 
@@ -60,80 +61,11 @@ class Schema:
 
 
 def load_dataset(path, schema: Schema) -> WeightedLabeledSet:
-    """Parse a CSV file into a weighted labeled set.
-
-    Rows with missing or non-numeric cells, and negative weights, produce
-    errors naming the offending line and column; weights that are all zero
-    are an error naming the file. Weights default to 1/n when no weight
-    column is given. Standardization (per-feature mean 0, variance 1)
-    is applied when requested.
+    """Parse a CSV file into a weighted labeled set: parse_rows' columns,
+    standardized (per-feature mean 0, variance 1) when requested, labels
+    mapped to -1/+1 for binary_label, weights normalized to sum 1.
     """
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if schema.has_header:
-        if not rows:
-            raise DatasetError(f"{path}: empty file")
-        header = [h.strip() for h in rows[0]]
-        rows = rows[1:]
-        col_index = {name: i for i, name in enumerate(header)}
-        for name in [*schema.features, schema.label, schema.weight]:
-            if header.count(name) > 1:
-                raise DatasetError(
-                    f"{path}: column {name!r} occurs {header.count(name)} "
-                    "times in the header")
-    else:
-        col_index = None
-    if not rows:
-        raise DatasetError(f"{path}: no data rows")
-
-    def col(name, row, line_no):
-        if col_index is not None:
-            if name not in col_index:
-                raise DatasetError(f"{path}: missing column {name!r}")
-            i = col_index[name]
-        else:
-            i = int(name)
-        if i >= len(row):
-            raise DatasetError(f"{path}: line {line_no}: missing column {name!r}")
-        cell = row[i].strip()
-        try:
-            value = float(cell)
-        except ValueError as exc:
-            raise DatasetError(
-                f"{path}: line {line_no}: column {name!r}: non-numeric cell {cell!r}"
-            ) from exc
-        if not np.isfinite(value):
-            raise DatasetError(
-                f"{path}: line {line_no}: column {name!r}: non-finite value {cell!r}")
-        return value
-
-    points, labels, weights = [], [], []
-    offset = 2 if schema.has_header else 1
-    for j, row in enumerate(rows):
-        line_no = j + offset
-        if not row or all(not c.strip() for c in row):
-            continue
-        points.append([col(f, row, line_no) for f in schema.features])
-        labels.append(col(schema.label, row, line_no))
-        if schema.weight is not None:
-            weights.append(col(schema.weight, row, line_no))
-            if weights[-1] < 0:
-                raise DatasetError(f"{path}: line {line_no}: column "
-                                   f"{schema.weight!r}: negative weight {weights[-1]!r}")
-    if not points:
-        raise DatasetError(f"{path}: no data rows")
-    if weights and not any(weights):
-        raise DatasetError(f"{path}: weights are all zero")
-    pts = np.array(points)
-    lab = np.array(labels)
-    n = pts.shape[0]
-    w = np.array(weights) if weights else np.full(n, 1.0)
-
+    pts, w, lab = parse_rows(path, read_rows(path), schema)
     if schema.standardize:
         mean = pts.mean(axis=0)
         std = pts.std(axis=0)
@@ -145,8 +77,81 @@ def load_dataset(path, schema: Schema) -> WeightedLabeledSet:
             lab = 2.0 * lab - 1.0
         elif not vals <= {-1.0, 1.0}:
             raise DatasetError(f"{path}: binary labels must be 0/1 or -1/+1")
-    dataset = WeightedLabeledSet(pts, w, lab).normalized()
-    return dataset
+    return WeightedLabeledSet(pts, w, lab).normalized()
+
+
+def read_rows(path) -> list:
+    """The CSV file's rows, each a list of cells; a file that cannot be
+    read is a DatasetError."""
+    try:
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc}") from exc
+
+
+def parse_rows(path, rows, schema: Schema):
+    """The schema's columns of the rows of the CSV file at path as float
+    arrays: points (n, d), weights (n,) and labels (n,).
+
+    Blank rows are skipped. Rows with missing or non-numeric cells, rows
+    whose width differs from the header's, and negative weights produce
+    errors naming the offending line and column; weights that are all zero
+    are an error naming the file. Weights are 1 when no weight column is
+    given.
+    """
+    names = [*schema.features, schema.label]
+    names += [] if schema.weight is None else [schema.weight]
+    if schema.has_header:
+        if not rows:
+            raise DatasetError(f"{path}: empty file")
+        header = [h.strip() for h in rows[0]]
+        rows = rows[1:]
+        for name in names:
+            if name not in header:
+                raise DatasetError(f"{path}: missing column {name!r}")
+            if header.count(name) > 1:
+                raise DatasetError(
+                    f"{path}: column {name!r} occurs {header.count(name)} "
+                    "times in the header")
+        cols = [header.index(name) for name in names]
+    else:
+        cols = [int(name) for name in names]
+
+    def cell(row, i, name, line_no):
+        if i >= len(row):
+            raise DatasetError(f"{path}: line {line_no}: missing column {name!r}")
+        text = row[i].strip()
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise DatasetError(
+                f"{path}: line {line_no}: column {name!r}: non-numeric cell {text!r}"
+            ) from exc
+        if not math.isfinite(value):
+            raise DatasetError(
+                f"{path}: line {line_no}: column {name!r}: non-finite value {text!r}")
+        return value
+
+    table = []
+    for line_no, row in enumerate(rows, 2 if schema.has_header else 1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if schema.has_header and len(row) != len(header):
+            raise DatasetError(f"{path}: line {line_no}: {len(row)} cells "
+                               f"under a header of {len(header)} names")
+        table.append([cell(row, i, name, line_no) for i, name in zip(cols, names)])
+        if schema.weight is not None and table[-1][-1] < 0:
+            raise DatasetError(f"{path}: line {line_no}: column {schema.weight!r}: "
+                               f"negative weight {table[-1][-1]!r}")
+    if not table:
+        raise DatasetError(f"{path}: no data rows")
+    d = len(schema.features)
+    a = np.array(table)
+    w = np.ones(len(a)) if schema.weight is None else a[:, d + 1]
+    if not w.any():
+        raise DatasetError(f"{path}: weights are all zero")
+    return a[:, :d], w, a[:, d]
 
 
 def write_csv(path, rows, header=None):
@@ -175,8 +180,9 @@ def make_synthetic(task: str, n: int, d: int, noise: float = 0.1,
     """
     if not isinstance(task, str) or task not in SYNTHETIC_TASKS:
         raise DatasetError(f"unknown synthetic task {task!r}")
-    if n < 1 or d < 1:
-        raise DatasetError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    check_count(n, "n", 1)
+    check_count(d, "d", 1)
+    check_real(noise, "noise", closed=True)
     rng = stream_rng(seed, "make_synthetic", task)
     X = rng.standard_normal((n, d))
     q_star = rng.standard_normal(d)

@@ -154,8 +154,7 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
     bad = [m for m in methods if m not in METHODS]
     if bad:
         raise ContractError(f"unknown sweep methods: {bad}")
-    if check_count(n_trials, "n_trials") < 1:
-        raise ContractError("n_trials must be >= 1")
+    check_count(n_trials, "n_trials", 1)
     job = _Cells([(size, method, trial) for size in sizes
                   for method in methods for trial in range(n_trials)],
                  P, loss, base_seed, Q_train, Q_val, Q_test, cfg)

@@ -51,7 +51,8 @@ import numpy as np
 
 # the benchmark harness imports RATIO_FLOOR from here
 from .core import (RATIO_FLOOR, Coreset, ContractError, NumericError,
-                   WeightedLabeledSet, check_count, floored, scored, stream_rng)
+                   WeightedLabeledSet, check_count, check_real, floored, scored,
+                   stream_rng)
 from .losses import LossModel
 
 # global-norm bound on each step's gradient
@@ -79,22 +80,14 @@ class TrainConfig:
     learn_weights: bool = True
 
     def __post_init__(self):
-        for name in ("coreset_size", "epochs", "batch_size", "seed"):
-            check_count(getattr(self, name), name)
-        if self.coreset_size < 1:
-            raise ContractError("coreset_size must be >= 1")
-        if self.epochs < 1:
-            raise ContractError("epochs must be >= 1")
-        for name, value in (("learning_rate", self.learning_rate),
-                            ("lambda", self.lam)):
-            if not math.isfinite(value):
-                raise ContractError(f"{name} must be finite, got {value!r}")
-        if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be > 0")
-        if self.lam < 0:
-            raise ContractError("lambda must be >= 0")
-        if self.batch_size < 1:
-            raise ContractError("batch_size must be >= 1")
+        for name, low in (("coreset_size", 1), ("epochs", 1),
+                          ("batch_size", 1), ("seed", None)):
+            check_count(getattr(self, name), name, low)
+        check_real(self.learning_rate, "learning_rate")
+        check_real(self.lam, "lambda", closed=True)
+        if not isinstance(self.learn_weights, bool):
+            raise ContractError(
+                f"learn_weights must be True or False, got {self.learn_weights!r}")
         if self.algorithm not in (ALG_AVERAGE, ALG_PRACTICAL):
             raise ContractError(f"unknown algorithm {self.algorithm!r}")
 
@@ -151,8 +144,7 @@ def project_weights(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def init_coreset(P: WeightedLabeledSet, m: int, seed: int) -> Coreset:
     """Starting coreset: m seeded points of P and their labels, weights 1/m."""
-    if check_count(m, "m") < 1:
-        raise ContractError("coreset size must be >= 1")
+    check_count(m, "m", 1)
     rng = stream_rng(seed, "init_coreset")
     if m <= P.n:
         idx = rng.permutation(P.n)[:m]

@@ -44,6 +44,9 @@ class LossModel:
     def __post_init__(self):
         if self.kind not in (LINEAR, LOGISTIC):
             raise ContractError(f"unknown loss kind: {self.kind!r}")
+        if not isinstance(self.intercept, bool):
+            raise ContractError(
+                f"intercept must be True or False, got {self.intercept!r}")
 
     def query_dim(self, data_dim: int) -> int:
         return data_dim + 1 if self.intercept else data_dim
@@ -150,9 +153,7 @@ class LossModel:
         """Costs per query and gradients of sum_q coeffs_q * f(C, u, q).
 
         points: (m, d), labels/weights: (m,), queries: (k, d').
-        coeffs: (k,) array, or a function that maps the costs (k,) to the
-        (k,) coefficients, so that they can depend on the costs of this very
-        evaluation without a second one.
+        coeffs: (k,) array, one coefficient per query.
         Returns (costs (k,), d_points (m, d), d_labels (m,), d_weights (m,)).
         The label gradient treats the label as a real even for the logistic
         loss, which is what joint label learning needs.
@@ -162,19 +163,14 @@ class LossModel:
         m, d = points.shape
         labels = self._per_point("labels", labels, m)
         weights = self._per_point("weights", weights, m)
-        k = qm.shape[0]
-
-        def term(costs, _idx):
-            c = np.asarray(coeffs(costs) if callable(coeffs) else coeffs,
-                           dtype=float)
-            if c.shape != (k,):
-                raise ContractError(
-                    f"coeffs have shape {c.shape}, expected ({k},): one per query")
-            return 0.0, c
-
+        if np.shape(coeffs) != (qm.shape[0],):
+            raise ContractError(f"coeffs have shape {np.shape(coeffs)}, "
+                                f"expected ({qm.shape[0]},): one per query")
+        coeffs = np.asarray(coeffs, dtype=float)
         out = (np.empty((m, d)), np.empty(m), np.empty(m))
         costs, _ = self._weighted_grads(self._features(points, qm.shape[1]),
-                                        labels[:, None], weights, qm, term,
+                                        labels[:, None], weights, qm,
+                                        lambda costs, idx: (0.0, coeffs),
                                         slice(None), out)
         return (costs,) + out
 

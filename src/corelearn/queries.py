@@ -12,6 +12,7 @@ from .core import (
     MeasurableQuerySpace,
     WeightedLabeledSet,
     check_count,
+    check_real,
     stream_rng,
 )
 from .datasets import write_csv
@@ -42,10 +43,10 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
     plus the iterate after every step. A trajectory whose cost goes
     non-finite is truncated with a warning.
     """
-    if check_count(n_starts, "n_starts") < 1:
-        raise ContractError("n_starts must be >= 1")
-    if check_count(steps_per_start, "steps_per_start") < 0:
-        raise ContractError("steps_per_start must be >= 0")
+    check_count(n_starts, "n_starts", 1)
+    check_count(steps_per_start, "steps_per_start", 0)
+    check_real(gd_lr, "gd_lr")
+    check_real(init_scale, "init_scale", closed=True)
     rng = stream_rng(seed, "trajectory_queries")
     dq = loss.query_dim(P.dim)
     out = []
@@ -75,10 +76,8 @@ def split_queries(pool, sizes, seed: int = 0):
     sizes = tuple(sizes)
     if len(sizes) != 3:
         raise ContractError(f"split sizes must be three counts, got {sizes!r}")
-    k_train, k_val, k_test = (check_count(s, f"split size {i}")
+    k_train, k_val, k_test = (check_count(s, f"split size {i}", 0)
                               for i, s in enumerate(sizes))
-    if min(k_train, k_val, k_test) < 0:
-        raise ContractError("split sizes must be nonnegative")
     total = k_train + k_val + k_test
     if total > pool.shape[0]:
         raise ContractError(
@@ -91,8 +90,7 @@ def split_queries(pool, sizes, seed: int = 0):
 
 def iid_sample(space: MeasurableQuerySpace, k: int, seed: int = 0) -> QueryBatch:
     """k independent draws (with replacement) from the finite query measure."""
-    if check_count(k, "k") < 1:
-        raise ContractError("k must be >= 1")
+    check_count(k, "k", 1)
     rng = stream_rng(seed, "iid_sample")
     return QueryBatch(space.universe[space.draw(rng, k)])
 

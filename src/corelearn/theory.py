@@ -37,6 +37,8 @@ from .core import (
     Coreset,
     MeasurableQuerySpace,
     WeightedLabeledSet,
+    check_count,
+    check_real,
     expected_cost,
     scored,
     set_costs,
@@ -55,12 +57,10 @@ def hoeffding_k(eps: float, delta: float, M: float) -> int:
     that neither square under- or overflows where the ratio does not. Where
     (M/eps)^2 overflows, k is not a finite integer, and that is a
     ContractError too."""
-    if not 0 < eps < math.inf:
-        raise ContractError(f"eps must be finite and > 0, got {eps!r}")
+    check_real(eps, "eps")
     if not 0 < delta < 1:
         raise ContractError("delta must be in (0, 1)")
-    if not 0 < M < math.inf:
-        raise ContractError(f"M must be finite and > 0, got {M!r}")
+    check_real(M, "M")
     r = M / eps
     k = 2.0 * math.log(2.0 / delta) * r * r
     if not math.isfinite(k):
@@ -71,15 +71,15 @@ def hoeffding_k(eps: float, delta: float, M: float) -> int:
 
 def claim2_k(eps: float, delta: float, M: float) -> int:
     """Inflated variant with the coreset's (1+eps)M cost bound."""
+    check_real(eps, "eps")
+    check_real(M, "M")
     return hoeffding_k(eps, delta, (1.0 + eps) * M)
 
 
 def relate_eps(eps_ratio: float, M: float) -> float:
     """Convert an average-ratio error bound into an average-difference bound."""
-    if not 0 <= eps_ratio < math.inf:
-        raise ContractError(f"eps_ratio must be finite and >= 0, got {eps_ratio!r}")
-    if not 0 < M < math.inf:
-        raise ContractError(f"M must be finite and > 0, got {M!r}")
+    check_real(eps_ratio, "eps_ratio", closed=True)
+    check_real(M, "M")
     return eps_ratio * M
 
 
@@ -98,11 +98,6 @@ def estimate_M(dataset, loss, query_pool, level: str = "set") -> float:
     if qm.shape[0] < 1:
         raise ContractError("query pool must be non-empty")
     return M_SAFETY * float(np.max(np.abs(scored(dataset, loss, qm)[1])))
-
-
-def _check_trials(trials):
-    if trials < 1:
-        raise ContractError("trials must be >= 1")
 
 
 def _trial_means(space, rng, trials, k, *costs):
@@ -153,7 +148,7 @@ def verify_claim1(space: MeasurableQuerySpace, eps: float, delta: float,
     A universe whose costs are all 0 has M = 0, which hoeffding_k rejects,
     as verify_claim2 does through claim2_k.
     """
-    _check_trials(trials)
+    check_count(trials, "trials", 1)
     M = exact_set_M(space)
     k = hoeffding_k(eps, delta, M)
     costs = scored(space.ground, space.loss, space.universe)[1]
@@ -192,7 +187,7 @@ def verify_claim2(P: WeightedLabeledSet, coreset: Coreset,
     less than 3*eps; since the expectations are exact, the violation rate is
     the same in every trial.
     """
-    _check_trials(trials)
+    check_count(trials, "trials", 1)
     qm, costs_p = scored(P, space.loss, space.universe)
     if M is None:
         M = float(np.max(np.abs(costs_p)))

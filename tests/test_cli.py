@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from pathlib import Path
@@ -13,8 +14,8 @@ from corelearn.cli import (
     run_experiment,
     validate_config,
 )
-from corelearn import Coreset
-from corelearn.cli import _save_coreset
+from corelearn import ContractError, Coreset
+from corelearn.cli import _load_coreset, _save_coreset
 from corelearn.datasets import DatasetError, Schema, load_dataset, make_synthetic
 from corelearn.learner import TrainConfig
 from corelearn.queries import save_pool_csv
@@ -247,11 +248,11 @@ def test_config_rejects_string_booleans(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("learner, match", [
-    ({"lambda": -1.0}, "lambda must be >= 0"),
+    ({"lambda": -1.0}, "lambda must be finite and >= 0, got -1.0"),
     ({"algorithm": "magic"}, "unknown algorithm 'magic'"),
     ({"epochs": 0}, "epochs must be >= 1"),
     ({"batch_size": 0}, "batch_size must be >= 1"),
-    ({"learning_rate": 0.0}, "learning_rate must be > 0"),
+    ({"learning_rate": 0.0}, "learning_rate must be finite and > 0, got 0.0"),
 ], ids=["lambda", "algorithm", "epochs", "batch_size", "learning_rate"])
 def test_config_rejects_learner_values_at_load(tmp_path, monkeypatch, capsys,
                                                learner, match):
@@ -276,7 +277,7 @@ _SCHEMA = {"features": ["0"], "label": "1"}
      "sweep.trials must be an integer, got '2'"),
     ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
     ({"dataset": {"synth": {"task": "linear", "n": 0, "d": 2}}},
-     "dataset.synth: need n >= 1 and d >= 1, got n=0, d=2"),
+     "dataset.synth: n must be >= 1, got 0"),
     ({"learner": {"epochs": 2.5}}, "learner.epochs must be an integer, got 2.5"),
     ({"learner": {"epochs": "ten"}},
      "learner.epochs must be an integer, got 'ten'"),
@@ -352,9 +353,12 @@ def test_experiment_rejects_every_size_below_one(tmp_path, capsys):
     assert not (tmp_path / "out" / "trials.csv").exists()
 
 
-@pytest.mark.parametrize("n, d", [(0, 2), (5, 0), (-1, 2)])
-def test_make_synthetic_rejects_empty_shapes(n, d):
-    with pytest.raises(DatasetError, match=f"got n={n}, d={d}"):
+@pytest.mark.parametrize("n, d, match", [(0, 2, "n must be >= 1, got 0"),
+                                          (5, 0, "d must be >= 1, got 0"),
+                                          (-1, 2, "n must be >= 1, got -1")],
+                         ids=["0-2", "5-0", "-1-2"])
+def test_make_synthetic_rejects_empty_shapes(n, d, match):
+    with pytest.raises(ContractError, match=match):
         make_synthetic("linear", n, d)
 
 
@@ -620,3 +624,66 @@ def test_coreset_and_pool_csv_bytes(tmp_path):
     assert (tmp_path / "pool.csv").read_bytes() == (
         b"0.1,-2.0,3.0\n"
         b"0.3333333333333333,1e-300,5e+20\n")
+
+
+@pytest.mark.parametrize("text, match", [
+    ("x0,weight,label\n0.1,0.5,1.0,9.9\n",
+     "line 2: 4 cells under a header of 3 names"),
+    ("x0,weight,label\n0.1,0.5,1.0\n0.2,0.5\n",
+     "line 3: 2 cells under a header of 3 names"),
+    ("weight,label\n0.5,1.0\n",
+     "header must name the features, the weight and the label, got "
+     "['weight', 'label']"),
+    ("", "header must name the features, the weight and the label, got []"),
+    ("x0,weight,label\n0.1,nan,1.0\n",
+     "line 2: column 'weight': non-finite value 'nan'"),
+    ("x0,weight,label\n0.1,0.5,1.0\n0.2,-0.5,1.0\n",
+     "line 3: column 'weight': negative weight -0.5"),
+    ("x0,weight,label\n0.1,0.0,1.0\n0.2,0.0,-1.0\n", "weights are all zero"),
+    ("x0,weight,label\n", "no data rows"),
+    ("x0,x0,weight,label\n0.1,0.2,0.5,1.0\n",
+     "column 'x0' occurs 2 times in the header"),
+    ("x0,weight,label\n# a comment\n0.1,0.5,1.0\n",
+     "line 2: 1 cells under a header of 3 names"),
+], ids=["wide-row", "short-row", "two-names", "empty", "nan-weight",
+        "negative-weight", "zero-weights", "no-rows", "repeated-name",
+        "comment-line"])
+def test_load_coreset_rejects_bad_files(tmp_path, text, match):
+    """A coreset file is read by the dataset reader: its errors name the
+    file, and the line and column where there is one."""
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    with pytest.raises(DatasetError) as info:
+        _load_coreset(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert match in str(info.value)
+
+
+def test_coreset_csv_round_trip_is_bit_for_bit(tmp_path):
+    """_load_coreset reads back what _save_coreset wrote, bit for bit, in
+    any column names, blank lines and spaces around the cells aside."""
+    tiny = np.nextafter(0.0, 1.0)
+    coreset = Coreset([[0.1, -0.0, 1.0 / 3.0], [1e-300, tiny, 1.7976931348623157e308],
+                       [-2.5, 5e20, np.pi]],
+                      [0.25, 0.0, tiny], [1.0, -1.5, 1e-17])
+    path = tmp_path / "coreset.csv"
+    _save_coreset(coreset, path)
+    back = _load_coreset(path)
+    for name in ("points", "weights", "labels"):
+        assert getattr(back, name).tobytes() == getattr(coreset, name).tobytes()
+    path.write_text("a, b ,c,w,y\n\n" + "\n".join(
+        " , ".join(line.split(",")) for line in path.read_text().splitlines()[1:]))
+    again = _load_coreset(path)
+    for name in ("points", "weights", "labels"):
+        assert getattr(again, name).tobytes() == getattr(coreset, name).tobytes()
+
+
+def test_resolve_dataset_names_the_synth_block():
+    """A synth size the rules reject is a config error naming the block,
+    also where it slips past the config's types."""
+    from corelearn.cli import DEFAULT_CONFIG, resolve_dataset
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg["dataset"]["synth"]["n"] = 2.5
+    with pytest.raises(ConfigError, match=r"^dataset\.synth: n must be an integer, "
+                                          r"got 2\.5$"):
+        resolve_dataset(cfg)

@@ -1,0 +1,174 @@
+"""The input contract of the public entries: every scalar input is checked
+by one of two rules in core, check_count (an integer, at least a bound) and
+check_real (finite and > 0, or >= 0 when closed), and every flag takes a
+bool only. A bad value is a ContractError that names the parameter."""
+
+import math
+
+import numpy as np
+import pytest
+
+from corelearn import (
+    Coreset,
+    LossModel,
+    MeasurableQuerySpace,
+    TrainConfig,
+    WeightedLabeledSet,
+    claim2_k,
+    hoeffding_k,
+    iid_sample,
+    init_coreset,
+    leverage_coreset,
+    make_synthetic,
+    relate_eps,
+    split_queries,
+    sweep,
+    trajectory_queries,
+    uniform_coreset,
+    verify_claim1,
+    verify_claim2,
+)
+from corelearn.core import ContractError, check_count, check_real
+
+_RNG = np.random.default_rng(31)
+_P = WeightedLabeledSet(_RNG.standard_normal((12, 2)), np.full(12, 1.0 / 12),
+                        _RNG.standard_normal(12))
+_C = Coreset(_P.points[:3], np.full(3, 1.0 / 3), _P.labels[:3])
+_LOSS = LossModel()
+_Q = _RNG.standard_normal((6, 2))
+_SPACE = MeasurableQuerySpace(_P, _LOSS, _Q, np.full(6, 1.0 / 6))
+_CFG = TrainConfig(coreset_size=3, epochs=1)
+
+# entry name, parameter name as the message names it, the count's lower
+# bound (None for none), and the call with the bad value in its place
+_COUNTS = [
+    ("TrainConfig", "coreset_size", 1, lambda v: TrainConfig(coreset_size=v)),
+    ("TrainConfig", "epochs", 1, lambda v: TrainConfig(epochs=v)),
+    ("TrainConfig", "batch_size", 1, lambda v: TrainConfig(batch_size=v)),
+    ("TrainConfig", "seed", None, lambda v: TrainConfig(seed=v)),
+    ("init_coreset", "m", 1, lambda v: init_coreset(_P, v, 0)),
+    ("uniform_coreset", "m", None, lambda v: uniform_coreset(_P, v)),
+    ("leverage_coreset", "m", 1, lambda v: leverage_coreset(_P, v)),
+    ("trajectory_queries", "n_starts", 1,
+     lambda v: trajectory_queries(_P, _LOSS, v, 2)),
+    ("trajectory_queries", "steps_per_start", 0,
+     lambda v: trajectory_queries(_P, _LOSS, 1, v)),
+    ("split_queries", "split size 1", 0,
+     lambda v: split_queries(_Q, [1, v, 1])),
+    ("iid_sample", "k", 1, lambda v: iid_sample(_SPACE, v)),
+    ("sweep", "n_trials", 1,
+     lambda v: sweep(_P, _LOSS, [3], ["uniform"], v, 0, _Q, None, _Q, _CFG)),
+    ("verify_claim1", "trials", 1,
+     lambda v: verify_claim1(_SPACE, 0.5, 0.1, trials=v)),
+    ("verify_claim2", "trials", 1,
+     lambda v: verify_claim2(_P, _C, _SPACE, 0.5, 0.1, trials=v)),
+    ("make_synthetic", "n", 1, lambda v: make_synthetic("linear", v, 2)),
+    ("make_synthetic", "d", 1, lambda v: make_synthetic("linear", 5, v)),
+]
+
+# the same, with whether the real's range is closed (>= 0) or open (> 0)
+_REALS = [
+    ("TrainConfig", "learning_rate", False,
+     lambda v: TrainConfig(learning_rate=v)),
+    ("TrainConfig", "lambda", True, lambda v: TrainConfig(lam=v)),
+    ("trajectory_queries", "gd_lr", False,
+     lambda v: trajectory_queries(_P, _LOSS, 1, 2, gd_lr=v)),
+    ("trajectory_queries", "init_scale", True,
+     lambda v: trajectory_queries(_P, _LOSS, 1, 2, init_scale=v)),
+    ("hoeffding_k", "eps", False, lambda v: hoeffding_k(v, 0.1, 1.0)),
+    ("hoeffding_k", "M", False, lambda v: hoeffding_k(0.1, 0.1, v)),
+    ("claim2_k", "eps", False, lambda v: claim2_k(v, 0.1, 1.0)),
+    ("claim2_k", "M", False, lambda v: claim2_k(0.1, 0.1, v)),
+    ("relate_eps", "eps_ratio", True, lambda v: relate_eps(v, 1.0)),
+    ("relate_eps", "M", False, lambda v: relate_eps(0.1, v)),
+    ("verify_claim1", "eps", False, lambda v: verify_claim1(_SPACE, v, 0.1)),
+    ("verify_claim2", "eps", False,
+     lambda v: verify_claim2(_P, _C, _SPACE, v, 0.1)),
+    ("verify_claim2", "M", False,
+     lambda v: verify_claim2(_P, _C, _SPACE, 0.5, 0.1, M=v)),
+    ("make_synthetic", "noise", True,
+     lambda v: make_synthetic("linear", 5, 2, noise=v)),
+]
+
+_DELTAS = [
+    ("hoeffding_k", lambda v: hoeffding_k(0.1, v, 1.0)),
+    ("claim2_k", lambda v: claim2_k(0.1, v, 1.0)),
+    ("verify_claim1", lambda v: verify_claim1(_SPACE, 0.5, v)),
+    ("verify_claim2", lambda v: verify_claim2(_P, _C, _SPACE, 0.5, v)),
+]
+
+
+def _count_cases():
+    for entry, name, low, call in _COUNTS:
+        bad = [("float", 2.5), ("bool", True), ("nan", math.nan),
+               ("inf", math.inf)]
+        if low is not None:
+            bad.append(("below", low - 1))
+        for label, value in bad:
+            yield pytest.param(call, value, f"{name} must be ",
+                               id=f"{entry}-{name}-{label}")
+
+
+def _real_cases():
+    for entry, name, closed, call in _REALS:
+        bound = ">= 0" if closed else "> 0"
+        below = -1e-300 if closed else 0.0
+        for label, value in [("bool", True), ("below", below),
+                             ("negative", -1.0), ("nan", math.nan),
+                             ("inf", math.inf)]:
+            yield pytest.param(call, value, f"{name} must be finite and {bound}",
+                               id=f"{entry}-{name}-{label}")
+    for entry, call in _DELTAS:
+        for label, value in [("bool", True), ("zero", 0.0), ("one", 1.0),
+                             ("nan", math.nan), ("inf", math.inf)]:
+            yield pytest.param(call, value, "delta must be in (0, 1)",
+                               id=f"{entry}-delta-{label}")
+
+
+@pytest.mark.parametrize("call, value, message", [
+    *_count_cases(), *_real_cases(),
+    pytest.param(lambda v: uniform_coreset(_P, v), 0,
+                 "need 1 <= m <= n, got m=0", id="uniform_coreset-m-below")])
+def test_public_entries_reject_bad_scalars(call, value, message):
+    with pytest.raises(ContractError) as info:
+        call(value)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: LossModel(intercept=v), lambda v: TrainConfig(learn_weights=v)],
+    ids=["LossModel-intercept", "TrainConfig-learn_weights"])
+@pytest.mark.parametrize("value", ["no", 1, 0, None, np.bool_(True)],
+                         ids=["str", "one", "zero", "none", "numpy-bool"])
+def test_flags_take_a_bool_only(call, value):
+    with pytest.raises(ContractError, match=r"must be True or False"):
+        call(value)
+
+
+def test_the_rules_messages_and_values():
+    assert check_count(np.int64(3), "k", 1) == 3
+    assert type(check_count(np.int64(3), "k")) is int
+    with pytest.raises(ContractError, match=r"^k must be an integer, got 2\.5$"):
+        check_count(2.5, "k", 1)
+    with pytest.raises(ContractError, match=r"^k must be >= 1, got 0$"):
+        check_count(0, "k", 1)
+    assert check_real(1, "lr") == 1.0
+    assert check_real(0.0, "scale", closed=True) == 0.0
+    assert check_real(np.float32(0.5), "lr") == 0.5
+    with pytest.raises(ContractError,
+                       match=r"^lr must be finite and > 0, got nan$"):
+        check_real(math.nan, "lr")
+    with pytest.raises(ContractError,
+                       match=r"^scale must be finite and >= 0, got True$"):
+        check_real(True, "scale", closed=True)
+    with pytest.raises(ContractError, match=r"^lr must be finite and > 0, got '1'$"):
+        check_real("1", "lr")
+
+
+def test_zero_init_scale_and_an_int_rate_stay_valid():
+    pool = trajectory_queries(_P, _LOSS, 2, 3, gd_lr=1, init_scale=0.0)
+    assert pool.shape == (8, 2) and np.all(np.isfinite(pool))
+    assert np.array_equal(pool[0], np.zeros(2))
+    # an int rate is the same rate as its float
+    assert np.array_equal(pool, trajectory_queries(_P, _LOSS, 2, 3, gd_lr=1.0,
+                                                   init_scale=0.0))

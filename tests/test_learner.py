@@ -629,8 +629,9 @@ def test_one_batch_of_every_query_whatever_its_size(monkeypatch, linreg,
 
 def _reference_fit(P, Q_train, Q_val, loss, cfg):
     """The training loop as first written: every step goes through the
-    public weighted_grads with a closure for the data term, copies the
-    gradients into the flat vector, and reduces with np.mean and np.sum.
+    public weighted_grads, once for the batch's costs and once with the
+    data term's coefficients, copies the gradients into the flat vector,
+    and reduces with np.mean and np.sum.
     The lean loop in _fit must return what this returns, bit for bit."""
     import warnings
 
@@ -688,17 +689,16 @@ def _reference_fit(P, Q_train, Q_val, loss, cfg):
         stepped = []
         for step, idx in enumerate(batches):
             pen, pen_sign = penalty()
-
-            def coeffs(costs):
-                value, d_costs = term(costs, idx)
-                value += pen
-                if not np.isfinite(value):
-                    raise NumericError("non-finite training loss")
-                stepped.append((value, costs.shape[0]))
-                return d_costs
-
+            batch = qm[idx]
+            costs = loss.weighted_grads(pts, lab, wts, batch,
+                                        np.zeros(batch.shape[0]))[0]
+            value, d_costs = term(costs, idx)
+            value += pen
+            if not np.isfinite(value):
+                raise NumericError("non-finite training loss")
+            stepped.append((value, costs.shape[0]))
             _, d_pts, d_lab, d_wts = loss.weighted_grads(
-                pts, lab, wts, qm[idx], coeffs)
+                pts, lab, wts, batch, d_costs)
             g_pts[:] = d_pts
             g_lab[:] = d_lab
             if cfg.learn_weights:

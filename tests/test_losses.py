@@ -191,26 +191,6 @@ def test_costs_match_full_matrix_across_blocks(monkeypatch, kind, intercept):
     assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
-def test_weighted_grads_callable_coeffs_match_array(kind):
-    rng = np.random.default_rng(9)
-    loss = LossModel(kind, intercept=True)
-    pts = rng.standard_normal((5, 2))
-    labels = rng.standard_normal(5)
-    w = rng.random(5)
-    qm = rng.standard_normal((7, 3))
-    f_p = rng.random(7) + 0.5
-
-    def rule(costs):
-        return np.sign(1.0 - costs / f_p) * (-1.0 / f_p)
-
-    costs = w @ loss.pointwise_matrix(pts, labels, qm)
-    by_array = loss.weighted_grads(pts, labels, w, qm, rule(costs))
-    by_rule = loss.weighted_grads(pts, labels, w, qm, rule)
-    for a, b in zip(by_array, by_rule):
-        assert np.array_equal(a, b)
-
-
 @pytest.mark.parametrize("margin", [30.0, -30.0])
 def test_logistic_gradients_at_large_margin(margin):
     rng = np.random.default_rng(10)
@@ -312,9 +292,12 @@ _PTS, _Q = np.ones((3, 2)), np.ones((5, 2))
     (lambda L: L.weighted_grads(_PTS, np.ones(3), np.ones(3), _Q,
                                 lambda costs: 1.0),
      "coeffs"),
+    (lambda L: L.weighted_grads(_PTS, np.ones(3), np.ones(3), _Q, 1.0),
+     "coeffs"),
 ], ids=["grads-labels", "costs-labels", "query_grad-labels",
         "pointwise_matrix-labels", "grads-weights", "costs-weights",
-        "query_grad-weights", "grads-coeffs", "grads-scalar-coeffs"])
+        "query_grad-weights", "grads-coeffs", "grads-scalar-coeffs",
+        "grads-float-coeffs"])
 def test_public_entries_reject_mismatched_shapes(call, name):
     """One label or weight per point and one coefficient per query: anything
     else is a ContractError that names the argument, never a label or
