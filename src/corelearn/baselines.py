@@ -20,6 +20,7 @@ def uniform_coreset(P: WeightedLabeledSet, m: int, seed: int = 0) -> Coreset:
     """
     if not 1 <= check_count(m, "m") <= P.n:
         raise ContractError(f"need 1 <= m <= n, got m={m}, n={P.n}")
+    check_count(seed, "seed")
     rng = stream_rng(seed, "uniform_coreset")
     idx = rng.integers(0, P.n, size=m)
     weights = P.weights[idx] * (P.n / m)
@@ -48,6 +49,7 @@ def leverage_scores(P: WeightedLabeledSet) -> np.ndarray:
 def leverage_coreset(P: WeightedLabeledSet, m: int, seed: int = 0) -> Coreset:
     """Importance sampling by leverage scores; weights w_i / (m * prob_i)."""
     check_count(m, "m", 1)
+    check_count(seed, "seed")
     if P.dim > P.n:
         raise ContractError("leverage sampling needs d <= n")
     scores = leverage_scores(P)
@@ -70,9 +72,7 @@ class OptimResult:
 
 
 def _solve_linreg(P: WeightedLabeledSet, loss: LossModel) -> OptimResult:
-    A = loss.augment(P.points)
-    G = A.T @ (P.weights[:, None] * A)
-    rhs = A.T @ (P.weights * P.labels)
+    G, rhs, _ = loss.normal_equations(P.points, P.labels, P.weights)
     try:
         q = np.linalg.solve(G, rhs)
         if not np.all(np.isfinite(q)):

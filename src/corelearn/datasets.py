@@ -50,6 +50,10 @@ class Schema:
         if self.weight is not None and not isinstance(self.weight, str):
             raise DatasetError("schema weight must be a column name or null, "
                                f"got {self.weight!r}")
+        for flag in ("has_header", "standardize", "binary_label"):
+            if not isinstance(getattr(self, flag), bool):
+                raise DatasetError(f"schema {flag} must be True or False, "
+                                   f"got {getattr(self, flag)!r}")
         if not self.has_header:
             named = [("features", f) for f in self.features]
             named += [("label", self.label), ("weight", self.weight)]
@@ -183,6 +187,7 @@ def make_synthetic(task: str, n: int, d: int, noise: float = 0.1,
     check_count(n, "n", 1)
     check_count(d, "d", 1)
     check_real(noise, "noise", closed=True)
+    check_count(seed, "seed")
     rng = stream_rng(seed, "make_synthetic", task)
     X = rng.standard_normal((n, d))
     q_star = rng.standard_normal(d)

@@ -138,7 +138,8 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
 
     The cells are dealt round robin, in cell order, into W = min(usable
     CPUs, cells) shares. This process runs share 0 and W - 1 forked workers
-    run the others, so where a cell runs depends on the cell list alone.
+    run the others, one share each, so where a cell runs depends on the
+    cell list alone.
     Every cell has its own seed, so the rows, reports and warnings,
     gathered back in cell order, are bit for bit those of one process
     running the cells in turn. A worker that dies raises WorkerLostError.
@@ -155,6 +156,7 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
     if bad:
         raise ContractError(f"unknown sweep methods: {bad}")
     check_count(n_trials, "n_trials", 1)
+    check_count(base_seed, "base_seed")
     job = _Cells([(size, method, trial) for size in sizes
                   for method in methods for trial in range(n_trials)],
                  P, loss, base_seed, Q_train, Q_val, Q_test, cfg)
@@ -258,49 +260,64 @@ def _usable_cpus() -> int:
         return 1
 
 
-# The sweep a forked worker serves. It is set in the worker only, before
-# its first share, so the cells' inputs and what P keeps are inherited
-# through the fork, not pickled: a pickled set keeps nothing.
-_served = None
-
-
-def _serve(job: _Cells) -> None:
-    global _served
-    _served = job
-
-
-def _run_served(share):
-    return _served.run(share)
+def _serve(job: _Cells, share, outbox) -> None:
+    """A forked worker's life: run one share and send its results, or the
+    exception that stopped it, to the sweep."""
+    try:
+        result = job.run(share)
+    except Exception as exc:  # noqa: BLE001 - raised again in the sweep
+        result = exc
+    outbox.send(result)
+    outbox.close()
 
 
 def _run_shares(job: _Cells, shares):
     """Each share's results, in share order: share 0 run by this process,
-    each other share by one of len(shares) - 1 forked workers.
+    each other share by its own forked worker, one worker per share.
 
     Workers are forked, not spawned: a spawned one would import NumPy and
-    corelearn again and get P pickled, without what P keeps. The pool is
-    shut down, its workers joined, before this returns or raises. A
-    share's exception is raised here; a worker that dies is a
+    corelearn again and get P pickled, without what P keeps; a forked one
+    inherits the cells' inputs. Each sends its share's results over its own
+    pipe. Every reply is received before the workers are joined, and the
+    workers are joined before this returns or raises. A share's exception
+    is raised here; a worker that ends without replying is a
     WorkerLostError naming the cells of every share it lost."""
     if len(shares) == 1:
         return [job.run(shares[0])]
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    with ProcessPoolExecutor(len(shares) - 1,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_serve, initargs=(job,)) as pool:
-        futures = [pool.submit(_run_served, share) for share in shares[1:]]
+    fork = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for share in shares[1:]:
+            inbox, outbox = fork.Pipe(duplex=False)
+            worker = fork.Process(target=_serve, args=(job, share, outbox))
+            worker.start()
+            # the worker holds the only sending end, so its exit is EOF here
+            outbox.close()
+            workers.append((share, worker, inbox))
         results = [job.run(shares[0])]
         lost = []
-        for share, future in zip(shares[1:], futures):
+        for share, _, inbox in workers:
             try:
-                results.append(future.result())
-            except BrokenProcessPool:
+                results.append(inbox.recv())
+            except EOFError:
                 lost += [job.cells[i] for i in share]
-        if lost:
-            raise WorkerLostError(
-                f"a sweep worker ended before returning its cells: {lost}")
+    except BaseException:
+        # the replies are no longer wanted: stop the workers rather than
+        # wait for their shares
+        for _, worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for _, worker, inbox in workers:
+            inbox.close()
+            worker.join()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    if lost:
+        raise WorkerLostError(
+            f"a sweep worker ended before returning its cells: {lost}")
     return results
 
 

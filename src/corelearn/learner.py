@@ -145,6 +145,7 @@ def project_weights(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def init_coreset(P: WeightedLabeledSet, m: int, seed: int) -> Coreset:
     """Starting coreset: m seeded points of P and their labels, weights 1/m."""
     check_count(m, "m", 1)
+    check_count(seed, "seed")
     rng = stream_rng(seed, "init_coreset")
     if m <= P.n:
         idx = rng.permutation(P.n)[:m]

@@ -11,6 +11,16 @@ values (pointwise_matrix, its one-query column pointwise, costs), the coreset
 gradients (weighted_grads) and the query's cost and gradient (query_grad) are
 all built on it by the chain rule through z.
 
+Squared loss has a second form, the Gram form. A set's statistics
+G = A^T W A, h = A^T W b and c = b^T W b (normal_equations; A the augmented
+features) give its cost q^T G q - 2 h^T q + c and gradient 2 (G q - h) in
+O(d'^2) per query, after one pass over the points (Maalouf, Jubran &
+Feldman, "Fast and Accurate Least-Mean-Squares Solvers", NeurIPS 2019).
+That form serves the gradient-descent step of the query pool only
+(query_grads); the closed-form solve reads G and h to solve G q = h. It
+cancels to about 1e-13 relative, so every cost that is scored or compared
+(costs, and so set_costs) keeps the direct form.
+
 The public entries convert and check their inputs: labels and weights must
 hold one entry per point, and a ContractError names the one that does not.
 The coreset gradients' arithmetic lives in LossModel._weighted_grads, which
@@ -34,6 +44,11 @@ LOGISTIC = "logistic_regression"
 # Full-data costs are evaluated over blocks of queries holding at most this
 # many (point, query) pairs, so memory stays flat however many queries come.
 BLOCK_ELEMENTS = 1 << 20
+
+# The largest residual at which the Gram form stands in for the direct one:
+# its square times the total weight (at least 1) stays below 1e300, far from
+# overflow in either form.
+RESIDUAL_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
@@ -209,3 +224,52 @@ class LossModel:
         weights = self._per_point("weights", weights, a.shape[0])
         f, dz, _ = self._link(a @ q, labels, grad=True)
         return float(weights @ f), a.T @ (weights * dz)
+
+    def query_grads(self, points, labels, weights):
+        """The function that maps a (s, d') matrix of queries to the total
+        cost and its gradient w.r.t. the query at each row, (costs (s,),
+        grads (s, d')), for gradient descent on the set.
+
+        Logistic: query_grad at each row in turn, bit for bit. Squared loss:
+        the Gram form, from normal_equations computed here once, so each
+        call is a few (s, d') products; it agrees with query_grad to about
+        1e-13 relative. query_grad squares every residual a.q - b, so it
+        overflows while the Gram form's total is still finite: a row where
+        some residual could pass RESIDUAL_LIMIT is query_grad's, and the
+        two forms go non-finite at the same rows.
+        """
+        if self.kind == LOGISTIC:
+            def grads(queries):
+                pairs = [self.query_grad(points, labels, weights, q)
+                         for q in queries]
+                return (np.array([cost for cost, _ in pairs]),
+                        np.stack([g for _, g in pairs]))
+            return grads
+        G, h, c = self.normal_equations(points, labels, weights)
+        a = self.augment(np.asarray(points, dtype=float))
+        # |a.q - b| <= reach * |q| + offset for every point
+        reach = math.sqrt(np.max(np.einsum("ij,ij->i", a, a)))
+        offset = float(np.max(np.abs(labels)))
+        limit = RESIDUAL_LIMIT / math.sqrt(max(1.0, float(np.sum(weights))))
+
+        def grads(queries):
+            half = queries @ G.T - h  # G q - h at every row
+            costs = np.einsum("ij,ij->i", queries, half - h) + c
+            grad = 2.0 * half
+            near = reach * np.linalg.norm(queries, axis=1) + offset > limit
+            for i in np.flatnonzero(near):
+                costs[i], grad[i] = self.query_grad(points, labels, weights,
+                                                    queries[i])
+            return costs, grad
+        return grads
+
+    def normal_equations(self, points, labels, weights):
+        """A weighted set's statistics (G, h, c) = (A^T W A, A^T W b,
+        b^T W b), A the augmented features: the squared loss's total cost
+        at q is q^T G q - 2 h^T q + c, and G q = h at its minimizers."""
+        a = self.augment(np.asarray(points, dtype=float))
+        labels = self._per_point("labels", labels, a.shape[0])
+        weights = self._per_point("weights", weights, a.shape[0])
+        G = a.T @ (weights[:, None] * a)
+        h = a.T @ (weights * labels)
+        return G, h, float(labels @ (weights * labels))

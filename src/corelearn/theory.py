@@ -149,6 +149,7 @@ def verify_claim1(space: MeasurableQuerySpace, eps: float, delta: float,
     as verify_claim2 does through claim2_k.
     """
     check_count(trials, "trials", 1)
+    check_count(seed, "seed")
     M = exact_set_M(space)
     k = hoeffding_k(eps, delta, M)
     costs = scored(space.ground, space.loss, space.universe)[1]
@@ -188,6 +189,7 @@ def verify_claim2(P: WeightedLabeledSet, coreset: Coreset,
     the same in every trial.
     """
     check_count(trials, "trials", 1)
+    check_count(seed, "seed")
     qm, costs_p = scored(P, space.loss, space.universe)
     if M is None:
         M = float(np.max(np.abs(costs_p)))

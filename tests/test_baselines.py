@@ -101,6 +101,18 @@ def test_solve_two_points_hand_value(linreg):
     assert res.params[0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("intercept", [False, True])
+def test_closed_form_is_the_direct_normal_equations(intercept):
+    """solve_optimal reads the normal equations from LossModel; its solution
+    is that of the expressions written out, bit for bit."""
+    loss = LossModel("linear_regression", intercept)
+    P = make_synthetic("linear", 80, 3, 0.2, seed=9)
+    A = loss.augment(P.points)
+    G = A.T @ (P.weights[:, None] * A)
+    rhs = A.T @ (P.weights * P.labels)
+    assert np.array_equal(solve_optimal(P, loss).params, np.linalg.solve(G, rhs))
+
+
 def test_linreg_gd_matches_closed_form(linreg):
     P = make_synthetic("linear", 60, 3, 0.2, seed=6)
     exact = solve_optimal(P, linreg)

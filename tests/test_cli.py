@@ -106,12 +106,18 @@ def test_standardization(tmp_path):
     ({"features": ["a"], "label": "1"}, "features column 'a' must be a column index"),
     ({"features": ["0"], "label": "1", "weight": "w"},
      "weight column 'w' must be a column index"),
+    ({"features": ["0"], "label": "1", "has_header": 1},
+     "has_header must be True or False, got 1"),
+    ({"features": ["0"], "label": "1", "standardize": "no"},
+     "standardize must be True or False, got 'no'"),
+    ({"features": ["0"], "label": "1", "binary_label": None},
+     "binary_label must be True or False, got None"),
 ], ids=["features-str", "features-empty", "features-int", "label-int",
-        "weight-int", "label-negative", "features-name", "weight-name"])
+        "weight-int", "label-negative", "features-name", "weight-name",
+        "has_header-int", "standardize-str", "binary_label-none"])
 def test_schema_rejects_bad_column_names(fields, match):
     with pytest.raises(DatasetError, match=match):
         Schema(**fields)
-
 
 @pytest.mark.parametrize("schema", [
     dict(features=["a"], label="y"), dict(features=["b"], label="a"),

@@ -555,3 +555,27 @@ def test_a_dead_worker_is_an_error_not_a_hang(linreg, monkeypatch):
     assert "(6, 'uniform', 1)" in str(lost.value)
     assert "(6, 'uniform', 0)" not in str(lost.value)
     assert multiprocessing.active_children() == []
+
+
+def test_a_workers_exception_is_raised_in_the_sweep(linreg, monkeypatch):
+    parent = os.getpid()
+    uniform = baselines.uniform_coreset
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("worker cell failed")
+        return uniform(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "uniform_coreset", failing)
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+    P = make_synthetic("linear", 60, 2, 0.3, seed=23)
+    splits = _scoring_splits()
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
+    with warnings.catch_warnings():
+        # the failed cell's warning is an error, which ends the worker's share
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning,
+                           match=r"trial failed \(6, uniform, 1\): worker cell"):
+            sweep(P, linreg, [6], ["uniform"], 2, 3, splits["train"],
+                  splits["val"], splits["test"], cfg)
+    assert multiprocessing.active_children() == []

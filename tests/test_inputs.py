@@ -64,6 +64,24 @@ _COUNTS = [
      lambda v: verify_claim2(_P, _C, _SPACE, 0.5, 0.1, trials=v)),
     ("make_synthetic", "n", 1, lambda v: make_synthetic("linear", v, 2)),
     ("make_synthetic", "d", 1, lambda v: make_synthetic("linear", 5, v)),
+    # seeds may be negative, as in TrainConfig
+    ("make_synthetic", "seed", None,
+     lambda v: make_synthetic("linear", 5, 2, seed=v)),
+    ("trajectory_queries", "seed", None,
+     lambda v: trajectory_queries(_P, _LOSS, 1, 2, seed=v)),
+    ("split_queries", "seed", None,
+     lambda v: split_queries(_Q, [1, 1, 1], seed=v)),
+    ("iid_sample", "seed", None, lambda v: iid_sample(_SPACE, 2, seed=v)),
+    ("uniform_coreset", "seed", None, lambda v: uniform_coreset(_P, 3, seed=v)),
+    ("leverage_coreset", "seed", None,
+     lambda v: leverage_coreset(_P, 3, seed=v)),
+    ("init_coreset", "seed", None, lambda v: init_coreset(_P, 3, v)),
+    ("verify_claim1", "seed", None,
+     lambda v: verify_claim1(_SPACE, 0.5, 0.1, trials=2, seed=v)),
+    ("verify_claim2", "seed", None,
+     lambda v: verify_claim2(_P, _C, _SPACE, 0.5, 0.1, trials=2, seed=v)),
+    ("sweep", "base_seed", None,
+     lambda v: sweep(_P, _LOSS, [3], ["uniform"], 1, v, _Q, None, _Q, _CFG)),
 ]
 
 # the same, with whether the real's range is closed (>= 0) or open (> 0)
@@ -172,3 +190,9 @@ def test_zero_init_scale_and_an_int_rate_stay_valid():
     # an int rate is the same rate as its float
     assert np.array_equal(pool, trajectory_queries(_P, _LOSS, 2, 3, gd_lr=1.0,
                                                    init_scale=0.0))
+
+
+def test_negative_seeds_stay_valid():
+    assert uniform_coreset(_P, 3, seed=-4).n == 3
+    assert make_synthetic("linear", 5, 2, seed=-1).n == 5
+    assert split_queries(_Q, [1, 1, 1], seed=np.int64(-2))[0].array.shape == (1, 2)

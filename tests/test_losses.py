@@ -120,6 +120,50 @@ def test_one_query_costs_reduce_like_set_costs(shape, kind, intercept):
         assert loss.query_grad(S.points, S.labels, S.weights, q)[0] == ref
 
 
+# query_grads' Gram form against query_grad, relative to query_grad's cost
+# and gradient norm: measured at most 7.3e-16 and 4.0e-15 on these shapes.
+GRAM_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+@pytest.mark.parametrize("shape", SEEDED_SHAPES, ids=shape_id)
+def test_query_grads_match_query_grad(shape, kind, intercept):
+    """Each row of query_grads is query_grad's: bit for bit for the logistic
+    loss, within GRAM_RTOL for the squared loss's Gram form, and query_grad's
+    own non-finite cost where a residual overflows in the direct form."""
+    loss, S, qm = seeded_problem(shape, kind, intercept)
+    costs, grads = loss.query_grads(S.points, S.labels, S.weights)(qm)
+    assert costs.shape == (len(qm),) and grads.shape == qm.shape
+    for q, cost, grad in zip(qm, costs, grads):
+        ref_cost, ref_grad = loss.query_grad(S.points, S.labels, S.weights, q)
+        if kind == "logistic_regression":
+            assert cost == ref_cost and np.array_equal(grad, ref_grad)
+        else:
+            assert abs(cost - ref_cost) <= GRAM_RTOL * ref_cost
+            assert (np.linalg.norm(grad - ref_grad)
+                    <= GRAM_RTOL * np.linalg.norm(ref_grad))
+    if kind == "linear_regression":
+        far = qm * 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            costs, _ = loss.query_grads(S.points, S.labels, S.weights)(far)
+            ref = [loss.query_grad(S.points, S.labels, S.weights, q)[0]
+                   for q in far]
+        assert np.array_equal(costs, ref) and not np.isfinite(costs).any()
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+def test_normal_equations_are_the_sets_statistics(intercept):
+    loss, S, _ = seeded_problem(SEEDED_SHAPES[0], "linear_regression", intercept)
+    G, h, c = loss.normal_equations(S.points, S.labels, S.weights)
+    a = loss.augment(S.points)
+    assert np.allclose(G, a.T @ np.diag(S.weights) @ a)
+    assert np.allclose(h, a.T @ (S.weights * S.labels))
+    assert c == pytest.approx(np.sum(S.weights * S.labels ** 2))
+    with pytest.raises(ContractError, match="weights have shape"):
+        loss.normal_equations(S.points, S.labels, S.weights[1:])
+
+
 def test_intercept_augments_query_dim():
     loss = LossModel("linear_regression", intercept=True)
     # <[2], q> + q_0 with q = [3, 1], b = 0 -> residual 7

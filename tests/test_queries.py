@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from corelearn import (
     ContractError,
+    LossModel,
     MeasurableQuerySpace,
     Query,
     QueryBatch,
@@ -14,6 +17,7 @@ from corelearn import (
     split_queries,
     trajectory_queries,
 )
+from corelearn.core import stream_rng
 from corelearn.datasets import make_synthetic
 from corelearn.queries import save_pool_csv
 
@@ -181,3 +185,62 @@ def test_query_batch_is_its_query_matrix(linreg):
     copy = np.array(batch)
     assert np.array_equal(copy, batch.array)
     assert not np.shares_memory(copy, batch.array)
+
+
+def _per_start_pool(P, loss, n_starts, steps_per_start, gd_lr, seed):
+    """trajectory_queries as one start after another, each step one
+    query_grad over the data: the reference the stepped starts must match."""
+    rng = stream_rng(seed, "trajectory_queries")
+    out = []
+    for start in range(n_starts):
+        q = rng.standard_normal(loss.query_dim(P.dim))
+        out.append(q.copy())
+        _, g = loss.query_grad(P.points, P.labels, P.weights, q)
+        for _ in range(steps_per_start):
+            q = q - gd_lr * g
+            cost = np.inf
+            if np.all(np.isfinite(q)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    cost, g = loss.query_grad(P.points, P.labels, P.weights, q)
+            if not np.isfinite(cost):
+                warnings.warn(f"trajectory {start} diverged; truncating")
+                break
+            out.append(q.copy())
+    return np.stack(out)
+
+
+def _pool_and_warnings(make_pool):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pool = make_pool()
+    return pool, [str(w.message) for w in caught]
+
+
+# The Gram form's pool against the per-start loop, as the largest row-norm
+# relative deviation: measured at most 5.1e-14 on the cases below, 7.5e-14
+# on a 5000-point pool with an intercept (20 starts of 119 steps).
+GRAM_POOL_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("gd_lr, diverged", [(0.05, 0), (1e6, 6)],
+                         ids=["converging", "diverging"])
+@pytest.mark.parametrize("intercept", [False, True])
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+def test_stepped_starts_match_the_per_start_loop(kind, intercept, gd_lr,
+                                                 diverged):
+    task = "linear" if kind == "linear_regression" else "logistic"
+    P = make_synthetic(task, 300, 3, 0.5, seed=12)
+    loss = LossModel(kind, intercept)
+    args = (P, loss, 6, 40, gd_lr, 13)
+    pool, caught = _pool_and_warnings(
+        lambda: trajectory_queries(*args[:4], gd_lr=gd_lr, seed=13))
+    ref, ref_caught = _pool_and_warnings(lambda: _per_start_pool(*args))
+    assert caught == ref_caught
+    if kind == "linear_regression":
+        assert len(caught) == diverged
+    assert pool.shape == ref.shape
+    if kind == "logistic_regression":
+        assert np.array_equal(pool, ref)
+    else:
+        dev = np.linalg.norm(pool - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert dev.max() <= GRAM_POOL_RTOL
