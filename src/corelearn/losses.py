@@ -9,7 +9,11 @@ Each family is written once, in LossModel._link: the losses at predictions
 z = <p, q> and, on request, their derivatives w.r.t. z and the label. The
 values (pointwise_matrix, its one-query column pointwise, costs), the coreset
 gradients (weighted_grads) and the query's cost and gradient (query_grad) are
-all built on it by the chain rule through z.
+all built on it by the chain rule through z. The logistic slope is written
+once too, in _softplus_terms, which _link shares with the query pool's step
+(query_grads): that step needs each query's gradient and only a proof that
+its cost is finite, so it computes the slope alone, bit for bit as
+query_grad does, and the cost only where the proof fails.
 
 Squared loss has a second form, the Gram form. A set's statistics
 G = A^T W A, h = A^T W b and c = b^T W b (normal_equations; A the augmented
@@ -45,10 +49,31 @@ LOGISTIC = "logistic_regression"
 # many (point, query) pairs, so memory stays flat however many queries come.
 BLOCK_ELEMENTS = 1 << 20
 
+# The largest bound on a total cost that query_grads takes as finite without
+# the direct form's cost: far from overflow in any form.
+COST_LIMIT = 1e300
+
 # The largest residual at which the Gram form stands in for the direct one:
-# its square times the total weight (at least 1) stays below 1e300, far from
-# overflow in either form.
+# its square times the total weight (at least 1) stays below COST_LIMIT.
 RESIDUAL_LIMIT = 1e150
+
+
+def _softplus_terms(m, slope):
+    """(e, s) at logistic margins m: e = exp(-|m|) and, if slope, the slope
+    s = d softplus(-m) / dm = -sigmoid(-m), else None. Value and slope come
+    from the one e, so neither overflows at any finite m; m is not changed.
+    """
+    e = np.abs(m)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    if not slope:
+        return e, None
+    # -e / (1 + e) for m >= 0, -1 / (1 + e) else: e lies in [0, 1], so
+    # max(e, m < 0) picks the numerator
+    s = e + 1.0
+    np.divide(np.maximum(e, m < 0), s, out=s)
+    np.negative(s, out=s)
+    return e, s
 
 
 @dataclass(frozen=True)
@@ -78,11 +103,14 @@ class LossModel:
 
     def _features(self, points, query_dim):
         a = self.augment(np.atleast_2d(np.asarray(points, dtype=float)))
-        if a.shape[1] != query_dim:
-            raise ContractError(
-                f"query dim {query_dim} does not match feature dim {a.shape[1]}"
-            )
+        self._check_dim(query_dim, a.shape[1])
         return a
+
+    @staticmethod
+    def _check_dim(query_dim, feature_dim):
+        if query_dim != feature_dim:
+            raise ContractError(
+                f"query dim {query_dim} does not match feature dim {feature_dim}")
 
     @staticmethod
     def _per_point(name, values, n):
@@ -111,18 +139,11 @@ class LossModel:
             z *= z
             return z, dz, db
         # f = softplus(-m) = log(1 + e^-m) with margin m = b z. Labels may be
-        # real here: learned coreset labels drift off +/-1. Value and slope
-        # come from one e = exp(-|m|), so neither overflows at any finite m.
+        # real here: learned coreset labels drift off +/-1.
         m = z * labels if grad else np.multiply(z, labels, out=z)
-        e = np.abs(m)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
+        e, s = _softplus_terms(m, grad)
         dz = db = None
         if grad:
-            # df/dm = -sigmoid(-m): -e / (1 + e) for m >= 0, -1 / (1 + e) else
-            s = e + 1.0
-            np.divide(np.where(m >= 0, e, 1.0), s, out=s)
-            np.negative(s, out=s)
             db = np.multiply(z, s, out=z)
             dz = s
             dz *= labels
@@ -226,33 +247,60 @@ class LossModel:
         return float(weights @ f), a.T @ (weights * dz)
 
     def query_grads(self, points, labels, weights):
-        """The function that maps a (s, d') matrix of queries to the total
-        cost and its gradient w.r.t. the query at each row, (costs (s,),
-        grads (s, d')), for gradient descent on the set.
+        """The function that maps a (s, d') matrix of queries to whether the
+        total cost is finite and its gradient w.r.t. the query at each row,
+        (finite (s,) bool, grads (s, d')), for gradient descent on the set.
 
-        Logistic: query_grad at each row in turn, bit for bit. Squared loss:
-        the Gram form, from normal_equations computed here once, so each
-        call is a few (s, d') products; it agrees with query_grad to about
-        1e-13 relative. query_grad squares every residual a.q - b, so it
-        overflows while the Gram form's total is still finite: a row where
-        some residual could pass RESIDUAL_LIMIT is query_grad's, and the
-        two forms go non-finite at the same rows.
+        Logistic: each row's gradient is query_grad's, bit for bit, and its
+        cost is not computed. softplus(-m) <= |m| + ln 2, and every margin
+        has |m| <= max|b| * max|a_i| * |q|, so the cost is finite wherever
+        sum|w| * (that bound + 1) stays under COST_LIMIT; a row past it is
+        query_grad's, cost and all. Squared loss: the Gram form, from
+        normal_equations computed here once, so each call is a few (s, d')
+        products; it agrees with query_grad to about 1e-13 relative.
+        query_grad squares every residual a.q - b, so it overflows while the
+        Gram form's total is still finite: a row where some residual could
+        pass RESIDUAL_LIMIT is query_grad's, and the two forms go non-finite
+        at the same rows.
+
+        The points, labels and weights are converted, checked and augmented
+        here, once.
         """
-        if self.kind == LOGISTIC:
-            def grads(queries):
-                pairs = [self.query_grad(points, labels, weights, q)
-                         for q in queries]
-                return (np.array([cost for cost, _ in pairs]),
-                        np.stack([g for _, g in pairs]))
-            return grads
-        G, h, c = self.normal_equations(points, labels, weights)
         a = self.augment(np.asarray(points, dtype=float))
-        # |a.q - b| <= reach * |q| + offset for every point
+        labels = self._per_point("labels", labels, a.shape[0])
+        weights = self._per_point("weights", weights, a.shape[0])
+        # |a.q| <= reach * |q| for every point
         reach = math.sqrt(np.max(np.einsum("ij,ij->i", a, a)))
         offset = float(np.max(np.abs(labels)))
+        if self.kind == LOGISTIC:
+            # |m| <= offset * reach * |q| at every point
+            limit = COST_LIMIT / max(1.0, float(np.sum(np.abs(weights))))
+
+            def grads(queries):
+                self._check_dim(queries.shape[1], a.shape[1])
+                finite = np.ones(queries.shape[0], dtype=bool)
+                grad = np.empty(queries.shape)
+                bound = offset * reach * np.linalg.norm(queries, axis=1) + 1.0
+                for i, q in enumerate(queries):
+                    if bound[i] <= limit:
+                        # query_grad's gradient, in its order, without the cost
+                        m = a @ q
+                        m *= labels
+                        dz = _softplus_terms(m, True)[1]
+                        dz *= labels
+                        grad[i] = a.T @ (weights * dz)
+                    else:  # past the limit, or a nan bound
+                        cost, grad[i] = self.query_grad(points, labels,
+                                                        weights, q)
+                        finite[i] = math.isfinite(cost)
+                return finite, grad
+            return grads
+        G, h, c = self.normal_equations(points, labels, weights)
+        # |a.q - b| <= reach * |q| + offset for every point
         limit = RESIDUAL_LIMIT / math.sqrt(max(1.0, float(np.sum(weights))))
 
         def grads(queries):
+            self._check_dim(queries.shape[1], a.shape[1])
             half = queries @ G.T - h  # G q - h at every row
             costs = np.einsum("ij,ij->i", queries, half - h) + c
             grad = 2.0 * half
@@ -260,7 +308,7 @@ class LossModel:
             for i in np.flatnonzero(near):
                 costs[i], grad[i] = self.query_grad(points, labels, weights,
                                                     queries[i])
-            return costs, grad
+            return np.isfinite(costs), grad
         return grads
 
     def normal_equations(self, points, labels, weights):

@@ -46,11 +46,14 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
 
     The starts are drawn up front, in start order, and step together: each
     step takes the live starts' iterates as one (starts, d') matrix to
-    loss.query_grads. For squared loss that is the Gram form, O(d'^2) per
-    iterate after one pass over the data. It serves this step only, and
-    moves an iterate from the direct form's by at most about 1e-13
-    relative to its norm; a diverging start still stops at the direct
-    form's iterate.
+    loss.query_grads, which returns whether each cost is finite and each
+    gradient; the cost itself is never needed. For the logistic loss each
+    gradient is query_grad's, bit for bit, and the cost is computed only
+    where a bound on it cannot prove it finite. For squared loss it is the
+    Gram form, O(d'^2) per iterate after one pass over the data. It serves
+    this step only, and moves an iterate from the direct form's by at most
+    about 1e-13 relative to its norm; a diverging start still stops at the
+    direct form's iterate.
     """
     check_count(n_starts, "n_starts", 1)
     check_count(steps_per_start, "steps_per_start", 0)
@@ -67,15 +70,14 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
     _, g = grads(q)
     for step in range(1, steps_per_start + 1):
         q = q - gd_lr * g
-        # the cost decides: a non-finite gradient beside a finite cost makes
-        # the next iterate non-finite, which truncates
-        cost = np.full(live.size, np.inf)
+        # the cost's finiteness decides: a non-finite gradient beside a
+        # finite cost makes the next iterate non-finite, which truncates
+        ok = np.zeros(live.size, dtype=bool)
         g = np.empty_like(q)
         finite = np.all(np.isfinite(q), axis=1)
         if finite.any():
             with np.errstate(over="ignore", invalid="ignore"):
-                cost[finite], g[finite] = grads(q[finite])
-        ok = np.isfinite(cost)
+                ok[finite], g[finite] = grads(q[finite])
         length[live[~ok]] = step
         path[live[ok], step] = q[ok]
         live, q, g = live[ok], q[ok], g[ok]

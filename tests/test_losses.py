@@ -120,36 +120,67 @@ def test_one_query_costs_reduce_like_set_costs(shape, kind, intercept):
         assert loss.query_grad(S.points, S.labels, S.weights, q)[0] == ref
 
 
-# query_grads' Gram form against query_grad, relative to query_grad's cost
-# and gradient norm: measured at most 7.3e-16 and 4.0e-15 on these shapes.
+# query_grads' Gram form against query_grad, relative to query_grad's
+# gradient norm: measured at most 4.0e-15 on these shapes.
 GRAM_RTOL = 1e-12
+
+# Far rows, where a residual (squared loss) or the cost's bound (logistic)
+# passes query_grads' limit, so each row is query_grad's
+FAR_SCALES = {"linear_regression": (1e160,),
+              "logistic_regression": (1e300, 1e307)}
 
 
 @pytest.mark.parametrize("intercept", [False, True])
 @pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
 @pytest.mark.parametrize("shape", SEEDED_SHAPES, ids=shape_id)
-def test_query_grads_match_query_grad(shape, kind, intercept):
-    """Each row of query_grads is query_grad's: bit for bit for the logistic
-    loss, within GRAM_RTOL for the squared loss's Gram form, and query_grad's
-    own non-finite cost where a residual overflows in the direct form."""
+def test_query_grads_match_query_grad(shape, kind, intercept, monkeypatch):
+    """Each row of query_grads is finite exactly where query_grad's cost is,
+    and its gradient is query_grad's: bit for bit for the logistic loss,
+    within GRAM_RTOL for the squared loss's Gram form. A near row makes no
+    query_grad call; a far row is query_grad's own, non-finite cost included."""
     loss, S, qm = seeded_problem(shape, kind, intercept)
-    costs, grads = loss.query_grads(S.points, S.labels, S.weights)(qm)
-    assert costs.shape == (len(qm),) and grads.shape == qm.shape
-    for q, cost, grad in zip(qm, costs, grads):
-        ref_cost, ref_grad = loss.query_grad(S.points, S.labels, S.weights, q)
+    grads = loss.query_grads(S.points, S.labels, S.weights)
+    calls = []
+    direct = LossModel.query_grad
+    monkeypatch.setattr(LossModel, "query_grad",
+                        lambda *args: calls.append(1) or direct(*args))
+    far = np.concatenate([qm * scale for scale in FAR_SCALES[kind]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite, got = grads(qm)
+        assert not calls
+        far_finite, far_got = grads(far)
+        assert len(calls) == len(far)
+        ref = [loss.query_grad(S.points, S.labels, S.weights, q) for q in qm]
+        far_ref = [loss.query_grad(S.points, S.labels, S.weights, q)
+                   for q in far]
+    assert finite.shape == (len(qm),) and got.shape == qm.shape
+    for row_finite, grad, (ref_cost, ref_grad) in zip(finite, got, ref):
+        assert row_finite == math.isfinite(ref_cost)
         if kind == "logistic_regression":
-            assert cost == ref_cost and np.array_equal(grad, ref_grad)
+            assert np.array_equal(grad, ref_grad)
         else:
-            assert abs(cost - ref_cost) <= GRAM_RTOL * ref_cost
             assert (np.linalg.norm(grad - ref_grad)
                     <= GRAM_RTOL * np.linalg.norm(ref_grad))
+    assert np.array_equal(far_finite, [math.isfinite(c) for c, _ in far_ref])
+    assert np.array_equal(far_got, [g for _, g in far_ref], equal_nan=True)
     if kind == "linear_regression":
-        far = qm * 1e160
-        with np.errstate(over="ignore", invalid="ignore"):
-            costs, _ = loss.query_grads(S.points, S.labels, S.weights)(far)
-            ref = [loss.query_grad(S.points, S.labels, S.weights, q)[0]
-                   for q in far]
-        assert np.array_equal(costs, ref) and not np.isfinite(costs).any()
+        assert not far_finite.any()
+
+
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+def test_query_grads_check_their_inputs(kind):
+    """query_grads checks the set once, and each query matrix's width."""
+    loss = LossModel(kind, intercept=True)
+    pts = [[1.0, 2.0], [0.5, -1.0]]
+    with pytest.raises(ContractError, match="labels"):
+        loss.query_grads(pts, [1.0], [1.0, 1.0])
+    with pytest.raises(ContractError, match="weights"):
+        loss.query_grads(pts, [1.0, -1.0], [1.0])
+    grads = loss.query_grads(pts, [1.0, -1.0], [1.0, 1.0])
+    with pytest.raises(ContractError, match="query dim 2"):
+        grads(np.zeros((4, 2)))
+    finite, grad = grads(np.zeros((4, 3)))
+    assert finite.all() and grad.shape == (4, 3)
 
 
 @pytest.mark.parametrize("intercept", [False, True])
