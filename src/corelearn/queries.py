@@ -34,6 +34,17 @@ class QueryBatch:
         return a.copy() if copy else a
 
 
+# A start is cut at the first iterate whose gradient norm exceeds the one
+# before by more than this share of the start's first gradient norm. For a
+# convex L-smooth loss and a step of at most 2/L the gradient norm never
+# grows (Nesterov, Introductory Lectures on Convex Optimization, 2004,
+# Thm 2.1.5), so growth shows a step too large where the start is. Measured
+# against the first norm, not the one before, rounding does not cut a start
+# that has converged: there the norm sits near 1e-15 of the first, and
+# steps of it grow by any ratio.
+GROWTH_RTOL = 1e-6
+
+
 def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
                        steps_per_start: int, gd_lr: float = 0.01,
                        init_scale: float = 1.0, seed: int = 0) -> np.ndarray:
@@ -41,8 +52,9 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
 
     Each of n_starts Gaussian initializations contributes its starting point
     plus the iterate after every step; the rows are start-major. A
-    trajectory whose iterate or cost goes non-finite is truncated after its
-    last finite iterate, with a warning; the warnings come in start order.
+    trajectory diverges at the first iterate whose gradient norm grows (see
+    GROWTH_RTOL) or whose value or cost is not finite, and is truncated
+    before it, with a warning; the warnings come in start order.
 
     The starts are drawn up front, in start order, and step together: each
     step takes the live starts' iterates as one (starts, d') matrix to
@@ -68,19 +80,25 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
     grads = loss.query_grads(P.points, P.labels, P.weights)
     live = np.arange(n_starts)
     _, g = grads(q)
+    size = np.linalg.norm(g, axis=1)
+    slack = GROWTH_RTOL * size
     for step in range(1, steps_per_start + 1):
         q = q - gd_lr * g
-        # the cost's finiteness decides: a non-finite gradient beside a
+        # the cost's finiteness is the backstop: a nan gradient beside a
         # finite cost makes the next iterate non-finite, which truncates
         ok = np.zeros(live.size, dtype=bool)
         g = np.empty_like(q)
         finite = np.all(np.isfinite(q), axis=1)
-        if finite.any():
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if finite.any():
                 ok[finite], g[finite] = grads(q[finite])
+            grown = size
+            size = np.linalg.norm(g, axis=1)
+        ok &= ~(size > grown + slack)
         length[live[~ok]] = step
         path[live[ok], step] = q[ok]
-        live, q, g = live[ok], q[ok], g[ok]
+        live, q, g, size, slack = (live[ok], q[ok], g[ok], size[ok],
+                                   slack[ok])
         if not live.size:
             break
     for start in np.flatnonzero(length <= steps_per_start):

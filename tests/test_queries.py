@@ -19,7 +19,7 @@ from corelearn import (
 )
 from corelearn.core import stream_rng
 from corelearn.datasets import make_synthetic
-from corelearn.queries import save_pool_csv
+from corelearn.queries import GROWTH_RTOL, save_pool_csv
 
 
 def test_zero_steps_returns_initials(linreg):
@@ -169,6 +169,39 @@ def test_divergent_trajectory_truncates(linreg):
     assert pool.shape[0] < 201
 
 
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+def test_growing_gradient_cuts_a_start_whose_cost_stays_finite(kind):
+    """A step too large for the loss makes the gradient grow long before
+    anything overflows: lr 3 on squared loss, lr 1e6 on the logistic loss,
+    whose gradient is bounded. Each start stops before its first grown
+    gradient, with one warning per start, in start order."""
+    task = "linear" if kind == "linear_regression" else "logistic"
+    P = make_synthetic(task, 300, 3, 0.5, seed=12)
+    pool, caught = _pool_and_warnings(lambda: trajectory_queries(
+        P, LossModel(kind), 6, 40, gd_lr=3.0 if task == "linear" else 1e6,
+        seed=13))
+    assert caught == [f"trajectory {s} diverged; truncating" for s in range(6)]
+    assert np.isfinite(pool).all() and len(pool) < 6 * 41
+
+
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+def test_converged_starts_are_not_cut(kind):
+    """Run to convergence, the gradient norm falls to about 1e-15 of its
+    first and then jitters by any ratio from step to step; measured against
+    the first norm, that jitter cuts no start."""
+    task = "linear" if kind == "linear_regression" else "logistic"
+    P = make_synthetic(task, 300, 3, 0.5, seed=12)
+    loss = LossModel(kind, intercept=True)
+    pool, caught = _pool_and_warnings(lambda: trajectory_queries(
+        P, loss, 6, 3000, gd_lr=0.05 if task == "linear" else 3.0, seed=13))
+    assert not caught and pool.shape == (6 * 3001, 4)
+    last = pool[3000::3001]
+    _, g = loss.query_grads(P.points, P.labels, P.weights)(last)
+    _, g0 = loss.query_grads(P.points, P.labels, P.weights)(pool[::3001])
+    assert np.all(np.linalg.norm(g, axis=1)
+                  <= 1e-12 * np.linalg.norm(g0, axis=1))
+
+
 def test_query_batch_is_its_query_matrix(linreg):
     rng = np.random.default_rng(11)
     P = WeightedLabeledSet(rng.standard_normal((30, 2)), rng.random(30),
@@ -189,20 +222,24 @@ def test_query_batch_is_its_query_matrix(linreg):
 
 def _per_start_pool(P, loss, n_starts, steps_per_start, gd_lr, seed):
     """trajectory_queries as one start after another, each step one
-    query_grad over the data: the reference the stepped starts must match."""
+    query_grad over the data: the reference the stepped starts must match.
+    A start stops before the first iterate whose cost is not finite, or
+    whose gradient norm grows by more than GROWTH_RTOL of its first."""
     rng = stream_rng(seed, "trajectory_queries")
     out = []
     for start in range(n_starts):
         q = rng.standard_normal(loss.query_dim(P.dim))
         out.append(q.copy())
         _, g = loss.query_grad(P.points, P.labels, P.weights, q)
+        first = size = np.linalg.norm(g)
         for _ in range(steps_per_start):
             q = q - gd_lr * g
-            cost = np.inf
+            cost, grown = np.inf, size
             if np.all(np.isfinite(q)):
                 with np.errstate(over="ignore", invalid="ignore"):
                     cost, g = loss.query_grad(P.points, P.labels, P.weights, q)
-            if not np.isfinite(cost):
+                    size = np.linalg.norm(g)
+            if not np.isfinite(cost) or size > grown + GROWTH_RTOL * first:
                 warnings.warn(f"trajectory {start} diverged; truncating")
                 break
             out.append(q.copy())
@@ -235,9 +272,7 @@ def test_stepped_starts_match_the_per_start_loop(kind, intercept, gd_lr,
     pool, caught = _pool_and_warnings(
         lambda: trajectory_queries(*args[:4], gd_lr=gd_lr, seed=13))
     ref, ref_caught = _pool_and_warnings(lambda: _per_start_pool(*args))
-    assert caught == ref_caught
-    if kind == "linear_regression":
-        assert len(caught) == diverged
+    assert caught == ref_caught and len(caught) == diverged
     assert pool.shape == ref.shape
     if kind == "logistic_regression":
         assert np.array_equal(pool, ref)
