@@ -53,7 +53,7 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
     Each of n_starts Gaussian initializations contributes its starting point
     plus the iterate after every step; the rows are start-major. A
     trajectory diverges at the first iterate whose gradient norm grows (see
-    GROWTH_RTOL) or whose value or cost is not finite, and is truncated
+    GROWTH_RTOL) or whose entries or cost are not finite, and is truncated
     before it, with a warning; the warnings come in start order.
 
     The starts are drawn up front, in start order, and step together: each
@@ -92,9 +92,8 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
         with np.errstate(over="ignore", invalid="ignore"):
             if finite.any():
                 ok[finite], g[finite] = grads(q[finite])
-            grown = size
-            size = np.linalg.norm(g, axis=1)
-        ok &= ~(size > grown + slack)
+            before, size = size, np.linalg.norm(g, axis=1)
+        ok &= ~(size > before + slack)
         length[live[~ok]] = step
         path[live[ok], step] = q[ok]
         live, q, g, size, slack = (live[ok], q[ok], g[ok], size[ok],

@@ -234,12 +234,12 @@ def _per_start_pool(P, loss, n_starts, steps_per_start, gd_lr, seed):
         first = size = np.linalg.norm(g)
         for _ in range(steps_per_start):
             q = q - gd_lr * g
-            cost, grown = np.inf, size
+            cost, before = np.inf, size
             if np.all(np.isfinite(q)):
                 with np.errstate(over="ignore", invalid="ignore"):
                     cost, g = loss.query_grad(P.points, P.labels, P.weights, q)
                     size = np.linalg.norm(g)
-            if not np.isfinite(cost) or size > grown + GROWTH_RTOL * first:
+            if not np.isfinite(cost) or size > before + GROWTH_RTOL * first:
                 warnings.warn(f"trajectory {start} diverged; truncating")
                 break
             out.append(q.copy())
