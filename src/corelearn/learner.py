@@ -53,7 +53,7 @@ import numpy as np
 from .core import (RATIO_FLOOR, Coreset, ContractError, NumericError,
                    WeightedLabeledSet, check_count, check_real, floored, scored,
                    stream_rng)
-from .losses import LossModel
+from .losses import LossModel, _columns
 
 # global-norm bound on each step's gradient
 GRAD_CLIP = 1e3
@@ -229,12 +229,23 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     feats = np.ones((m, d + 1)) if loss.intercept else pts
     lab_col = lab[:, None]
     out = (g_pts, g_lab, g_wts if cfg.learn_weights else None)
+    # one workspace for the run: the kernel arrays of a step, viewed once
+    # per batch size (a full batch and a ragged last one), and of an
+    # epoch's scoring
+    count = 1 + loss._link_buffers(True)
+    width = min(cfg.batch_size, qm.shape[0])
+    work = np.empty(max(count * m * width, loss._cost_floats(
+        m, (qm if val is None else val[0]).shape[0])))
+    views = {k: _columns(work, count, m, k)
+             for k in (width, qm.shape[0] % width or width)}
 
     def penalty():
         return abs(w_sum - float(wts.sum())) * cfg.lam
 
     def cost(queries):
-        return loss.costs(pts, lab, wts, queries)
+        if loss.intercept:
+            feats[:, :d] = pts
+        return loss._costs(feats, lab_col, wts, queries, work)
 
     best_score = np.inf
     best = init
@@ -248,7 +259,7 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
             if loss.intercept:
                 feats[:, :d] = pts
             _, value = loss._weighted_grads(feats, lab_col, wts, batch, term,
-                                            idx, out)
+                                            idx, out, views[batch.shape[0]])
             value += abs(gap) * cfg.lam
             if not math.isfinite(value):
                 raise NumericError(

@@ -58,22 +58,35 @@ COST_LIMIT = 1e300
 RESIDUAL_LIMIT = 1e150
 
 
-def _softplus_terms(m, slope):
+def _softplus_terms(m, slope, work=None):
     """(e, s) at logistic margins m: e = exp(-|m|) and, if slope, the slope
     s = d softplus(-m) / dm = -sigmoid(-m), else None. Value and slope come
     from the one e, so neither overflows at any finite m; m is not changed.
+    e, s and a temporary are written into work[0], work[1] and work[2],
+    arrays shaped like m (work[0] alone without slope), or into fresh ones
+    when work is None.
     """
-    e = np.abs(m)
+    if work is None:
+        work = np.empty((3 if slope else 1,) + m.shape)
+    e = np.abs(m, out=work[0])
     np.negative(e, out=e)
     np.exp(e, out=e)
     if not slope:
         return e, None
     # -e / (1 + e) for m >= 0, -1 / (1 + e) else: e lies in [0, 1], so
     # max(e, m < 0) picks the numerator
-    s = e + 1.0
-    np.divide(np.maximum(e, m < 0), s, out=s)
+    s = np.add(e, 1.0, out=work[1])
+    num = np.less(m, 0.0, out=work[2])
+    np.maximum(e, num, out=num)
+    np.divide(num, s, out=s)
     np.negative(s, out=s)
     return e, s
+
+
+def _columns(work, count, rows, cols):
+    """count C-contiguous (rows, cols) matrices, stacked, in the head of the
+    flat buffer work: what np.matmul(out=) and _link write into."""
+    return work[:count * rows * cols].reshape(count, rows, cols)
 
 
 @dataclass(frozen=True)
@@ -121,27 +134,37 @@ class LossModel:
                 f"{name} have shape {values.shape}, expected ({n},): one per point")
         return values
 
-    def _link(self, z, labels, grad=False):
+    def _link_buffers(self, grad):
+        """How many arrays shaped like z _link works in."""
+        if self.kind == LINEAR:
+            return 2 if grad else 0
+        return 4 if grad else 1
+
+    def _link(self, z, labels, grad=False, work=None):
         """Losses f(z, b) at predictions z and labels b, which broadcast
         against z; the one place where each family's formula is written.
 
         Returns (f, df/dz, df/db), the two derivatives None without grad. z
-        is overwritten, and the losses are computed in its memory or in a
-        temporary of its size.
+        is overwritten, and every result is computed in z or in work:
+        _link_buffers(grad) arrays shaped like z, or fresh ones when work
+        is None. No other array of z's size is allocated.
         """
+        if work is None:
+            work = np.empty((self._link_buffers(grad),) + z.shape)
         if self.kind == LINEAR:
             # f = (z - b)^2
             z -= labels
             dz = db = None
             if grad:
-                dz = 2.0 * z
-                db = -dz
+                dz = np.multiply(2.0, z, out=work[0])
+                db = np.negative(dz, out=work[1])
             z *= z
             return z, dz, db
         # f = softplus(-m) = log(1 + e^-m) with margin m = b z. Labels may be
-        # real here: learned coreset labels drift off +/-1.
-        m = z * labels if grad else np.multiply(z, labels, out=z)
-        e, s = _softplus_terms(m, grad)
+        # real here: learned coreset labels drift off +/-1. With grad, z is
+        # kept for df/db and m goes to work[0].
+        m = np.multiply(z, labels, out=work[0] if grad else z)
+        e, s = _softplus_terms(m, grad, work[1:] if grad else work)
         dz = db = None
         if grad:
             db = np.multiply(z, s, out=z)
@@ -168,19 +191,44 @@ class LossModel:
     def costs(self, points, labels, weights, queries) -> np.ndarray:
         """Weighted total cost per query, weights @ pointwise_matrix, shape (k,).
 
-        The (n, k) loss matrix is never held whole: see BLOCK_ELEMENTS.
+        The (n, k) loss matrix is never held whole. The queries are taken
+        in blocks of at most BLOCK_ELEMENTS // n, and every block is
+        evaluated in the same buffers, allocated once per call: the
+        block's predictions and, for the logistic loss, its exp(-|m|).
+        Past BLOCK_ELEMENTS points a block is one query, and the working
+        set then grows as 2 * 8n bytes.
         """
         qm = np.atleast_2d(np.asarray(queries, dtype=float))
-        n = np.atleast_2d(points).shape[0]
-        labels = self._per_point("labels", labels, n)
-        weights = self._per_point("weights", weights, n)
+        a = self._features(points, qm.shape[1])
+        labels = self._per_point("labels", labels, a.shape[0])
+        weights = self._per_point("weights", weights, a.shape[0])
+        return self._costs(a, labels[:, None], weights, qm, None)
+
+    def _cost_floats(self, n, k):
+        """The size of the flat workspace _costs takes for k queries at n
+        points: a block's predictions and _link's buffers."""
+        block = min(max(1, BLOCK_ELEMENTS // n), k)
+        return (1 + self._link_buffers(False)) * n * block
+
+    def _costs(self, a, labels, weights, qm, work):
+        """costs' arithmetic, on checked float arrays: a the (n, d')
+        augmented features, labels their (n, 1) column, weights (n,), qm
+        the (k, d') queries. Every block is evaluated in the flat buffer
+        work, of at least _cost_floats(n, k) entries, or a fresh one when
+        work is None.
+        """
+        n, k = a.shape[0], qm.shape[0]
         step = max(1, BLOCK_ELEMENTS // n)
-        out = np.empty(qm.shape[0])
-        for lo in range(0, qm.shape[0], step):
-            # the old block is freed only after the next is built, which keeps
-            # glibc from trimming the heap and faulting it in again per block
-            block = self.pointwise_matrix(points, labels, qm[lo:lo + step])
-            out[lo:lo + step] = weights @ block
+        if work is None:
+            work = np.empty(self._cost_floats(n, k))
+        count = 1 + self._link_buffers(False)
+        out = np.empty(k)
+        for lo in range(0, k, step):
+            block = qm[lo:lo + step]
+            z, *scratch = _columns(work, count, n, block.shape[0])
+            f = self._link(np.matmul(a, block.T, out=z), labels,
+                           work=scratch)[0]
+            np.matmul(weights, f, out=out[lo:lo + step])
         return out
 
     # -- gradients ------------------------------------------------------
@@ -207,10 +255,10 @@ class LossModel:
         costs, _ = self._weighted_grads(self._features(points, qm.shape[1]),
                                         labels[:, None], weights, qm,
                                         lambda costs, idx: (0.0, coeffs),
-                                        slice(None), out)
+                                        slice(None), out, None)
         return (costs,) + out
 
-    def _weighted_grads(self, a, labels, weights, qm, term, idx, out):
+    def _weighted_grads(self, a, labels, weights, qm, term, idx, out, work):
         """weighted_grads' arithmetic, on checked float arrays.
 
         a: the (m, d') features as the queries see them (augmented), labels:
@@ -220,8 +268,15 @@ class LossModel:
         first d columns of a), the labels and the weights are written into
         out = (d_points (m, d), d_labels (m,), d_weights (m,) or None to
         skip it), unless value is not finite. Returns (costs, value).
+        work: the (m, k) predictions and _link's buffers, a (1 +
+        _link_buffers(True), m, k) stack of C-contiguous matrices, or None
+        for a fresh one.
         """
-        per_point, dz, db = self._link(a @ qm.T, labels, grad=True)
+        if work is None:
+            work = np.empty((1 + self._link_buffers(True), a.shape[0],
+                             qm.shape[0]))
+        per_point, dz, db = self._link(np.matmul(a, qm.T, out=work[0]),
+                                       labels, grad=True, work=work[1:])
         costs = weights @ per_point
         value, coeffs = term(costs, idx)
         if not math.isfinite(value):

@@ -281,9 +281,10 @@ def _check_weights_nonnegative(monkeypatch, algorithm, loss, P, qm, m):
     seen, clamped = [], []
     orig_grads, orig_project = LossModel._weighted_grads, ln.project_weights
 
-    def checked(self, a, labels, weights, queries, term, idx, out):
+    def checked(self, a, labels, weights, queries, term, idx, out, work):
         seen.append(float(np.min(weights)))
-        return orig_grads(self, a, labels, weights, queries, term, idx, out)
+        return orig_grads(self, a, labels, weights, queries, term, idx, out,
+                          work)
 
     def project(u, out=None):
         clamped.append(bool(np.any(u < 0.0)))
@@ -538,14 +539,14 @@ def test_full_training_pass_only_without_validation(monkeypatch, linreg,
     cfg = TrainConfig(coreset_size=3, epochs=4, learning_rate=0.05, lam=1.0,
                       batch_size=3, seed=7, algorithm=algorithm)
     full = []
-    costs = LossModel.costs
+    costs = LossModel._costs
 
-    def counted(self, points, labels, weights, queries):
-        if len(points) == cfg.coreset_size and np.array_equal(queries, qm):
+    def counted(self, a, labels, weights, queries, work):
+        if len(a) == cfg.coreset_size and np.array_equal(queries, qm):
             full.append(1)
-        return costs(self, points, labels, weights, queries)
+        return costs(self, a, labels, weights, queries, work)
 
-    monkeypatch.setattr(LossModel, "costs", counted)
+    monkeypatch.setattr(LossModel, "_costs", counted)
     _, report = train(P, qm, q_val, linreg, cfg)
     assert len(report.train_losses) == cfg.epochs
     assert len(full) == passes * cfg.epochs
@@ -580,9 +581,9 @@ def test_average_steps_once_per_minibatch(monkeypatch, linreg):
         steps.append(1)
         adam(*args)
 
-    def sized(self, a, labels, weights, queries, term, idx, out):
+    def sized(self, a, labels, weights, queries, term, idx, out, work):
         batches.append(len(queries))
-        return grads(self, a, labels, weights, queries, term, idx, out)
+        return grads(self, a, labels, weights, queries, term, idx, out, work)
 
     monkeypatch.setattr(ln, "adam_step", counted)
     monkeypatch.setattr(LossModel, "_weighted_grads", sized)
@@ -606,10 +607,10 @@ def test_one_batch_of_every_query_whatever_its_size(monkeypatch, linreg,
     qm, q_val = rng.standard_normal((7, 2)), rng.standard_normal((4, 2))
     grads, calls = LossModel._weighted_grads, []
 
-    def in_order(self, a, labels, weights, queries, term, idx, out):
+    def in_order(self, a, labels, weights, queries, term, idx, out, work):
         calls.append(1)
         assert np.array_equal(queries, qm)
-        return grads(self, a, labels, weights, queries, term, idx, out)
+        return grads(self, a, labels, weights, queries, term, idx, out, work)
 
     monkeypatch.setattr(LossModel, "_weighted_grads", in_order)
     runs = [train(P, qm, q_val if validated else None, linreg,

@@ -253,13 +253,13 @@ def test_costs_match_full_matrix_across_blocks(monkeypatch, kind, intercept):
     qm = rng.standard_normal((k, loss.query_dim(d)))
     ref = w @ loss.pointwise_matrix(pts, labels, qm)
     sizes = []
-    pointwise_matrix = LossModel.pointwise_matrix
+    link = LossModel._link
 
-    def counting(self, points, labels, queries):
-        sizes.append(len(queries))
-        return pointwise_matrix(self, points, labels, queries)
+    def counting(self, z, labels, grad=False, work=None):
+        sizes.append(z.shape[1])
+        return link(self, z, labels, grad, work)
 
-    monkeypatch.setattr(LossModel, "pointwise_matrix", counting)
+    monkeypatch.setattr(LossModel, "_link", counting)
     got = loss.costs(pts, labels, w, qm)
     assert sizes == [6, 6, 5]
     assert got.shape == (k,)
@@ -325,7 +325,7 @@ def test_weighted_grads_is_the_private_routine_bit_for_bit(kind, intercept):
         return 0.5, coeffs
 
     costs, value = loss._weighted_grads(feats, labels[:, None], w, qm, term,
-                                        slice(None), out)
+                                        slice(None), out, None)
     assert value == 0.5 and seen == [slice(None)]
     for a, b in zip(got, (costs,) + out):
         assert np.array_equal(a, b)
@@ -344,7 +344,7 @@ def test_private_routine_skips_gradients_at_a_non_finite_value(linreg):
     _, value = linreg._weighted_grads(np.ones((2, 1)), np.zeros((2, 1)),
                                       np.ones(2), np.ones((3, 1)),
                                       lambda costs, idx: (np.inf, costs),
-                                      slice(None), out)
+                                      slice(None), out, None)
     assert value == np.inf
     assert all(np.all(a == 7.0) for a in out)
 
