@@ -46,8 +46,10 @@ LOGISTIC = "logistic_regression"
 
 
 # Full-data costs are evaluated over blocks of queries holding at most this
-# many (point, query) pairs, so memory stays flat however many queries come.
-BLOCK_ELEMENTS = 1 << 20
+# many (point, query) pairs, so memory stays flat however many queries come:
+# 512 KB a block buffer, so that the two a logistic block takes fit in a
+# 2 MB L2 cache together.
+BLOCK_ELEMENTS = 1 << 16
 
 # The largest bound on a total cost that query_grads takes as finite without
 # the direct form's cost: far from overflow in any form.
