@@ -28,7 +28,11 @@ A step's arithmetic lives in LossModel._weighted_grads, the routine behind
 the checking public LossModel.weighted_grads. The loop checks and augments
 its arrays once per run, so each step is one call of that routine on the
 vector's views, writing the gradients into the gradient vector's views,
-then the clip, adam_step and the clamp.
+then the clip, adam_step and the clamp. The loop allocates one workspace
+per run, which holds the kernel's buffers at m x min(batch_size, k) and
+an epoch's scoring (LossModel._costs): each step computes its loss
+matrices in the workspace's views for its batch size, built once per
+run, so that no step and no epoch allocates an (m, k) array.
 
 The practical objective widens that kink to a dead zone: a ratio
 |1 - f_C/f_P| at or below RATIO_DEAD_ZONE, a few ulps, gets sign 0. f_C and
@@ -236,7 +240,7 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     width = min(cfg.batch_size, qm.shape[0])
     work = np.empty(max(count * m * width, loss._cost_floats(
         m, (qm if val is None else val[0]).shape[0])))
-    views = {k: _columns(work, count, m, k)
+    views = {k: tuple(_columns(work, count, m, k))
              for k in (width, qm.shape[0] % width or width)}
 
     def penalty():

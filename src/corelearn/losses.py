@@ -27,9 +27,19 @@ cancels to about 1e-13 relative, so every cost that is scored or compared
 
 The public entries convert and check their inputs: labels and weights must
 hold one entry per point, and a ContractError names the one that does not.
-The coreset gradients' arithmetic lives in LossModel._weighted_grads, which
-takes arrays that are already checked and augmented; weighted_grads is its
-checking entry, and the learner calls it directly once per step.
+The coreset gradients' arithmetic lives in LossModel._weighted_grads, and
+the full-data costs' in LossModel._costs; both take arrays that are
+already checked and augmented. weighted_grads and costs are their checking
+entries, and the learner calls them directly.
+
+No kernel allocates an array of its loss matrix's size per block or per
+step. _link computes in the buffers it is handed (fresh ones when none
+are: pointwise_matrix, query_grad); costs evaluates every block of queries
+in buffers allocated once per call, of at most BLOCK_ELEMENTS pairs each;
+and the learner hands _weighted_grads and _costs one workspace per
+training run. So no kernel's speed depends on the allocator's history:
+glibc maps every allocation past its mmap threshold (128 KB until a large
+free raises it) afresh, and faults it in page by page.
 """
 
 from __future__ import annotations
@@ -197,8 +207,8 @@ class LossModel:
         in blocks of at most BLOCK_ELEMENTS // n, and every block is
         evaluated in the same buffers, allocated once per call: the
         block's predictions and, for the logistic loss, its exp(-|m|).
-        Past BLOCK_ELEMENTS points a block is one query, and the working
-        set then grows as 2 * 8n bytes.
+        Past BLOCK_ELEMENTS (2^16) points a block is one query, and the
+        working set then grows as 2 * 8n bytes.
         """
         qm = np.atleast_2d(np.asarray(queries, dtype=float))
         a = self._features(points, qm.shape[1])
@@ -270,9 +280,8 @@ class LossModel:
         first d columns of a), the labels and the weights are written into
         out = (d_points (m, d), d_labels (m,), d_weights (m,) or None to
         skip it), unless value is not finite. Returns (costs, value).
-        work: the (m, k) predictions and _link's buffers, a (1 +
-        _link_buffers(True), m, k) stack of C-contiguous matrices, or None
-        for a fresh one.
+        work: 1 + _link_buffers(True) C-contiguous (m, k) arrays, for the
+        predictions and for _link, or None for fresh ones.
         """
         if work is None:
             work = np.empty((1 + self._link_buffers(True), a.shape[0],

@@ -1,7 +1,14 @@
 import itertools
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import corelearn
 
 from conftest import (SEEDED_SHAPES, central_diff, rel_close, seeded_problem,
                       shape_id)
@@ -786,3 +793,42 @@ def test_non_finite_step_value_raises_before_the_step(monkeypatch, linreg):
     with pytest.raises(NumericError, match="epoch 0, step 0"):
         ln._fit(P, rng.standard_normal((8, 2)), None, linreg, cfg, term_of)
     assert steps == []
+
+
+# a second logistic train on the same data, at criterion 9's size 300: its
+# minor page faults, on stdout
+_SECOND_TRAIN = """
+import resource
+import numpy as np
+import corelearn as cl
+P = cl.make_synthetic("logistic", 5000, 8, noise=0.3, seed=1)
+rng = np.random.default_rng(2)
+q_train, q_val = rng.standard_normal((2000, 8)), rng.standard_normal((200, 8))
+loss = cl.LossModel("logistic_regression")
+cfg = cl.TrainConfig.paper_logreg(coreset_size=300, epochs=20)
+cl.train(P, q_train, q_val, loss, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+cl.train(P, q_train, q_val, loss, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux")
+                         and platform.libc_ver()[0] == "glibc"),
+                    reason="glibc's malloc thresholds")
+def test_training_does_not_depend_on_the_allocator():
+    """Under glibc's default 128 KB mmap and trim thresholds, pinned so that
+    no large free raises them, every allocation past 128 KB is a fresh
+    mapping, faulted in page by page. A training run reuses its buffers, so
+    a second run makes fewer minor faults than it takes steps (the
+    buffers fresh per step and per block made about 300 a step)."""
+    src = str(Path(corelearn.__file__).resolve().parents[1])
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072",
+               MALLOC_TRIM_THRESHOLD_="131072", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    run = subprocess.run([sys.executable, "-c", _SECOND_TRAIN], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    steps = 20 * (2000 // 100)
+    assert int(run.stdout.split()[-1]) < steps

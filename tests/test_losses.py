@@ -5,9 +5,10 @@ import pytest
 
 from conftest import (SEEDED_SHAPES, central_diff, rel_close, seeded_problem,
                       shape_id)
-from corelearn import ContractError, WeightedLabeledSet, set_cost, set_costs
+from corelearn import (ContractError, WeightedLabeledSet, make_synthetic,
+                       set_cost, set_costs)
 from corelearn import losses
-from corelearn.losses import LossModel
+from corelearn.losses import LossModel, _columns
 
 
 def test_linreg_values(linreg):
@@ -266,6 +267,66 @@ def test_costs_match_full_matrix_across_blocks(monkeypatch, kind, intercept):
     assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
+def _fresh_link(kind, z, labels, grad):
+    """Each family's formulas with every temporary a fresh array, as _link
+    computed them before it took a workspace."""
+    if kind == "linear_regression":
+        r = z - labels
+        return r * r, 2.0 * r if grad else None, -(2.0 * r) if grad else None
+    m = z * labels
+    e = np.exp(-np.abs(m))
+    f = np.log1p(e) - np.minimum(m, 0.0)
+    if not grad:
+        return f, None, None
+    s = -(np.maximum(e, m < 0) / (e + 1.0))
+    return f, s * labels, z * s
+
+
+@pytest.mark.parametrize("grad", [False, True])
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+def test_link_in_a_workspace_is_the_fresh_link_bit_for_bit(kind, grad):
+    """_link in a supplied workspace, narrower than the buffers it views as
+    in a ragged last batch and filled with nan beforehand, gives the bits
+    of _link on fresh arrays and of the formulas as first written, at
+    margins across +/-800, and allocates no array of z's size."""
+    rng = np.random.default_rng(31)
+    loss = LossModel(kind)
+    rows, width, k = 40, 7, 5
+    z = rng.permutation(np.linspace(-800.0, 800.0, rows * k)).reshape(rows, k)
+    z[::3] = rng.uniform(-3.0, 3.0, (len(z[::3]), k))
+    labels = np.where(rng.random((rows, 1)) < 0.5, -1.0, 1.0)
+    labels[::4] *= rng.uniform(0.5, 1.5, (len(labels[::4]), 1))
+    count = loss._link_buffers(grad)
+    work = np.full(count * rows * width, np.nan)
+    z_in = z.copy()
+    got = loss._link(z_in, labels, grad, _columns(work, count, rows, k))
+    fresh = loss._link(z.copy(), labels, grad)
+    first = _fresh_link(kind, z, labels, grad)
+    for g, f, r in zip(got, fresh, first):
+        if not grad and g is None:
+            assert f is None and r is None
+            continue
+        assert np.array_equal(g, f) and np.array_equal(g, r)
+        assert np.shares_memory(g, z_in) or np.shares_memory(g, work)
+
+
+def test_costs_working_set_is_two_block_buffers():
+    """Scoring 2,200 queries on 5,000 points holds the two buffers of one
+    block of at most BLOCK_ELEMENTS pairs, about 1 MB, whatever the number
+    of blocks."""
+    import tracemalloc
+    loss = LossModel("logistic_regression")
+    P = make_synthetic("logistic", 5000, 8, noise=0.3, seed=4)
+    qm = np.random.default_rng(5).standard_normal((2200, 8))
+    tracemalloc.start()
+    try:
+        loss.costs(P.points, P.labels, P.weights, qm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
 @pytest.mark.parametrize("margin", [30.0, -30.0])
 def test_logistic_gradients_at_large_margin(margin):
     rng = np.random.default_rng(10)
@@ -324,8 +385,12 @@ def test_weighted_grads_is_the_private_routine_bit_for_bit(kind, intercept):
         seen.append(idx)
         return 0.5, coeffs
 
+    # a step's workspace: sized for a wider batch, stale values in it
+    count = 1 + loss._link_buffers(True)
+    work = np.full(count * m * (k + 3), np.nan)
     costs, value = loss._weighted_grads(feats, labels[:, None], w, qm, term,
-                                        slice(None), out, None)
+                                        slice(None), out,
+                                        _columns(work, count, m, k))
     assert value == 0.5 and seen == [slice(None)]
     for a, b in zip(got, (costs,) + out):
         assert np.array_equal(a, b)
