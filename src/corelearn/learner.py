@@ -29,10 +29,11 @@ the checking public LossModel.weighted_grads. The loop checks and augments
 its arrays once per run, so each step is one call of that routine on the
 vector's views, writing the gradients into the gradient vector's views,
 then the clip, adam_step and the clamp. The loop allocates one workspace
-per run, which holds the kernel's buffers at m x min(batch_size, k) and
-an epoch's scoring (LossModel._costs): each step computes its loss
-matrices in the workspace's views for its batch size, built once per
-run, so that no step and no epoch allocates an (m, k) array.
+per run (LossModel._workspace), which holds the kernel's buffers at
+m x min(batch_size, k) and an epoch's scoring (LossModel._costs): each
+step computes its loss matrices in the workspace's views for its batch
+size, built once per run, so that no step and no epoch allocates an
+(m, k) array.
 
 The practical objective widens that kink to a dead zone: a ratio
 |1 - f_C/f_P| at or below RATIO_DEAD_ZONE, a few ulps, gets sign 0. f_C and
@@ -57,7 +58,7 @@ import numpy as np
 from .core import (RATIO_FLOOR, Coreset, ContractError, NumericError,
                    WeightedLabeledSet, check_count, check_real, floored, scored,
                    stream_rng)
-from .losses import LossModel, _columns
+from .losses import LossModel
 
 # global-norm bound on each step's gradient
 GRAD_CLIP = 1e3
@@ -233,15 +234,13 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     feats = np.ones((m, d + 1)) if loss.intercept else pts
     lab_col = lab[:, None]
     out = (g_pts, g_lab, g_wts if cfg.learn_weights else None)
-    # one workspace for the run: the kernel arrays of a step, viewed once
-    # per batch size (a full batch and a ragged last one), and of an
-    # epoch's scoring
-    count = 1 + loss._link_buffers(True)
+    # one workspace for the run: a step's kernel arrays, viewed once per
+    # batch width (a full batch and a ragged last one), and an epoch's
+    # scoring
     width = min(cfg.batch_size, qm.shape[0])
-    work = np.empty(max(count * m * width, loss._cost_floats(
-        m, (qm if val is None else val[0]).shape[0])))
-    views = {k: tuple(_columns(work, count, m, k))
-             for k in (width, qm.shape[0] % width or width)}
+    work, views = loss._workspace(
+        m, {width, qm.shape[0] % width or width},
+        (qm if val is None else val[0]).shape[0])
 
     def penalty():
         return abs(w_sum - float(wts.sum())) * cfg.lam

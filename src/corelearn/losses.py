@@ -27,19 +27,21 @@ cancels to about 1e-13 relative, so every cost that is scored or compared
 
 The public entries convert and check their inputs: labels and weights must
 hold one entry per point, and a ContractError names the one that does not.
-The coreset gradients' arithmetic lives in LossModel._weighted_grads, and
-the full-data costs' in LossModel._costs; both take arrays that are
-already checked and augmented. weighted_grads and costs are their checking
-entries, and the learner calls them directly.
+The coreset gradients' arithmetic lives in LossModel._weighted_grads, which
+takes arrays that are already checked and augmented; weighted_grads is its
+checking entry, and the learner calls it directly once per step.
 
-No kernel allocates an array of its loss matrix's size per block or per
-step. _link computes in the buffers it is handed (fresh ones when none
-are: pointwise_matrix, query_grad); costs evaluates every block of queries
-in buffers allocated once per call, of at most BLOCK_ELEMENTS pairs each;
-and the learner hands _weighted_grads and _costs one workspace per
-training run. So no kernel's speed depends on the allocator's history:
-glibc maps every allocation past its mmap threshold (128 KB until a large
-free raises it) afresh, and faults it in page by page.
+A training run allocates its kernels' arrays once (LossModel._workspace):
+_link computes in the buffers it is handed (fresh ones when none are), and
+each step's _weighted_grads and each epoch's scoring (_costs, costs'
+arithmetic bit for bit) write into views of that one buffer. So no step
+and no epoch allocates an array of its loss matrix's size, and training's
+speed does not depend on the allocator's history: glibc maps every
+allocation past its mmap threshold (128 KB until a large free raises it)
+afresh and faults it in page by page. costs, the full-data kernel, goes
+block by block through pointwise_matrix, the public kernel that
+bench/spans.py times and counts; a block holds at most BLOCK_ELEMENTS
+pairs.
 """
 
 from __future__ import annotations
@@ -203,36 +205,44 @@ class LossModel:
     def costs(self, points, labels, weights, queries) -> np.ndarray:
         """Weighted total cost per query, weights @ pointwise_matrix, shape (k,).
 
-        The (n, k) loss matrix is never held whole. The queries are taken
-        in blocks of at most BLOCK_ELEMENTS // n, and every block is
-        evaluated in the same buffers, allocated once per call: the
-        block's predictions and, for the logistic loss, its exp(-|m|).
-        Past BLOCK_ELEMENTS (2^16) points a block is one query, and the
-        working set then grows as 2 * 8n bytes.
+        The (n, k) loss matrix is never held whole: the queries are taken
+        in blocks of at most BLOCK_ELEMENTS // n, each one pointwise_matrix
+        call, so that bench/spans.py, which wraps pointwise_matrix, times
+        and counts this kernel. Past BLOCK_ELEMENTS (2^16) points a block
+        is one query, and its arrays then grow as 8n bytes each.
         """
         qm = np.atleast_2d(np.asarray(queries, dtype=float))
-        a = self._features(points, qm.shape[1])
-        labels = self._per_point("labels", labels, a.shape[0])
-        weights = self._per_point("weights", weights, a.shape[0])
-        return self._costs(a, labels[:, None], weights, qm, None)
+        n = np.atleast_2d(points).shape[0]
+        labels = self._per_point("labels", labels, n)
+        weights = self._per_point("weights", weights, n)
+        step = max(1, BLOCK_ELEMENTS // n)
+        out = np.empty(qm.shape[0])
+        for lo in range(0, qm.shape[0], step):
+            # the old block is freed only after the next is built, which keeps
+            # glibc from trimming the heap and faulting it in again per block
+            block = self.pointwise_matrix(points, labels, qm[lo:lo + step])
+            out[lo:lo + step] = weights @ block
+        return out
 
-    def _cost_floats(self, n, k):
-        """The size of the flat workspace _costs takes for k queries at n
-        points: a block's predictions and _link's buffers."""
-        block = min(max(1, BLOCK_ELEMENTS // n), k)
-        return (1 + self._link_buffers(False)) * n * block
+    def _workspace(self, rows, widths, k_score):
+        """A training run's buffers at rows points, allocated once: the
+        flat buffer _costs scores k_score queries in, and for each batch
+        width in widths the views _weighted_grads takes, in its head."""
+        count = 1 + self._link_buffers(True)
+        score = (1 + self._link_buffers(False)) * rows * min(
+            max(1, BLOCK_ELEMENTS // rows), k_score)
+        work = np.empty(max(count * rows * max(widths), score))
+        return work, {k: tuple(_columns(work, count, rows, k)) for k in widths}
 
     def _costs(self, a, labels, weights, qm, work):
-        """costs' arithmetic, on checked float arrays: a the (n, d')
+        """costs' arithmetic in a caller's buffer, bit for bit: a the (n, d')
         augmented features, labels their (n, 1) column, weights (n,), qm
-        the (k, d') queries. Every block is evaluated in the flat buffer
-        work, of at least _cost_floats(n, k) entries, or a fresh one when
-        work is None.
+        the (k, d') queries, work the flat buffer from _workspace. Every
+        block of queries is evaluated in work's head with np.matmul(out=)
+        and the in-place _link.
         """
         n, k = a.shape[0], qm.shape[0]
         step = max(1, BLOCK_ELEMENTS // n)
-        if work is None:
-            work = np.empty(self._cost_floats(n, k))
         count = 1 + self._link_buffers(False)
         out = np.empty(k)
         for lo in range(0, k, step):
@@ -280,8 +290,8 @@ class LossModel:
         first d columns of a), the labels and the weights are written into
         out = (d_points (m, d), d_labels (m,), d_weights (m,) or None to
         skip it), unless value is not finite. Returns (costs, value).
-        work: 1 + _link_buffers(True) C-contiguous (m, k) arrays, for the
-        predictions and for _link, or None for fresh ones.
+        work: the predictions' and _link's (m, k) arrays, _workspace's
+        views for width k, or None for fresh ones.
         """
         if work is None:
             work = np.empty((1 + self._link_buffers(True), a.shape[0],

@@ -254,17 +254,40 @@ def test_costs_match_full_matrix_across_blocks(monkeypatch, kind, intercept):
     qm = rng.standard_normal((k, loss.query_dim(d)))
     ref = w @ loss.pointwise_matrix(pts, labels, qm)
     sizes = []
-    link = LossModel._link
+    pointwise_matrix = LossModel.pointwise_matrix
 
-    def counting(self, z, labels, grad=False, work=None):
-        sizes.append(z.shape[1])
-        return link(self, z, labels, grad, work)
+    def counting(self, points, labels, queries):
+        sizes.append(len(queries))
+        return pointwise_matrix(self, points, labels, queries)
 
-    monkeypatch.setattr(LossModel, "_link", counting)
+    monkeypatch.setattr(LossModel, "pointwise_matrix", counting)
     got = loss.costs(pts, labels, w, qm)
     assert sizes == [6, 6, 5]
     assert got.shape == (k,)
     assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+@pytest.mark.parametrize("intercept", [False, True])
+def test_costs_in_a_workspace_are_costs_bit_for_bit(monkeypatch, kind,
+                                                    intercept):
+    """_costs, a training run's scoring, evaluates the blocks costs hands
+    to pointwise_matrix in _workspace's buffer, stale values and all, to
+    the same bits."""
+    rng = np.random.default_rng(9)
+    n, d, k = 10, 3, 17
+    monkeypatch.setattr(losses, "BLOCK_ELEMENTS", 64)  # 6 queries per block
+    loss = LossModel(kind, intercept=intercept)
+    pts = rng.standard_normal((n, d))
+    labels = (np.where(rng.random(n) < 0.5, -1.0, 1.0)
+              if kind == "logistic_regression" else rng.standard_normal(n))
+    w = rng.random(n)
+    qm = rng.standard_normal((k, loss.query_dim(d))) * 40.0
+    work, views = loss._workspace(n, {4, 1}, k)
+    assert set(views) == {4, 1}
+    work.fill(np.nan)
+    got = loss._costs(loss.augment(pts), labels[:, None], w, qm, work)
+    assert np.array_equal(got, loss.costs(pts, labels, w, qm))
 
 
 def _fresh_link(kind, z, labels, grad):
@@ -310,10 +333,10 @@ def test_link_in_a_workspace_is_the_fresh_link_bit_for_bit(kind, grad):
         assert np.shares_memory(g, z_in) or np.shares_memory(g, work)
 
 
-def test_costs_working_set_is_two_block_buffers():
-    """Scoring 2,200 queries on 5,000 points holds the two buffers of one
-    block of at most BLOCK_ELEMENTS pairs, about 1 MB, whatever the number
-    of blocks."""
+def test_costs_working_set_is_a_few_block_buffers():
+    """Scoring 2,200 queries on 5,000 points holds a block's two arrays and
+    the last block's losses, of at most BLOCK_ELEMENTS pairs each, about
+    1.5 MB, whatever the number of blocks."""
     import tracemalloc
     loss = LossModel("logistic_regression")
     P = make_synthetic("logistic", 5000, 8, noise=0.3, seed=4)
