@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -9,7 +10,9 @@ import numpy as np
 
 from .core import (Coreset, ContractError, WeightedLabeledSet, check_count,
                    stream_rng)
-from .losses import LINEAR, LossModel
+from .losses import LossModel
+
+_MAX_NEWTON_STEPS = 100  # solve_optimal's cap on its Newton steps
 
 
 def uniform_coreset(P: WeightedLabeledSet, m: int, seed: int = 0) -> Coreset:
@@ -71,64 +74,53 @@ class OptimResult:
     grad_norm: float
 
 
-def _solve_linreg(P: WeightedLabeledSet, loss: LossModel) -> OptimResult:
-    G, rhs, _ = loss.normal_equations(P.points, P.labels, P.weights)
-    try:
-        q = np.linalg.solve(G, rhs)
-        if not np.all(np.isfinite(q)):
-            raise np.linalg.LinAlgError("non-finite solution")
-    except np.linalg.LinAlgError:
-        warnings.warn("singular normal matrix; solving with ridge 1e-10")
-        q = np.linalg.solve(G + 1e-10 * np.eye(G.shape[0]), rhs)
-    residual = float(np.linalg.norm(G @ q - rhs))
-    return OptimResult(q, residual <= 1e-8, 0, residual)
+def solve_optimal(P: WeightedLabeledSet, loss: LossModel) -> OptimResult:
+    """Minimize the full weighted objective from q = 0 to gradient norm
+    <= 1e-8 by damped Newton with a backtracking line search (Boyd &
+    Vandenberghe, Convex Optimization, 2004, section 9.5).
 
-
-def _solve_gd(P: WeightedLabeledSet, loss: LossModel,
-              tol: float = 1e-8, max_iter: int = 100_000) -> OptimResult:
-    """Gradient descent with backtracking line search on the weighted objective."""
-    q = np.zeros(loss.query_dim(P.dim))
-    c, g = loss.query_grad(P.points, P.labels, P.weights, q)
-    step = 1.0
-    for it in range(max_iter):
+    A step solves G d = -g/2, G normal_equations' matrix at the curvature
+    weights w f''/2, half the Hessian: iteratively reweighted least squares
+    for the logistic loss. For squared loss f''/2 = 1, so the first step is
+    the closed form G q = h, bit for bit. A singular G is solved with a
+    ridge of 1e-10. Separable logistic data (optimum at infinity), a
+    stalled line search and the step cap warn and give converged=False.
+    """
+    cost_grad = functools.partial(loss.query_grad, P.points, P.labels, P.weights)
+    a = loss.augment(P.points)
+    q = np.zeros(a.shape[1])
+    c, g = cost_grad(q)
+    for it in range(_MAX_NEWTON_STEPS + 1):
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
-            # a flat gradient can also mean escape to infinity (separable
-            # data): a genuine minimizer does not improve when scaled up
-            c2, _ = loss.query_grad(P.points, P.labels, P.weights, 2.0 * q)
-            if c2 < c - 1e-15:
-                warnings.warn("objective keeps improving toward infinity; "
-                              "no finite minimizer (separable data?)")
-                return OptimResult(q, False, it, gnorm)
-            return OptimResult(q, True, it, gnorm)
-        step *= 2.0  # allow the step to grow back after earlier backtracking
-        while True:
-            trial = q - step * g
-            ct, gt = loss.query_grad(P.points, P.labels, P.weights, trial)
-            if np.isfinite(ct) and ct <= c - 0.5 * step * gnorm * gnorm:
+        if gnorm <= 1e-8 or it == _MAX_NEWTON_STEPS:
+            break
+        curvature = P.weights * loss._half_curvature(a @ q, P.labels)
+        G = loss.normal_equations(P.points, P.labels, curvature)[0]
+        try:
+            d = np.linalg.solve(G, -0.5 * g)
+            if not np.all(np.isfinite(d)):
+                raise np.linalg.LinAlgError("non-finite solution")
+        except np.linalg.LinAlgError:
+            warnings.warn("singular normal matrix; solving with ridge 1e-10")
+            d = np.linalg.solve(G + 1e-10 * np.eye(G.shape[0]), -0.5 * g)
+        step, slope = 1.0, float(g @ d)
+        while step >= 1e-18:
+            ct, gt = cost_grad(q + step * d)
+            if np.isfinite(ct) and ct <= c + 0.25 * step * slope:
                 break
             step *= 0.5
-            if step < 1e-18:
-                warnings.warn(
-                    f"line search stalled at gradient norm {gnorm:.3e}; "
-                    "returning best iterate")
-                return OptimResult(q, False, it, gnorm)
-        q, c, g = trial, ct, gt
-    gnorm = float(np.linalg.norm(g))
-    if gnorm > tol:
-        warnings.warn(
-            f"logistic solver stopped at gradient norm {gnorm:.3e} after {max_iter} iterations")
-    return OptimResult(q, gnorm <= tol, max_iter, gnorm)
-
-
-def solve_optimal(P: WeightedLabeledSet, loss: LossModel) -> OptimResult:
-    """Minimize the full weighted objective.
-
-    Linear regression uses the closed-form normal equations; logistic
-    regression runs gradient descent to gradient norm <= 1e-8. A
-    non-converged result carries converged=False (e.g. separable logistic
-    data, whose optimum is at infinity).
-    """
-    if loss.kind == LINEAR:
-        return _solve_linreg(P, loss)
-    return _solve_gd(P, loss)
+        # no step, or one that lowers neither cost nor gradient (rounding)
+        if step < 1e-18 or (ct >= c and np.linalg.norm(gt) >= gnorm):
+            warnings.warn(f"line search stalled at gradient norm {gnorm:.3e}; "
+                          "returning best iterate")
+            return OptimResult(q, False, it, gnorm)
+        q, c, g = q + step * d, ct, gt
+    if gnorm > 1e-8:
+        warnings.warn(f"{it} Newton steps left the gradient norm at {gnorm:.3e}")
+        return OptimResult(q, False, it, gnorm)
+    # separable data: the gradient is flat, but a scaled-up q still improves
+    if cost_grad(2.0 * q)[0] < c - 1e-15:
+        warnings.warn("objective keeps improving toward infinity; "
+                      "no finite minimizer (separable data?)")
+        return OptimResult(q, False, it, gnorm)
+    return OptimResult(q, True, it, gnorm)

@@ -35,11 +35,10 @@ def err_opt(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel) -> float:
         raise DegenerateInputError(
             "coreset weights are all zero; it has no optimal solution")
     f_star = _optimal_cost(P, loss)
-    sol_c = baselines.solve_optimal(coreset, loss)
     if f_star <= RATIO_FLOOR:
         raise DegenerateInputError(
             "full-data optimum cost is zero; optimal-solution error undefined")
-    f_at_c = set_cost(P, loss, sol_c.params)
+    f_at_c = set_cost(P, loss, baselines.solve_optimal(coreset, loss).params)
     return abs(1.0 - f_at_c / f_star)
 
 

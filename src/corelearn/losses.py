@@ -21,9 +21,9 @@ features) give its cost q^T G q - 2 h^T q + c and gradient 2 (G q - h) in
 O(d'^2) per query, after one pass over the points (Maalouf, Jubran &
 Feldman, "Fast and Accurate Least-Mean-Squares Solvers", NeurIPS 2019).
 That form serves the gradient-descent step of the query pool only
-(query_grads); the closed-form solve reads G and h to solve G q = h. It
-cancels to about 1e-13 relative, so every cost that is scored or compared
-(costs, and so set_costs) keeps the direct form.
+(query_grads). It cancels to about 1e-13 relative, so every cost that is
+scored or compared (costs, and so set_costs) keeps the direct form. G at
+weights w f''/2 (_half_curvature) is half the Hessian, solve_optimal's.
 
 The public entries convert and check their inputs: labels and weights must
 hold one entry per point, and a ContractError names the one that does not.
@@ -189,6 +189,14 @@ class LossModel:
         f = np.log1p(e, out=e)
         f -= m
         return f, dz, db
+
+    def _half_curvature(self, z, labels):
+        """f''/2, half _link's d^2 f / dz^2, at predictions z and labels b: 1
+        for squared loss, b^2 sigmoid(b z) sigmoid(-b z) / 2 for logistic."""
+        if self.kind == LINEAR:
+            return 1.0
+        e = _softplus_terms(z * labels, False)[0]
+        return labels * labels * e / (1.0 + e) ** 2 / 2.0
 
     def pointwise(self, points, labels, q) -> np.ndarray:
         """Per-point losses f(p_i, b_i, q), shape (n,): pointwise_matrix at q."""

@@ -10,7 +10,7 @@ from corelearn import (
     solve_optimal,
     uniform_coreset,
 )
-from corelearn.baselines import _solve_gd, leverage_scores
+from corelearn.baselines import _MAX_NEWTON_STEPS, leverage_scores
 from corelearn.datasets import make_synthetic
 from corelearn.losses import LossModel
 
@@ -113,12 +113,63 @@ def test_closed_form_is_the_direct_normal_equations(intercept):
     assert np.array_equal(solve_optimal(P, loss).params, np.linalg.solve(G, rhs))
 
 
-def test_linreg_gd_matches_closed_form(linreg):
-    P = make_synthetic("linear", 60, 3, 0.2, seed=6)
-    exact = solve_optimal(P, linreg)
-    gd = _solve_gd(P, linreg)
-    f = lambda q: set_cost(P, linreg, q)
-    assert f(gd.params) == pytest.approx(f(exact.params), rel=1e-6)
+def _backtracking_gd(P, loss, tol=1e-8, max_iter=100_000):
+    """The logistic solver solve_optimal replaced: gradient descent from
+    q = 0 with a backtracking line search, to gradient norm <= tol."""
+    q = np.zeros(loss.query_dim(P.dim))
+    c, g = loss.query_grad(P.points, P.labels, P.weights, q)
+    step = 1.0
+    for _ in range(max_iter):
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= tol:
+            break
+        step *= 2.0
+        while True:
+            trial = q - step * g
+            ct, gt = loss.query_grad(P.points, P.labels, P.weights, trial)
+            if np.isfinite(ct) and ct <= c - 0.5 * step * gnorm * gnorm:
+                break
+            step *= 0.5
+        q, c, g = trial, ct, gt
+    assert gnorm <= tol
+    return q
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+def test_logreg_newton_matches_gradient_descent(intercept):
+    """Newton reaches a full-data cost no higher than gradient descent's,
+    with its gradient norm within tolerance."""
+    loss = LossModel("logistic_regression", intercept)
+    P = make_synthetic("logistic", 2000, 5, 0.1, seed=3)
+    res = solve_optimal(P, loss)
+    assert res.converged and res.grad_norm <= 1e-8
+    newton, gd = (set_cost(P, loss, q)
+                  for q in (res.params, _backtracking_gd(P, loss)))
+    assert newton <= gd * (1 + 1e-12)
+
+
+def test_singular_normal_matrix_falls_back_to_ridge(linreg):
+    """A one-point set in two dimensions has a singular G: the solve warns
+    and is that of G + 1e-10 I, bit for bit."""
+    P = WeightedLabeledSet([[1.0, 2.0]], [1.0], [3.0])
+    G, h, _ = linreg.normal_equations(P.points, P.labels, P.weights)
+    with pytest.warns(UserWarning, match="singular normal matrix"):
+        res = solve_optimal(P, linreg)
+    assert np.array_equal(res.params, np.linalg.solve(G + 1e-10 * np.eye(2), h))
+    assert res.converged
+
+
+def test_solver_stops_at_the_rounding_floor(linreg):
+    """On data scaled so far that rounding keeps the gradient above 1e-8, a
+    step that lowers neither the cost nor the gradient ends the solve, with
+    a warning, long before the step cap."""
+    P = make_synthetic("linear", 5000, 3, 0.2, seed=0)
+    P = WeightedLabeledSet(P.points * 1e6, P.weights, P.labels * 1e6)
+    with pytest.warns(UserWarning, match="line search stalled"):
+        res = solve_optimal(P, linreg)
+    assert not res.converged and res.iterations < 20
+    G, h, _ = linreg.normal_equations(P.points, P.labels, P.weights)
+    assert np.allclose(res.params, np.linalg.solve(G, h), rtol=1e-12, atol=0)
 
 
 def test_logreg_solver_converges(logreg):
@@ -131,9 +182,10 @@ def test_logreg_solver_converges(logreg):
 def test_logreg_separable_flags_nonconvergence(logreg):
     # perfectly separable 1-d data: the optimum is at infinity
     P = WeightedLabeledSet([[1.0], [-1.0]], [0.5, 0.5], [1.0, -1.0])
-    with pytest.warns(UserWarning):
-        res = _solve_gd(P, logreg, max_iter=2000)
+    with pytest.warns(UserWarning, match="toward infinity"):
+        res = solve_optimal(P, logreg)
     assert not res.converged
+    assert res.iterations <= _MAX_NEWTON_STEPS
 
 
 @pytest.mark.parametrize("build, m", [

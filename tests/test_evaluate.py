@@ -55,6 +55,22 @@ def test_err_opt_zero_optimum_is_undefined(linreg):
         err_opt(P, Coreset([[1.0]], [1.0], [1.0]), linreg)
 
 
+def test_err_opt_zero_optimum_solves_no_coreset(linreg, monkeypatch):
+    """f(P, q*) is checked against the ratio floor before the coreset is
+    solved: the only solve is the data's."""
+    P = make_synthetic("linear", 30, 2, 0.0, seed=4)
+    solved = []
+    solve = baselines.solve_optimal
+
+    def spy(dataset, loss):
+        solved.append(dataset.n)
+        return solve(dataset, loss)
+    monkeypatch.setattr(baselines, "solve_optimal", spy)
+    with pytest.raises(DegenerateInputError, match="optimum cost is zero"):
+        err_opt(P, uniform_coreset(P, 5, 0), linreg)
+    assert solved == [30]
+
+
 def test_err_opt_all_zero_weights_is_undefined(linreg):
     P = make_synthetic("linear", 40, 2, 0.3, seed=0)
     C = Coreset(P.points[:2], [0.0, 0.0], P.labels[:2])

@@ -196,6 +196,23 @@ def test_normal_equations_are_the_sets_statistics(intercept):
         loss.normal_equations(S.points, S.labels, S.weights[1:])
 
 
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+def test_half_curvature_weights_give_half_the_hessian(kind):
+    """normal_equations' G at weights w f''/2 is half the Hessian of the total
+    cost, the Newton matrix of solve_optimal; labels are real, as on a
+    learned coreset."""
+    loss, S, Q = seeded_problem(SEEDED_SHAPES[1], kind, True)
+    S = WeightedLabeledSet(S.points, S.weights, S.labels * 1.7)
+    q = Q[0]
+    curvature = S.weights * loss._half_curvature(loss.augment(S.points) @ q,
+                                                 S.labels)
+    G = loss.normal_equations(S.points, S.labels, curvature)[0]
+    hessian = np.stack([central_diff(
+        lambda x: loss.query_grad(S.points, S.labels, S.weights, x)[1][j], q)
+        for j in range(q.shape[0])])
+    assert rel_close(2.0 * G, hessian, rtol=1e-5, floor=1e-7)
+
+
 def test_intercept_augments_query_dim():
     loss = LossModel("linear_regression", intercept=True)
     # <[2], q> + q_0 with q = [3, 1], b = 0 -> residual 7
