@@ -75,9 +75,11 @@ class OptimResult:
 
 
 def solve_optimal(P: WeightedLabeledSet, loss: LossModel) -> OptimResult:
-    """Minimize the full weighted objective from q = 0 to gradient norm
-    <= 1e-8 by damped Newton with a backtracking line search (Boyd &
-    Vandenberghe, Convex Optimization, 2004, section 9.5).
+    """Minimize the full weighted objective from q = 0 until the gradient
+    norm is at most 1e-8 of its norm at q = 0, by damped Newton with a
+    backtracking line search (Boyd & Vandenberghe, Convex Optimization,
+    2004, section 9.5). The test is relative, so scaling the points and
+    labels does not change where the solve stops.
 
     A step solves G d = -g/2, G normal_equations' matrix at the curvature
     weights w f''/2, half the Hessian: iteratively reweighted least squares
@@ -90,9 +92,10 @@ def solve_optimal(P: WeightedLabeledSet, loss: LossModel) -> OptimResult:
     a = loss.augment(P.points)
     q = np.zeros(a.shape[1])
     c, g = cost_grad(q)
+    tol = 1e-8 * float(np.linalg.norm(g))
     for it in range(_MAX_NEWTON_STEPS + 1):
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= 1e-8 or it == _MAX_NEWTON_STEPS:
+        if gnorm <= tol or it == _MAX_NEWTON_STEPS:
             break
         curvature = P.weights * loss._half_curvature(a @ q, P.labels)
         G = loss.normal_equations(P.points, P.labels, curvature)[0]
@@ -115,7 +118,7 @@ def solve_optimal(P: WeightedLabeledSet, loss: LossModel) -> OptimResult:
                           "returning best iterate")
             return OptimResult(q, False, it, gnorm)
         q, c, g = q + step * d, ct, gt
-    if gnorm > 1e-8:
+    if gnorm > tol:
         warnings.warn(f"{it} Newton steps left the gradient norm at {gnorm:.3e}")
         return OptimResult(q, False, it, gnorm)
     # separable data: the gradient is flat, but a scaled-up q still improves

@@ -386,19 +386,22 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override root seed")
+
+    def writing(p):
+        common(p)
         p.add_argument("--out-dir", default=None, help="override output directory")
 
     p = sub.add_parser("experiment", help="run the full sweep protocol")
-    common(p)
+    writing(p)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("learn", help="train one coreset")
-    common(p)
+    writing(p)
     p.add_argument("--size", type=int, required=True)
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("baseline", help="construct one baseline coreset")
-    common(p)
+    writing(p)
     p.add_argument("--method", required=True,
                    choices=[METHOD_UNIFORM, METHOD_LEVERAGE])
     p.add_argument("--size", type=int, required=True)

@@ -69,15 +69,6 @@ def err_avg(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel,
     return ErrAvg(value, filtered)
 
 
-def _build_coreset(method, P, loss, size, trial_seed, Q_train, Q_val, cfg):
-    if method == METHOD_UNIFORM:
-        return baselines.uniform_coreset(P, size, trial_seed), None
-    if method == METHOD_LEVERAGE:
-        return baselines.leverage_coreset(P, size, trial_seed), None
-    run_cfg = replace(cfg, coreset_size=size, seed=trial_seed)
-    return learner.train(P, Q_train, Q_val, loss, run_cfg)
-
-
 @dataclass
 class ResultTable:
     rows: list = field(default_factory=list)
@@ -156,24 +147,63 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
         raise ContractError(f"unknown sweep methods: {bad}")
     check_count(n_trials, "n_trials", 1)
     check_count(base_seed, "base_seed")
-    job = _Cells([(size, method, trial) for size in sizes
-                  for method in methods for trial in range(n_trials)],
-                 P, loss, base_seed, Q_train, Q_val, Q_test, cfg)
-    _keep_shared_work(job)
-    n_shares = min(_usable_cpus(), len(job.cells))
-    shares = [range(i, len(job.cells), n_shares) for i in range(n_shares)]
-    done = [None] * len(job.cells)
-    for share, results in zip(shares, _run_shares(job, shares)):
-        for i, result in zip(share, results):
-            done[i] = result
+    cells = [(size, method, trial) for size in sizes for method in methods
+             for trial in range(n_trials)]
+
+    def cell(size, method, trial):
+        trial_seed = _cell_seed(base_seed, size, method, trial)
+        t0 = time.perf_counter()
+        report = None
+        try:
+            if method == METHOD_UNIFORM:
+                coreset = baselines.uniform_coreset(P, size, trial_seed)
+            elif method == METHOD_LEVERAGE:
+                coreset = baselines.leverage_coreset(P, size, trial_seed)
+            else:
+                coreset, report = learner.train(
+                    P, Q_train, Q_val, loss,
+                    replace(cfg, coreset_size=size, seed=trial_seed))
+            e_opt = err_opt(P, coreset, loss)
+            e_avg = err_avg(P, coreset, loss, Q_test)
+            scores = dict(err_opt=e_opt, err_avg=e_avg.value,
+                          filtered_queries=e_avg.filtered, ok=True, error=None)
+        except Exception as exc:  # noqa: BLE001 - per-cell isolation
+            warnings.warn(f"trial failed ({size}, {method}, {trial}): {exc}")
+            report = None
+            scores = dict(err_opt=None, err_avg=None, filtered_queries=None,
+                          ok=False, error=str(exc))
+        return dict(size=size, method=method, trial=trial,
+                    wall_time_s=time.perf_counter() - t0, **scores), report
+
+    def run(share):
+        """Each cell of share, in order: its row, its training report (None
+        unless learned) and its warnings, as (message, category, filename,
+        lineno). A warning meets the caller's filters when raised, so one
+        they make an error fails its cell; the others are recorded."""
+        out = []
+        with warnings.catch_warnings(record=True) as caught:
+            for i in share:
+                row, report = cell(*cells[i])
+                out.append((row, report, [(w.message, w.category, w.filename,
+                                           w.lineno) for w in caught]))
+                caught.clear()
+        return out
+
+    learned = METHOD_LEARNED in methods
+    _keep_shared_work(P, loss, ([Q_train, Q_val] if learned else []) + [Q_test])
+    n_shares = min(_usable_cpus(), len(cells))
+    shares = [range(i, len(cells), n_shares) for i in range(n_shares)]
+    done = [None] * len(cells)
+    for i, results in enumerate(_run_shares(run, shares, cells)):
+        done[i::n_shares] = results
     table = ResultTable()
     reports = {}
-    for cell, (row, report, caught) in zip(job.cells, done):
+    for key, (row, report, caught) in zip(cells, done):
         for message, category, filename, lineno in caught:
             warnings.showwarning(message, category, filename, lineno)
         table.add(**row)
         if collect_reports and report is not None:
-            reports[cell] = report
+            reports[key] = report
     return (table, reports) if collect_reports else table
 
 
@@ -181,66 +211,12 @@ class WorkerLostError(RuntimeError):
     """A sweep worker process ended before returning its cells."""
 
 
-@dataclass(frozen=True, eq=False)
-class _Cells:
-    """A sweep's cells, in order, and what every cell reads."""
-
-    cells: list
-    P: WeightedLabeledSet
-    loss: LossModel
-    base_seed: int
-    Q_train: object
-    Q_val: object
-    Q_test: object
-    cfg: learner.TrainConfig
-
-    def run(self, share):
-        """The cells at the indices in share, run in order: for each, its
-        row, its training report (None unless learned) and the warnings it
-        raised, as (message, category, filename, lineno).
-
-        Each warning meets the caller's filters when raised, so one they
-        turn into an error fails its cell; the others are recorded, not
-        shown, and the sweep shows them in cell order."""
-        out = []
-        with warnings.catch_warnings(record=True) as caught:
-            for i in share:
-                row, report = self._cell(*self.cells[i])
-                out.append((row, report, [(w.message, w.category, w.filename,
-                                           w.lineno) for w in caught]))
-                caught.clear()
-        return out
-
-    def _cell(self, size, method, trial):
-        trial_seed = _cell_seed(self.base_seed, size, method, trial)
-        t0 = time.perf_counter()
-        try:
-            coreset, report = _build_coreset(
-                method, self.P, self.loss, size, trial_seed, self.Q_train,
-                self.Q_val, self.cfg)
-            e_opt = err_opt(self.P, coreset, self.loss)
-            e_avg = err_avg(self.P, coreset, self.loss, self.Q_test)
-        except Exception as exc:  # noqa: BLE001 - per-cell isolation
-            warnings.warn(f"trial failed ({size}, {method}, {trial}): {exc}")
-            return dict(size=size, method=method, trial=trial, err_opt=None,
-                        err_avg=None, filtered_queries=None,
-                        wall_time_s=time.perf_counter() - t0,
-                        ok=False, error=str(exc)), None
-        return dict(size=size, method=method, trial=trial, err_opt=e_opt,
-                    err_avg=e_avg.value, filtered_queries=e_avg.filtered,
-                    wall_time_s=time.perf_counter() - t0,
-                    ok=True, error=None), report
-
-
-def _keep_shared_work(job: _Cells) -> None:
-    """Keep on P what the cells would compute from it alone: the test
-    split's costs and f(P, q*), which every cell's metrics read, and, when
-    cells learn, the costs of the training and validation splits."""
-    learned = any(method == METHOD_LEARNED for _, method, _ in job.cells)
-    splits = ([job.Q_train, job.Q_val] if learned else []) + [job.Q_test]
-    work = [lambda q=q: scored(job.P, job.loss, q)
-            for q in splits if q is not None]
-    work.append(lambda: _optimal_cost(job.P, job.loss))
+def _keep_shared_work(P: WeightedLabeledSet, loss: LossModel, splits) -> None:
+    """Keep on P what the cells would compute from it alone: the costs of
+    the splits they score (None for one that is absent) and f(P, q*), which
+    every cell's metrics read."""
+    work = [lambda q=q: scored(P, loss, q) for q in splits if q is not None]
+    work.append(lambda: _optimal_cost(P, loss))
     # a failure is not kept, so each cell that reads the result meets it
     # again and records it
     for compute in work:
@@ -259,48 +235,47 @@ def _usable_cpus() -> int:
         return 1
 
 
-def _serve(job: _Cells, share, outbox) -> None:
-    """A forked worker's life: run one share and send its results, or the
-    exception that stopped it, to the sweep."""
-    try:
-        result = job.run(share)
-    except Exception as exc:  # noqa: BLE001 - raised again in the sweep
-        result = exc
-    outbox.send(result)
-    outbox.close()
-
-
-def _run_shares(job: _Cells, shares):
-    """Each share's results, in share order: share 0 run by this process,
-    each other share by its own forked worker, one worker per share.
+def _run_shares(run, shares, cells):
+    """run(share) for each share, in share order: share 0 run by this
+    process, each other share by its own forked worker.
 
     Workers are forked, not spawned: a spawned one would import NumPy and
     corelearn again and get P pickled, without what P keeps; a forked one
-    inherits the cells' inputs. Each sends its share's results over its own
-    pipe. Every reply is received before the workers are joined, and the
-    workers are joined before this returns or raises. A share's exception
-    is raised here; a worker that ends without replying is a
-    WorkerLostError naming the cells of every share it lost."""
+    inherits run and all it reads, and pickles only its share's results,
+    which it sends over its own pipe. Every reply is received before the
+    workers are joined, and they are joined before this returns or raises.
+    A share's exception is raised here; a worker that ends without replying
+    is a WorkerLostError naming the cells of every share it lost."""
     if len(shares) == 1:
-        return [job.run(shares[0])]
+        return [run(shares[0])]
     import multiprocessing
     fork = multiprocessing.get_context("fork")
+
+    def serve(share, outbox):
+        """A forked worker's life: send run(share), or what it raised."""
+        try:
+            result = run(share)
+        except Exception as exc:  # noqa: BLE001 - raised again in the sweep
+            result = exc
+        outbox.send(result)
+        outbox.close()
+
     workers = []
     try:
         for share in shares[1:]:
             inbox, outbox = fork.Pipe(duplex=False)
-            worker = fork.Process(target=_serve, args=(job, share, outbox))
+            worker = fork.Process(target=serve, args=(share, outbox))
             worker.start()
             # the worker holds the only sending end, so its exit is EOF here
             outbox.close()
             workers.append((share, worker, inbox))
-        results = [job.run(shares[0])]
+        results = [run(shares[0])]
         lost = []
         for share, _, inbox in workers:
             try:
                 results.append(inbox.recv())
             except EOFError:
-                lost += [job.cells[i] for i in share]
+                lost += [cells[i] for i in share]
     except BaseException:
         # the replies are no longer wanted: stop the workers rather than
         # wait for their shares

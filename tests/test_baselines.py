@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -159,12 +161,42 @@ def test_singular_normal_matrix_falls_back_to_ridge(linreg):
     assert res.converged
 
 
-def test_solver_stops_at_the_rounding_floor(linreg):
-    """On data scaled so far that rounding keeps the gradient above 1e-8, a
-    step that lowers neither the cost nor the gradient ends the solve, with
-    a warning, long before the step cap."""
+def _scaled_linear(scale):
     P = make_synthetic("linear", 5000, 3, 0.2, seed=0)
-    P = WeightedLabeledSet(P.points * 1e6, P.weights, P.labels * 1e6)
+    return WeightedLabeledSet(P.points * scale, P.weights, P.labels * scale)
+
+
+@pytest.mark.parametrize("scale", [1e-5, 1.0, 1e4, 1e6])
+def test_solver_stop_does_not_depend_on_scale(linreg, scale):
+    """The stopping test is relative to the gradient norm at q = 0, so
+    scaled data is neither taken as solved at q = 0 (1e-5) nor left on the
+    rounding floor with a warning (1e4, 1e6): each solve converges to the
+    closed form."""
+    P = _scaled_linear(scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_optimal(P, linreg)
+    assert res.converged
+    G, h, _ = linreg.normal_equations(P.points, P.labels, P.weights)
+    assert np.allclose(res.params, np.linalg.solve(G, h), rtol=1e-12, atol=0)
+
+
+def test_solver_stops_when_the_line_search_stalls(linreg, monkeypatch):
+    """A gradient that rounding keeps above the stopping test: a step that
+    lowers neither the cost nor the gradient ends the solve, with a
+    warning, long before the step cap. Here every gradient's norm is held
+    at no less than 1e-4 of its norm at q = 0."""
+    P = _scaled_linear(1.0)
+    query_grad = LossModel.query_grad
+    g0 = query_grad(linreg, P.points, P.labels, P.weights, np.zeros(P.dim))[1]
+    floor = 1e-4 * np.linalg.norm(g0)
+
+    def floored(self, *args):
+        c, g = query_grad(self, *args)
+        norm = np.linalg.norm(g)
+        return c, (g if norm >= floor else g * (floor / norm))
+
+    monkeypatch.setattr(LossModel, "query_grad", floored)
     with pytest.warns(UserWarning, match="line search stalled"):
         res = solve_optimal(P, linreg)
     assert not res.converged and res.iterations < 20

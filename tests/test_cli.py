@@ -524,6 +524,23 @@ def test_split_subcommands_reject_a_split_above_the_pool(tmp_path, capsys,
     assert "requested 110 queries from a pool of 42" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--coreset", "{tmp}/c.csv"],
+    ["gen-queries", "--out", "{tmp}/pool.csv"],
+    ["verify"],
+], ids=["eval", "gen-queries", "verify"])
+def test_subcommands_that_write_no_directory_reject_out_dir(tmp_path, capsys,
+                                                            argv):
+    path = _write_config(tmp_path)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    with pytest.raises(SystemExit) as usage:
+        main([argv[0], "--config", str(path), *argv[1:],
+              "--out-dir", str(tmp_path / "x")])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --out-dir" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_gen_queries(tmp_path):
     path = _write_config(tmp_path)
     out = tmp_path / "pool.csv"

@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 import time
@@ -547,6 +548,38 @@ def test_parallel_sweep_equals_serial(monkeypatch, tmp_path, make):
         parallel, pids = _sweep_outputs(monkeypatch, tmp_path, cpus, make())
         assert len(pids) == cpus and sum(pids.values()) == len(rows)
         assert parallel == serial
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_only_results_cross_the_process_boundary(monkeypatch, tmp_path, cpus):
+    """A forked worker inherits P and the splits instead of receiving them:
+    the only sets it pickles are the final coresets in its learned cells'
+    reports, which it sends back."""
+    log = tmp_path / "reduced.log"
+    P, loss, sizes, _, n_trials, *rest = _learning_sweep("linear", "practical")
+    methods = ["learned", "uniform"]
+    reduce = WeightedLabeledSet.__reduce__
+
+    def digest(s):
+        return hashlib.sha256(s.points.tobytes() + s.weights.tobytes()
+                              + s.labels.tobytes()).hexdigest()
+
+    def logged(self):
+        with open(log, "a") as fh:
+            fh.write(f"{digest(self)}\n")
+        return reduce(self)
+
+    monkeypatch.setattr(WeightedLabeledSet, "__reduce__", logged)
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+    _, reports = sweep(P, loss, sizes, methods, n_trials, *rest,
+                       collect_reports=True)
+    cells = [(size, method, trial) for size in sizes for method in methods
+             for trial in range(n_trials)]
+    sent = [digest(reports[cell].final_coreset)
+            for i, cell in enumerate(cells) if i % cpus and cell in reports]
+    assert sent and len(reports) == len(cells) // 2
+    assert digest(P) not in _lines(log)
+    assert _lines(log) == Counter(sent)
 
 
 def test_a_dead_worker_is_an_error_not_a_hang(linreg, monkeypatch):
