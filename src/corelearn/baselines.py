@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import (Coreset, ContractError, WeightedLabeledSet, check_count,
                    stream_rng)
-from .losses import LossModel
+from .losses import LINEAR, LossModel
 
 _MAX_NEWTON_STEPS = 100  # solve_optimal's cap on its Newton steps
 
@@ -21,8 +21,7 @@ def uniform_coreset(P: WeightedLabeledSet, m: int, seed: int = 0) -> Coreset:
     With these weights the coreset cost is an unbiased estimator of the full
     weighted cost at every query.
     """
-    if not 1 <= check_count(m, "m") <= P.n:
-        raise ContractError(f"need 1 <= m <= n, got m={m}, n={P.n}")
+    check_count(m, "m", 1)
     check_count(seed, "seed")
     rng = stream_rng(seed, "uniform_coreset")
     idx = rng.integers(0, P.n, size=m)
@@ -85,8 +84,9 @@ def solve_optimal(P: WeightedLabeledSet, loss: LossModel) -> OptimResult:
     weights w f''/2, half the Hessian: iteratively reweighted least squares
     for the logistic loss. For squared loss f''/2 = 1, so the first step is
     the closed form G q = h, bit for bit. A singular G is solved with a
-    ridge of 1e-10. Separable logistic data (optimum at infinity), a
-    stalled line search and the step cap warn and give converged=False.
+    ridge of 1e-10. Separable logistic data (optimum at infinity; probed
+    at 2q, never for squared loss), a stalled line search and the step cap
+    warn and give converged=False.
     """
     cost_grad = functools.partial(loss.query_grad, P.points, P.labels, P.weights)
     a = loss.augment(P.points)
@@ -121,8 +121,8 @@ def solve_optimal(P: WeightedLabeledSet, loss: LossModel) -> OptimResult:
     if gnorm > tol:
         warnings.warn(f"{it} Newton steps left the gradient norm at {gnorm:.3e}")
         return OptimResult(q, False, it, gnorm)
-    # separable data: the gradient is flat, but a scaled-up q still improves
-    if cost_grad(2.0 * q)[0] < c - 1e-15:
+    # separable logistic data: the gradient is flat, but a scaled-up q improves
+    if loss.kind != LINEAR and cost_grad(2.0 * q)[0] < c - 1e-15:
         warnings.warn("objective keeps improving toward infinity; "
                       "no finite minimizer (separable data?)")
         return OptimResult(q, False, it, gnorm)

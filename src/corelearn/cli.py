@@ -2,8 +2,8 @@
 
 One JSON config file fully determines one experiment; all randomness is
 derived from a single root seed through named streams, so re-running the
-same config reproduces every output byte for byte (wall-clock columns live
-only in the per-trial CSV, never in the aggregated one).
+same config at the same BLAS thread count reproduces every output byte for
+byte (wall-clock columns live only in the per-trial CSV).
 """
 
 from __future__ import annotations

@@ -56,6 +56,28 @@ def _as_vector(x, name):
     return a
 
 
+def query_matrix(queries, name) -> np.ndarray:
+    """queries as a float (k, d') matrix, not copied where they are one; an
+    empty sequence is (0, 0). A ragged sequence, entries that are not
+    numbers or any other shape is a ContractError naming the input."""
+    try:
+        qm = np.asarray(queries, dtype=float)
+    except (TypeError, ValueError) as exc:  # a ragged sequence, or not numbers
+        rows = queries if np.iterable(queries) else [queries]
+        dims = [np.asarray(q, dtype=object).size for q in rows]
+        bad = [i for i, dim in enumerate(dims) if dim != dims[0]]
+        if not bad:
+            raise ContractError(f"{name} is not numbers: {exc}") from None
+        raise ContractError(f"{name} query {bad[0]} has dimension "
+                            f"{dims[bad[0]]}, query 0 has {dims[0]}") from None
+    if qm.shape == (0,):
+        qm = qm.reshape(0, 0)
+    if qm.ndim != 2:
+        raise ContractError(
+            f"{name} must be a (k, d') matrix, got shape {qm.shape}")
+    return qm
+
+
 def check_count(value, name, low=None) -> int:
     """value as an int, at least low when low is given. A bool, anything
     but an int or a NumPy integer, or a count below low is a ContractError
@@ -190,16 +212,8 @@ class MeasurableQuerySpace:
     measure: np.ndarray
 
     def __post_init__(self):
-        try:
-            qm = np.array(self.universe, dtype=float)
-        except ValueError as exc:  # a ragged sequence, or not numbers
-            dims = [np.size(q) for q in self.universe]
-            bad = [i for i, dim in enumerate(dims) if dim != dims[0]]
-            if not bad:
-                raise ContractError(f"universe is not numbers: {exc}") from None
-            raise ContractError(f"universe query {bad[0]} has dimension "
-                                f"{dims[bad[0]]}, query 0 has {dims[0]}") from None
-        if qm.ndim != 2 or qm.size == 0:
+        qm = np.array(query_matrix(self.universe, "universe"))
+        if qm.size == 0:
             raise ContractError(f"universe must be a non-empty (size, d') "
                                 f"matrix, got shape {qm.shape}")
         if not np.all(np.isfinite(qm)):
@@ -283,13 +297,13 @@ def set_costs(dataset, loss, queries) -> np.ndarray:
     return costs
 
 
-def scored(dataset, loss, queries):
-    """The (k, d') float matrix of queries and set_costs of its rows.
+def scored(dataset, loss, queries, name="queries"):
+    """query_matrix(queries, name) and set_costs of its rows.
 
     The set, data or coreset, keeps the costs, for later calls to read and
     never write, keyed on the queries' content, since their owner may
     change them."""
-    qm = np.atleast_2d(np.asarray(queries, dtype=float))
+    qm = query_matrix(queries, name)
     key = ("costs", loss, qm.shape, qm.tobytes())
     return qm, remember(dataset, key, lambda: set_costs(dataset, loss, qm))
 

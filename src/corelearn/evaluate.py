@@ -61,7 +61,7 @@ def err_avg(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel,
     Queries with full-data cost below the ratio floor are excluded; the
     excluded count is part of the result.
     """
-    qm, f_p, filtered = floored(*scored(P, loss, Q_test))
+    qm, f_p, filtered = floored(*scored(P, loss, Q_test, "Q_test"))
     if qm.shape[0] == 0:
         raise DegenerateInputError("all test queries filtered; metric undefined")
     f_c = set_costs(coreset, loss, qm)
@@ -137,14 +137,16 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
     workers do not oversubscribe the CPUs.
 
     Returns the table and, when requested, the training reports of the
-    learned cells. Unknown methods, and an n_trials that is not an integer
-    >= 1, are a ContractError before any cell runs.
+    learned cells. Unknown methods, and a size or an n_trials that is not
+    an integer >= 1, are a ContractError before any cell runs.
     """
     if not sizes or not methods:
         raise ContractError("sizes and methods must be non-empty")
     bad = [m for m in methods if m not in METHODS]
     if bad:
         raise ContractError(f"unknown sweep methods: {bad}")
+    for size in sizes:
+        check_count(size, "size", 1)
     check_count(n_trials, "n_trials", 1)
     check_count(base_seed, "base_seed")
     cells = [(size, method, trial) for size in sizes for method in methods

@@ -206,7 +206,7 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     survives, by its train loss otherwise (see TrainReport). Returns the
     best-scored epoch's coreset and the report.
     """
-    qm, f_p, n_dropped = floored(*scored(P, loss, Q_train))
+    qm, f_p, n_dropped = floored(*scored(P, loss, Q_train, "Q_train"))
     if n_dropped:
         warnings.warn(
             f"dropping {n_dropped} training queries with near-zero full-data cost")
@@ -215,7 +215,7 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     term = term_of(f_p)
     val = None
     if Q_val is not None:
-        val_qm, f_p_val, _ = floored(*scored(P, loss, Q_val))
+        val_qm, f_p_val, _ = floored(*scored(P, loss, Q_val, "Q_val"))
         if val_qm.shape[0]:
             val = (val_qm, term_of(f_p_val))
     init = init_coreset(P, cfg.coreset_size, cfg.seed)

@@ -25,8 +25,8 @@ That form serves the gradient-descent step of the query pool only
 scored or compared (costs, and so set_costs) keeps the direct form. G at
 weights w f''/2 (_half_curvature) is half the Hessian, solve_optimal's.
 
-The public entries convert and check their inputs: labels and weights must
-hold one entry per point, and a ContractError names the one that does not.
+The public entries check their inputs by two rules: queries by
+core.query_matrix, and the points, labels and weights by LossModel._set.
 The coreset gradients' arithmetic lives in LossModel._weighted_grads, which
 takes arrays that are already checked and augmented; weighted_grads is its
 checking entry, and the learner calls it directly once per step.
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError
+from .core import ContractError, _as_matrix, query_matrix
 
 LINEAR = "linear_regression"
 LOGISTIC = "logistic_regression"
@@ -120,7 +120,6 @@ class LossModel:
 
     def augment(self, points: np.ndarray) -> np.ndarray:
         """Feature matrix as seen by the query (constant column if intercept)."""
-        points = np.atleast_2d(points)
         if not self.intercept:
             return points
         ones = np.ones((points.shape[0], 1))
@@ -128,10 +127,21 @@ class LossModel:
 
     # -- values ---------------------------------------------------------
 
-    def _features(self, points, query_dim):
-        a = self.augment(np.atleast_2d(np.asarray(points, dtype=float)))
-        self._check_dim(query_dim, a.shape[1])
-        return a
+    def _set(self, points, labels, weights=None, query_dim=None):
+        """An entry's (n, d) points, by the set constructor's rule, and their
+        labels and weights (None if not given) as float arrays: at least one
+        point, one label and one weight each, and self.query_dim(d) equal to
+        query_dim if given, or a ContractError naming the input. Nothing
+        scans the points: costs runs this once per block."""
+        points = _as_matrix(points, "points")
+        n, d = points.shape
+        if n < 1:
+            raise ContractError(
+                f"points must hold at least one point, got shape {points.shape}")
+        if query_dim is not None:
+            self._check_dim(query_dim, self.query_dim(d))
+        return points, self._per_point("labels", labels, n), (
+            None if weights is None else self._per_point("weights", weights, n))
 
     @staticmethod
     def _check_dim(query_dim, feature_dim):
@@ -199,16 +209,18 @@ class LossModel:
         return labels * labels * e / (1.0 + e) ** 2 / 2.0
 
     def pointwise(self, points, labels, q) -> np.ndarray:
-        """Per-point losses f(p_i, b_i, q), shape (n,): pointwise_matrix at q."""
+        """Per-point losses f(p_i, b_i, q), shape (n,): pointwise_matrix at
+        q. A 1-d points array is one point here."""
+        if np.ndim(points) == 1:
+            points = [points]
         return self.pointwise_matrix(points, np.atleast_1d(labels),
                                      np.reshape(q, (1, -1)))[:, 0]
 
     def pointwise_matrix(self, points, labels, queries) -> np.ndarray:
         """Loss values for every (point, query) pair, shape (n, k)."""
-        qm = np.atleast_2d(np.asarray(queries, dtype=float))
-        a = self._features(points, qm.shape[1])
-        labels = self._per_point("labels", labels, a.shape[0])
-        return self._link(a @ qm.T, labels[:, None])[0]
+        qm = query_matrix(queries, "queries")
+        points, labels, _ = self._set(points, labels, query_dim=qm.shape[1])
+        return self._link(self.augment(points) @ qm.T, labels[:, None])[0]
 
     def costs(self, points, labels, weights, queries) -> np.ndarray:
         """Weighted total cost per query, weights @ pointwise_matrix, shape (k,).
@@ -219,11 +231,9 @@ class LossModel:
         and counts this kernel. Past BLOCK_ELEMENTS (2^16) points a block
         is one query, and its arrays then grow as 8n bytes each.
         """
-        qm = np.atleast_2d(np.asarray(queries, dtype=float))
-        n = np.atleast_2d(points).shape[0]
-        labels = self._per_point("labels", labels, n)
-        weights = self._per_point("weights", weights, n)
-        step = max(1, BLOCK_ELEMENTS // n)
+        qm = query_matrix(queries, "queries")
+        points, labels, weights = self._set(points, labels, weights)
+        step = max(1, BLOCK_ELEMENTS // points.shape[0])
         out = np.empty(qm.shape[0])
         for lo in range(0, qm.shape[0], step):
             # the old block is freed only after the next is built, which keeps
@@ -272,18 +282,17 @@ class LossModel:
         The label gradient treats the label as a real even for the logistic
         loss, which is what joint label learning needs.
         """
-        qm = np.atleast_2d(np.asarray(queries, dtype=float))
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        qm = query_matrix(queries, "queries")
+        points, labels, weights = self._set(points, labels, weights,
+                                            qm.shape[1])
         m, d = points.shape
-        labels = self._per_point("labels", labels, m)
-        weights = self._per_point("weights", weights, m)
         if np.shape(coeffs) != (qm.shape[0],):
             raise ContractError(f"coeffs have shape {np.shape(coeffs)}, "
                                 f"expected ({qm.shape[0]},): one per query")
         coeffs = np.asarray(coeffs, dtype=float)
         out = (np.empty((m, d)), np.empty(m), np.empty(m))
-        costs, _ = self._weighted_grads(self._features(points, qm.shape[1]),
-                                        labels[:, None], weights, qm,
+        costs, _ = self._weighted_grads(self.augment(points), labels[:, None],
+                                        weights, qm,
                                         lambda costs, idx: (0.0, coeffs),
                                         slice(None), out, None)
         return (costs,) + out
@@ -324,9 +333,9 @@ class LossModel:
         """Total cost sum_i w_i f(p_i, b_i, q) and its gradient w.r.t. the
         query vector, (cost, grad (d',)), from one pass over the points."""
         q = np.asarray(q, dtype=float)
-        a = self._features(points, q.shape[0])
-        labels = self._per_point("labels", labels, a.shape[0])
-        weights = self._per_point("weights", weights, a.shape[0])
+        points, labels, weights = self._set(points, labels, weights,
+                                            q.shape[0])
+        a = self.augment(points)
         f, dz, _ = self._link(a @ q, labels, grad=True)
         return float(weights @ f), a.T @ (weights * dz)
 
@@ -347,12 +356,10 @@ class LossModel:
         pass RESIDUAL_LIMIT is query_grad's, and the two forms go non-finite
         at the same rows.
 
-        The points, labels and weights are converted, checked and augmented
-        here, once.
+        The set is checked (_set) and augmented here, once.
         """
-        a = self.augment(np.asarray(points, dtype=float))
-        labels = self._per_point("labels", labels, a.shape[0])
-        weights = self._per_point("weights", weights, a.shape[0])
+        points, labels, weights = self._set(points, labels, weights)
+        a = self.augment(points)
         # |a.q| <= reach * |q| for every point
         reach = math.sqrt(np.max(np.einsum("ij,ij->i", a, a)))
         offset = float(np.max(np.abs(labels)))
@@ -399,9 +406,8 @@ class LossModel:
         """A weighted set's statistics (G, h, c) = (A^T W A, A^T W b,
         b^T W b), A the augmented features: the squared loss's total cost
         at q is q^T G q - 2 h^T q + c, and G q = h at its minimizers."""
-        a = self.augment(np.asarray(points, dtype=float))
-        labels = self._per_point("labels", labels, a.shape[0])
-        weights = self._per_point("weights", weights, a.shape[0])
+        points, labels, weights = self._set(points, labels, weights)
+        a = self.augment(points)
         G = a.T @ (weights[:, None] * a)
         h = a.T @ (weights * labels)
         return G, h, float(labels @ (weights * labels))

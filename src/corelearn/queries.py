@@ -13,6 +13,7 @@ from .core import (
     WeightedLabeledSet,
     check_count,
     check_real,
+    query_matrix,
     stream_rng,
 )
 from .datasets import write_csv
@@ -26,8 +27,7 @@ class QueryBatch:
     array: np.ndarray  # (k, d')
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.array, dtype=float))
-        object.__setattr__(self, "array", a)
+        object.__setattr__(self, "array", query_matrix(self.array, "array"))
 
     def __array__(self, dtype=None, copy=None):
         a = np.asarray(self.array, dtype=dtype)
@@ -108,7 +108,7 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
 def split_queries(pool, sizes, seed: int = 0):
     """Shuffle the pool by seed and slice into train/validation/test batches
     of the three integer sizes."""
-    pool = np.atleast_2d(np.asarray(pool, dtype=float))
+    pool = query_matrix(pool, "pool")
     check_count(seed, "seed")
     sizes = tuple(sizes)
     if len(sizes) != 3:
@@ -135,4 +135,4 @@ def iid_sample(space: MeasurableQuerySpace, k: int, seed: int = 0) -> QueryBatch
 
 def save_pool_csv(pool, path):
     """One query per row, plain comma-separated floats."""
-    write_csv(path, np.atleast_2d(np.asarray(pool, dtype=float)))
+    write_csv(path, query_matrix(pool, "pool"))

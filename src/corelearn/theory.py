@@ -40,6 +40,7 @@ from .core import (
     check_count,
     check_real,
     expected_cost,
+    query_matrix,
     scored,
     set_costs,
     stream_rng,
@@ -94,7 +95,7 @@ def estimate_M(dataset, loss, query_pool, level: str = "set") -> float:
     """
     if level != "set":
         raise ContractError(f"unknown level {level!r}")
-    qm = np.atleast_2d(np.asarray(query_pool, dtype=float))
+    qm = query_matrix(query_pool, "query_pool")
     if qm.shape[0] < 1:
         raise ContractError("query pool must be non-empty")
     return M_SAFETY * float(np.max(np.abs(scored(dataset, loss, qm)[1])))

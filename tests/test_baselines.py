@@ -115,6 +115,27 @@ def test_closed_form_is_the_direct_normal_equations(intercept):
     assert np.array_equal(solve_optimal(P, loss).params, np.linalg.solve(G, rhs))
 
 
+@pytest.mark.parametrize("intercept", [False, True])
+def test_squared_loss_solve_skips_the_separability_probe(intercept,
+                                                         monkeypatch):
+    """A squared-loss solve reads the cost and gradient at q = 0 and at its
+    one Newton step, and no more: a convex quadratic with a minimizer is
+    never separable, so the probe at 2q is not taken."""
+    loss = LossModel("linear_regression", intercept)
+    P = make_synthetic("linear", 80, 3, 0.2, seed=9)
+    query_grad, calls = LossModel.query_grad, []
+
+    def counted(self, *args):
+        calls.append(args[-1])
+        return query_grad(self, *args)
+
+    monkeypatch.setattr(LossModel, "query_grad", counted)
+    res = solve_optimal(P, loss)
+    assert res.converged and res.iterations == 1
+    assert len(calls) == 2
+    assert np.array_equal(calls[1], res.params)
+
+
 def _backtracking_gd(P, loss, tol=1e-8, max_iter=100_000):
     """The logistic solver solve_optimal replaced: gradient descent from
     q = 0 with a backtracking line search, to gradient norm <= tol."""
@@ -231,3 +252,16 @@ def test_coreset_size_is_an_integer(build, m):
     with pytest.raises(ContractError, match=f"m must be an integer, got {m!r}"):
         build(P, m)
     assert build(P, np.int64(3)).n == 3
+
+
+@pytest.mark.parametrize("build", [
+    uniform_coreset, leverage_coreset, lambda P, m: init_coreset(P, m, 0)],
+    ids=["uniform", "leverage", "init"])
+def test_coreset_may_hold_more_points_than_the_data(build):
+    """Every constructor draws with replacement past n: m = n + 10 gives
+    m rows of the data."""
+    P = make_synthetic("linear", 10, 2, 0.3, seed=2)
+    C = build(P, P.n + 10)
+    assert C.n == P.n + 10
+    rows = {tuple(p) for p in P.points}
+    assert all(tuple(c) in rows for c in C.points)

@@ -574,7 +574,7 @@ def test_cli_verify_rejects_trials_below_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, match", [
     (["learn", "--size", "0"], "coreset_size must be >= 1"),
-    (["baseline", "--method", "uniform", "--size", "0"], "m=0"),
+    (["baseline", "--method", "uniform", "--size", "0"], "m must be >= 1, got 0"),
     (["verify", "--universe-size", "0"], "--universe-size"),
 ])
 def test_cli_rejects_sizes_below_one(tmp_path, capsys, argv, match):

@@ -1,9 +1,12 @@
 """The input contract of the public entries: every scalar input is checked
 by one of two rules in core, check_count (an integer, at least a bound) and
 check_real (finite and > 0, or >= 0 when closed), and every flag takes a
-bool only. A bad value is a ContractError that names the parameter."""
+bool only. Every query set is read by one rule, core.query_matrix, and
+every loss entry's point set by the set constructor's. A bad value is a
+ContractError that names the parameter."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,22 +16,28 @@ from corelearn import (
     LossModel,
     MeasurableQuerySpace,
     TrainConfig,
+    QueryBatch,
     WeightedLabeledSet,
     claim2_k,
+    err_avg,
+    estimate_M,
     hoeffding_k,
     iid_sample,
     init_coreset,
     leverage_coreset,
     make_synthetic,
     relate_eps,
+    set_costs,
     split_queries,
     sweep,
+    train,
     trajectory_queries,
     uniform_coreset,
     verify_claim1,
     verify_claim2,
 )
 from corelearn.core import ContractError, check_count, check_real
+from corelearn.queries import save_pool_csv
 
 _RNG = np.random.default_rng(31)
 _P = WeightedLabeledSet(_RNG.standard_normal((12, 2)), np.full(12, 1.0 / 12),
@@ -47,7 +56,7 @@ _COUNTS = [
     ("TrainConfig", "batch_size", 1, lambda v: TrainConfig(batch_size=v)),
     ("TrainConfig", "seed", None, lambda v: TrainConfig(seed=v)),
     ("init_coreset", "m", 1, lambda v: init_coreset(_P, v, 0)),
-    ("uniform_coreset", "m", None, lambda v: uniform_coreset(_P, v)),
+    ("uniform_coreset", "m", 1, lambda v: uniform_coreset(_P, v)),
     ("leverage_coreset", "m", 1, lambda v: leverage_coreset(_P, v)),
     ("trajectory_queries", "n_starts", 1,
      lambda v: trajectory_queries(_P, _LOSS, v, 2)),
@@ -56,6 +65,8 @@ _COUNTS = [
     ("split_queries", "split size 1", 0,
      lambda v: split_queries(_Q, [1, v, 1])),
     ("iid_sample", "k", 1, lambda v: iid_sample(_SPACE, v)),
+    ("sweep", "size", 1,
+     lambda v: sweep(_P, _LOSS, [3, v], ["uniform"], 1, 0, _Q, None, _Q, _CFG)),
     ("sweep", "n_trials", 1,
      lambda v: sweep(_P, _LOSS, [3], ["uniform"], v, 0, _Q, None, _Q, _CFG)),
     ("verify_claim1", "trials", 1,
@@ -144,9 +155,7 @@ def _real_cases():
 
 
 @pytest.mark.parametrize("call, value, message", [
-    *_count_cases(), *_real_cases(),
-    pytest.param(lambda v: uniform_coreset(_P, v), 0,
-                 "need 1 <= m <= n, got m=0", id="uniform_coreset-m-below")])
+    *_count_cases(), *_real_cases()])
 def test_public_entries_reject_bad_scalars(call, value, message):
     with pytest.raises(ContractError) as info:
         call(value)
@@ -196,3 +205,66 @@ def test_negative_seeds_stay_valid():
     assert uniform_coreset(_P, 3, seed=-4).n == 3
     assert make_synthetic("linear", 5, 2, seed=-1).n == 5
     assert split_queries(_Q, [1, 1, 1], seed=np.int64(-2))[0].array.shape == (1, 2)
+
+
+# entry name, the query set's name as the message names it, and the call
+# with the bad query set in its place
+_QUERY_SETS = [
+    ("pointwise_matrix", "queries",
+     lambda v: _LOSS.pointwise_matrix(_P.points, _P.labels, v)),
+    ("costs", "queries",
+     lambda v: _LOSS.costs(_P.points, _P.labels, _P.weights, v)),
+    ("weighted_grads", "queries",
+     lambda v: _LOSS.weighted_grads(_P.points, _P.labels, _P.weights, v,
+                                    np.ones(2))),
+    ("set_costs", "queries", lambda v: set_costs(_P, _LOSS, v)),
+    ("train", "Q_train", lambda v: train(_P, v, None, _LOSS, _CFG)),
+    ("train", "Q_val", lambda v: train(_P, _Q, v, _LOSS, _CFG)),
+    ("err_avg", "Q_test", lambda v: err_avg(_P, _C, _LOSS, v)),
+    ("estimate_M", "query_pool", lambda v: estimate_M(_P, _LOSS, v)),
+    ("split_queries", "pool", lambda v: split_queries(v, [1, 0, 0])),
+    ("QueryBatch", "array", QueryBatch),
+    ("save_pool_csv", "pool", lambda v: save_pool_csv(v, os.devnull)),
+    ("MeasurableQuerySpace", "universe",
+     lambda v: MeasurableQuerySpace(_P, _LOSS, v, np.full(2, 0.5))),
+]
+
+_BAD_QUERY_SETS = [
+    ("ragged", [[1.0, 2.0], [1.0]], "query 1 has dimension 1, query 0 has 2"),
+    ("not-numbers", [["a", "b"], ["c", "d"]], "is not numbers"),
+    ("1-d", np.array([1.0, 2.0]),
+     r"must be a \(k, d'\) matrix, got shape \(2,\)"),
+    ("3-d", np.ones((2, 2, 2)),
+     r"must be a \(k, d'\) matrix, got shape \(2, 2, 2\)"),
+]
+
+
+@pytest.mark.parametrize("call, value, message", [
+    pytest.param(call, value, f"^{name} {message}", id=f"{entry}-{name}-{label}")
+    for entry, name, call in _QUERY_SETS
+    for label, value, message in _BAD_QUERY_SETS])
+def test_query_set_entries_share_one_rule(call, value, message):
+    with pytest.raises(ContractError, match=message):
+        call(value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, b, w: _LOSS.pointwise_matrix(p, b, _Q),
+    lambda p, b, w: _LOSS.costs(p, b, w, _Q),
+    lambda p, b, w: _LOSS.weighted_grads(p, b, w, _Q, np.ones(6)),
+    lambda p, b, w: _LOSS.query_grad(p, b, w, np.zeros(2)),
+    lambda p, b, w: _LOSS.query_grads(p, b, w),
+    lambda p, b, w: _LOSS.normal_equations(p, b, w),
+], ids=["pointwise_matrix", "costs", "weighted_grads", "query_grad",
+        "query_grads", "normal_equations"])
+def test_loss_entries_reject_an_empty_point_set(call):
+    with pytest.raises(ContractError,
+                       match=r"^points must hold at least one point"):
+        call(np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+
+
+def test_an_empty_query_list_is_no_queries():
+    assert QueryBatch([]).array.shape == (0, 0)
+    assert set_costs(_P, _LOSS, []).shape == (0,)
+    with pytest.raises(ContractError, match="query pool must be non-empty"):
+        estimate_M(_P, _LOSS, [])
