@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__, baselines, evaluate, learner, queries, theory
 from .core import (ContractError, Coreset, MeasurableQuerySpace,
-                   WeightedLabeledSet, check_count, check_real)
+                   WeightedLabeledSet, check_count, check_probability,
+                   check_real)
 from .datasets import (SYNTHETIC_TASKS, DatasetError, Schema, load_dataset,
                        make_synthetic, parse_rows, read_rows, write_csv)
 from .evaluate import METHOD_LEARNED, METHOD_LEVERAGE, METHOD_UNIFORM
@@ -119,24 +120,21 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _in_section(name, check, *args, **kwargs):
+    """check(*args, **kwargs), a library rule on a config section's values;
+    a ContractError or DatasetError it raises is a ConfigError naming it."""
+    try:
+        return check(*args, **kwargs)
+    except (ContractError, DatasetError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def validate_config(cfg: dict) -> None:
     """The checks that _merge's types leave: values, ranges, list entries."""
     sweep = cfg["sweep"]
-    if not sweep["sizes"] or not all(type(s) is int and s >= 1
-                                     for s in sweep["sizes"]):
-        raise ConfigError(
-            f"sweep.sizes must be integers >= 1, got {sweep['sizes']!r}")
-    bad = [m for m in sweep["methods"] if m not in evaluate.METHODS]
-    if bad:
-        raise ConfigError(f"unknown sweep methods: {bad}")
-    try:
-        check_count(sweep["trials"], "sweep.trials", 1)
-    except ContractError as exc:
-        raise ConfigError(str(exc)) from exc
-    split = cfg["queries"]["split"]
-    if len(split) != 3 or not all(type(s) is int and s >= 0 for s in split):
-        raise ConfigError(
-            f"queries.split must be three nonnegative integers, got {split!r}")
+    _in_section("sweep", evaluate.sweep_cells, sweep["sizes"],
+                sweep["methods"], sweep["trials"])
+    _in_section("queries", queries.split_sizes, cfg["queries"]["split"])
     train_config_from(cfg, sweep["sizes"][0])
     ds = cfg["dataset"]
     if ds["path"] is None and ds["synth"] is None:
@@ -174,11 +172,9 @@ def resolve_dataset(cfg: dict) -> tuple[WeightedLabeledSet, LossModel]:
         kind = LOGISTIC if schema.binary_label else LINEAR
     else:
         synth = ds["synth"]
-        try:
-            data = make_synthetic(synth["task"], synth["n"], synth["d"],
-                                  synth["noise"], seed=cfg["seed"])
-        except (DatasetError, ContractError) as exc:
-            raise ConfigError(f"dataset.synth: {exc}") from exc
+        data = _in_section("dataset.synth", make_synthetic, synth["task"],
+                           synth["n"], synth["d"], synth["noise"],
+                           seed=cfg["seed"])
         kind = SYNTHETIC_TASKS[synth["task"]]
     loss = LossModel(kind, intercept=ds["intercept"])
     return data.normalized(), loss
@@ -189,10 +185,8 @@ def train_config_from(cfg: dict, size: int) -> TrainConfig:
     seed; a value TrainConfig rejects is a ConfigError naming the section."""
     field = {key: name for name, key in _LEARNER_KEYS.items()}
     section = {field.get(key, key): v for key, v in cfg["learner"].items()}
-    try:
-        return TrainConfig(coreset_size=size, seed=cfg["seed"], **section)
-    except ContractError as exc:
-        raise ConfigError(f"learner: {exc}") from exc
+    return _in_section("learner", TrainConfig, coreset_size=size,
+                       seed=cfg["seed"], **section)
 
 
 def _save_coreset(coreset: Coreset, path):
@@ -335,8 +329,7 @@ def _cmd_gen_queries(args):
 
 
 def _cmd_bounds(args):
-    if not 0 < args.delta < 1:
-        raise ConfigError("delta must be in (0, 1)")
+    check_probability(args.delta, "delta")
     check_real(args.eps, "eps")
     if args.estimate_M:
         if not args.config:
@@ -357,6 +350,8 @@ def _cmd_bounds(args):
 def _cmd_verify(args):
     check_count(args.trials, "--trials", 1)
     check_count(args.universe_size, "--universe-size", 1)
+    check_real(args.eps_frac, "--eps-frac")
+    check_probability(args.delta, "--delta")
     cfg, P, loss = _prepare(args.config, args.seed)
     pool = _pool(cfg, P, loss)
     if args.universe_size > pool.shape[0]:

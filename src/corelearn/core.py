@@ -56,10 +56,12 @@ def _as_vector(x, name):
     return a
 
 
-def query_matrix(queries, name) -> np.ndarray:
+def query_matrix(queries, name, width=None) -> np.ndarray:
     """queries as a float (k, d') matrix, not copied where they are one; an
     empty sequence is (0, 0). A ragged sequence, entries that are not
-    numbers or any other shape is a ContractError naming the input."""
+    numbers or any other shape is a ContractError naming the input. Given
+    a width, the loss's query dim, rows of another length are one too, and
+    no queries are (0, width)."""
     try:
         qm = np.asarray(queries, dtype=float)
     except (TypeError, ValueError) as exc:  # a ragged sequence, or not numbers
@@ -75,6 +77,11 @@ def query_matrix(queries, name) -> np.ndarray:
     if qm.ndim != 2:
         raise ContractError(
             f"{name} must be a (k, d') matrix, got shape {qm.shape}")
+    if width is not None and qm.shape[1] != width:
+        if qm.shape[0]:
+            raise ContractError(f"{name} query dim {qm.shape[1]} does not "
+                                f"match feature dim {width}")
+        qm = qm.reshape(0, width)
     return qm
 
 
@@ -99,6 +106,15 @@ def check_real(value, name, closed=False) -> float:
         if math.isfinite(x) and (x >= 0 if closed else x > 0):
             return x
     raise ContractError(f"{name} must be finite and {bound}, got {value!r}")
+
+
+def check_probability(value, name) -> float:
+    """value as a float in (0, 1), as a bound's failure probability delta
+    is; anything else is a ContractError naming the parameter."""
+    if (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and 0 < value < 1):
+        return float(value)
+    raise ContractError(f"{name} must be in (0, 1), got {value!r}")
 
 
 # Most results remember() keeps on one WeightedLabeledSet; the oldest goes
@@ -298,12 +314,13 @@ def set_costs(dataset, loss, queries) -> np.ndarray:
 
 
 def scored(dataset, loss, queries, name="queries"):
-    """query_matrix(queries, name) and set_costs of its rows.
+    """query_matrix(queries, name) at the loss's width and set_costs of its
+    rows.
 
     The set, data or coreset, keeps the costs, for later calls to read and
     never write, keyed on the queries' content, since their owner may
     change them."""
-    qm = query_matrix(queries, name)
+    qm = query_matrix(queries, name, loss.query_dim(dataset.dim))
     key = ("costs", loss, qm.shape, qm.tobytes())
     return qm, remember(dataset, key, lambda: set_costs(dataset, loss, qm))
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import baselines, learner
 from .core import (RATIO_FLOOR, Coreset, ContractError, DegenerateInputError,
-                   WeightedLabeledSet, check_count, floored, remember, scored,
-                   set_cost, set_costs)
+                   WeightedLabeledSet, check_count, floored, query_matrix,
+                   remember, scored, set_cost, set_costs)
 from .datasets import write_csv
 from .losses import LossModel
 
@@ -115,6 +115,24 @@ def _write_csv(path, cols, rows):
     write_csv(path, ([row.get(c) for c in cols] for row in rows), cols)
 
 
+def sweep_cells(sizes, methods, n_trials: int) -> list[tuple]:
+    """The (size, method, trial) cells of a sweep, in cell order: sizes and
+    methods must be non-empty sequences, each size and n_trials an integer
+    >= 1 and each method in METHODS, or it is a ContractError naming it."""
+    sizes, methods = (list(v) if np.iterable(v) else []
+                      for v in (sizes, methods))
+    if not sizes or not methods:
+        raise ContractError("sizes and methods must be non-empty sequences")
+    bad = [m for m in methods if m not in METHODS]
+    if bad:
+        raise ContractError(f"unknown sweep methods: {bad}")
+    for size in sizes:
+        check_count(size, "size", 1)
+    check_count(n_trials, "n_trials", 1)
+    return [(size, method, trial) for size in sizes for method in methods
+            for trial in range(n_trials)]
+
+
 def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
           n_trials: int, base_seed: int, Q_train, Q_val, Q_test,
           cfg: learner.TrainConfig, collect_reports: bool = False):
@@ -137,20 +155,19 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
     workers do not oversubscribe the CPUs.
 
     Returns the table and, when requested, the training reports of the
-    learned cells. Unknown methods, and a size or an n_trials that is not
-    an integer >= 1, are a ContractError before any cell runs.
+    learned cells. Arguments that sweep_cells rejects are a ContractError
+    before any cell runs, and so is a split the cells read (Q_test, and
+    Q_train and Q_val, which may be None, where a method is learned) that
+    is not a query matrix of width loss.query_dim(P.dim), naming it.
     """
-    if not sizes or not methods:
-        raise ContractError("sizes and methods must be non-empty")
-    bad = [m for m in methods if m not in METHODS]
-    if bad:
-        raise ContractError(f"unknown sweep methods: {bad}")
-    for size in sizes:
-        check_count(size, "size", 1)
-    check_count(n_trials, "n_trials", 1)
+    cells = sweep_cells(sizes, methods, n_trials)
     check_count(base_seed, "base_seed")
-    cells = [(size, method, trial) for size in sizes for method in methods
-             for trial in range(n_trials)]
+    learned = any(method == METHOD_LEARNED for _, method, _ in cells)
+    width = loss.query_dim(P.dim)
+    Q_test = query_matrix(Q_test, "Q_test", width)
+    if learned:
+        Q_train = query_matrix(Q_train, "Q_train", width)
+        Q_val = Q_val if Q_val is None else query_matrix(Q_val, "Q_val", width)
 
     def cell(size, method, trial):
         trial_seed = _cell_seed(base_seed, size, method, trial)
@@ -191,7 +208,6 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
                 caught.clear()
         return out
 
-    learned = METHOD_LEARNED in methods
     _keep_shared_work(P, loss, ([Q_train, Q_val] if learned else []) + [Q_test])
     n_shares = min(_usable_cpus(), len(cells))
     shares = [range(i, len(cells), n_shares) for i in range(n_shares)]

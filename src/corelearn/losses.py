@@ -25,8 +25,9 @@ That form serves the gradient-descent step of the query pool only
 scored or compared (costs, and so set_costs) keeps the direct form. G at
 weights w f''/2 (_half_curvature) is half the Hessian, solve_optimal's.
 
-The public entries check their inputs by two rules: queries by
-core.query_matrix, and the points, labels and weights by LossModel._set.
+The public entries check their inputs by two rules: the points, labels
+and weights by LossModel._set, then the queries by core.query_matrix at
+the points' query dim.
 The coreset gradients' arithmetic lives in LossModel._weighted_grads, which
 takes arrays that are already checked and augmented; weighted_grads is its
 checking entry, and the learner calls it directly once per step.
@@ -127,27 +128,20 @@ class LossModel:
 
     # -- values ---------------------------------------------------------
 
-    def _set(self, points, labels, weights=None, query_dim=None):
+    def _set(self, points, labels, weights=None):
         """An entry's (n, d) points, by the set constructor's rule, and their
         labels and weights (None if not given) as float arrays: at least one
-        point, one label and one weight each, and self.query_dim(d) equal to
-        query_dim if given, or a ContractError naming the input. Nothing
-        scans the points: costs runs this once per block."""
+        point, one label and one weight each, or a ContractError naming the
+        input. An entry reads its queries after them, by core.query_matrix
+        at width self.query_dim(d). Nothing scans the points: costs runs
+        this once per block."""
         points = _as_matrix(points, "points")
-        n, d = points.shape
+        n = points.shape[0]
         if n < 1:
             raise ContractError(
                 f"points must hold at least one point, got shape {points.shape}")
-        if query_dim is not None:
-            self._check_dim(query_dim, self.query_dim(d))
         return points, self._per_point("labels", labels, n), (
             None if weights is None else self._per_point("weights", weights, n))
-
-    @staticmethod
-    def _check_dim(query_dim, feature_dim):
-        if query_dim != feature_dim:
-            raise ContractError(
-                f"query dim {query_dim} does not match feature dim {feature_dim}")
 
     @staticmethod
     def _per_point(name, values, n):
@@ -210,16 +204,14 @@ class LossModel:
 
     def pointwise(self, points, labels, q) -> np.ndarray:
         """Per-point losses f(p_i, b_i, q), shape (n,): pointwise_matrix at
-        q. A 1-d points array is one point here."""
-        if np.ndim(points) == 1:
-            points = [points]
-        return self.pointwise_matrix(points, np.atleast_1d(labels),
+        q."""
+        return self.pointwise_matrix(points, labels,
                                      np.reshape(q, (1, -1)))[:, 0]
 
     def pointwise_matrix(self, points, labels, queries) -> np.ndarray:
         """Loss values for every (point, query) pair, shape (n, k)."""
-        qm = query_matrix(queries, "queries")
-        points, labels, _ = self._set(points, labels, query_dim=qm.shape[1])
+        points, labels, _ = self._set(points, labels)
+        qm = query_matrix(queries, "queries", self.query_dim(points.shape[1]))
         return self._link(self.augment(points) @ qm.T, labels[:, None])[0]
 
     def costs(self, points, labels, weights, queries) -> np.ndarray:
@@ -231,8 +223,8 @@ class LossModel:
         and counts this kernel. Past BLOCK_ELEMENTS (2^16) points a block
         is one query, and its arrays then grow as 8n bytes each.
         """
-        qm = query_matrix(queries, "queries")
         points, labels, weights = self._set(points, labels, weights)
+        qm = query_matrix(queries, "queries", self.query_dim(points.shape[1]))
         step = max(1, BLOCK_ELEMENTS // points.shape[0])
         out = np.empty(qm.shape[0])
         for lo in range(0, qm.shape[0], step):
@@ -282,9 +274,8 @@ class LossModel:
         The label gradient treats the label as a real even for the logistic
         loss, which is what joint label learning needs.
         """
-        qm = query_matrix(queries, "queries")
-        points, labels, weights = self._set(points, labels, weights,
-                                            qm.shape[1])
+        points, labels, weights = self._set(points, labels, weights)
+        qm = query_matrix(queries, "queries", self.query_dim(points.shape[1]))
         m, d = points.shape
         if np.shape(coeffs) != (qm.shape[0],):
             raise ContractError(f"coeffs have shape {np.shape(coeffs)}, "
@@ -332,9 +323,8 @@ class LossModel:
     def query_grad(self, points, labels, weights, q) -> tuple[float, np.ndarray]:
         """Total cost sum_i w_i f(p_i, b_i, q) and its gradient w.r.t. the
         query vector, (cost, grad (d',)), from one pass over the points."""
-        q = np.asarray(q, dtype=float)
-        points, labels, weights = self._set(points, labels, weights,
-                                            q.shape[0])
+        points, labels, weights = self._set(points, labels, weights)
+        q = query_matrix([q], "q", self.query_dim(points.shape[1]))[0]
         a = self.augment(points)
         f, dz, _ = self._link(a @ q, labels, grad=True)
         return float(weights @ f), a.T @ (weights * dz)
@@ -368,7 +358,7 @@ class LossModel:
             limit = COST_LIMIT / max(1.0, float(np.sum(np.abs(weights))))
 
             def grads(queries):
-                self._check_dim(queries.shape[1], a.shape[1])
+                queries = query_matrix(queries, "queries", a.shape[1])
                 finite = np.ones(queries.shape[0], dtype=bool)
                 grad = np.empty(queries.shape)
                 bound = offset * reach * np.linalg.norm(queries, axis=1) + 1.0
@@ -391,7 +381,7 @@ class LossModel:
         limit = RESIDUAL_LIMIT / math.sqrt(max(1.0, float(np.sum(weights))))
 
         def grads(queries):
-            self._check_dim(queries.shape[1], a.shape[1])
+            queries = query_matrix(queries, "queries", a.shape[1])
             half = queries @ G.T - h  # G q - h at every row
             costs = np.einsum("ij,ij->i", queries, half - h) + c
             grad = 2.0 * half

@@ -105,16 +105,22 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
     return np.concatenate([path[s, :length[s]] for s in range(n_starts)])
 
 
+def split_sizes(sizes) -> tuple[int, int, int]:
+    """The train, validation and test sizes of a split: a sequence of three
+    integers, each >= 0, or a ContractError naming the split."""
+    counts = tuple(sizes) if np.iterable(sizes) else ()
+    if len(counts) != 3:
+        raise ContractError(f"split sizes must be three counts, got {sizes!r}")
+    return tuple(check_count(s, f"split size {i}", 0)
+                 for i, s in enumerate(counts))
+
+
 def split_queries(pool, sizes, seed: int = 0):
     """Shuffle the pool by seed and slice into train/validation/test batches
-    of the three integer sizes."""
+    of the three split_sizes."""
     pool = query_matrix(pool, "pool")
     check_count(seed, "seed")
-    sizes = tuple(sizes)
-    if len(sizes) != 3:
-        raise ContractError(f"split sizes must be three counts, got {sizes!r}")
-    k_train, k_val, k_test = (check_count(s, f"split size {i}", 0)
-                              for i, s in enumerate(sizes))
+    k_train, k_val, k_test = split_sizes(sizes)
     total = k_train + k_val + k_test
     if total > pool.shape[0]:
         raise ContractError(

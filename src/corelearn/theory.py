@@ -38,9 +38,9 @@ from .core import (
     MeasurableQuerySpace,
     WeightedLabeledSet,
     check_count,
+    check_probability,
     check_real,
     expected_cost,
-    query_matrix,
     scored,
     set_costs,
     stream_rng,
@@ -59,8 +59,7 @@ def hoeffding_k(eps: float, delta: float, M: float) -> int:
     (M/eps)^2 overflows, k is not a finite integer, and that is a
     ContractError too."""
     check_real(eps, "eps")
-    if not 0 < delta < 1:
-        raise ContractError("delta must be in (0, 1)")
+    check_probability(delta, "delta")
     check_real(M, "M")
     r = M / eps
     k = 2.0 * math.log(2.0 / delta) * r * r
@@ -95,10 +94,10 @@ def estimate_M(dataset, loss, query_pool, level: str = "set") -> float:
     """
     if level != "set":
         raise ContractError(f"unknown level {level!r}")
-    qm = query_matrix(query_pool, "query_pool")
+    qm, costs = scored(dataset, loss, query_pool, "query_pool")
     if qm.shape[0] < 1:
         raise ContractError("query pool must be non-empty")
-    return M_SAFETY * float(np.max(np.abs(scored(dataset, loss, qm)[1])))
+    return M_SAFETY * float(np.max(np.abs(costs)))
 
 
 def _trial_means(space, rng, trials, k, *costs):

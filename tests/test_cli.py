@@ -290,7 +290,7 @@ _SCHEMA = {"features": ["0"], "label": "1"}
     ({"queries": {"n_starts": "3", "split": [20, 5, 5]}},
      "queries.n_starts must be an integer, got '3'"),
     ({"queries": {"n_starts": 2, "split": [20, 5.0, 5]}},
-     "queries.split must be three nonnegative integers, got [20, 5.0, 5]"),
+     "queries: split size 1 must be an integer, got 5.0"),
     ({"learner": {"lambda": True}}, "learner.lambda must be a number, got True"),
     ({"output": {"dir": None}}, "output.dir must be a string, got None"),
     ({"dataset": {"path": True, "schema": _SCHEMA}},
@@ -344,6 +344,39 @@ def test_config_rejects_removed_learner_keys(tmp_path, monkeypatch, capsys,
         TrainConfig(**{key: old_default})
 
 
+_SWEEP = {"sizes": [5], "methods": ["uniform"], "trials": 1}
+
+
+@pytest.mark.parametrize("section, value, match", [
+    ("sweep", {**_SWEEP, "trials": 0}, "sweep: n_trials must be >= 1, got 0"),
+    ("sweep", {**_SWEEP, "sizes": []},
+     "sweep: sizes and methods must be non-empty sequences"),
+    ("sweep", {**_SWEEP, "methods": []},
+     "sweep: sizes and methods must be non-empty sequences"),
+    ("sweep", {**_SWEEP, "methods": ["uniform", "magic"]},
+     "sweep: unknown sweep methods: ['magic']"),
+    ("queries", {"split": [20, 5]},
+     "queries: split sizes must be three counts, got [20, 5]"),
+    ("queries", {"split": [20, -1, 5]},
+     "queries: split size 1 must be >= 0, got -1"),
+], ids=["trials-zero", "sizes-empty", "methods-empty", "method-unknown",
+        "split-two", "split-negative"])
+def test_config_values_go_through_the_library_rules(tmp_path, monkeypatch,
+                                                    capsys, section, value,
+                                                    match):
+    """validate_config asks sweep_cells and split_sizes, the rules sweep and
+    split_queries keep, and names the section their error came from."""
+    path = _write_config(tmp_path, **{section: value})
+
+    def no_data_work(*args, **kwargs):
+        raise AssertionError("dataset built before the config was checked")
+
+    monkeypatch.setattr("corelearn.cli.resolve_dataset", no_data_work)
+    assert main(["experiment", "--config", str(path)]) == 1
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_number_keys_take_integers(tmp_path):
     path = _write_config(tmp_path, learner={"learning_rate": 1, "lambda": 0},
                          queries={"gd_lr": 1, "split": [20, 5, 5]})
@@ -355,7 +388,7 @@ def test_experiment_rejects_every_size_below_one(tmp_path, capsys):
     path = _write_config(tmp_path, sweep={"sizes": [5, 0],
                                           "methods": ["uniform"], "trials": 1})
     assert main(["experiment", "--config", str(path)]) == 1
-    assert "sweep.sizes must be integers >= 1, got [5, 0]" in capsys.readouterr().err
+    assert "sweep: size must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "out" / "trials.csv").exists()
 
 
@@ -564,6 +597,36 @@ def test_cli_verify_rejects_universe_above_pool(tmp_path, capsys):
                  "--trials", "10"]) == 1
     err = capsys.readouterr().err
     assert "31" in err and "pool size 30" in err
+
+
+@pytest.mark.parametrize("flags, match", [
+    (["--delta", "1.5"], "--delta must be in (0, 1), got 1.5"),
+    (["--delta", "nan"], "--delta must be in (0, 1), got nan"),
+    (["--eps-frac", "-1"], "--eps-frac must be finite and > 0, got -1.0"),
+    (["--eps-frac", "nan"], "--eps-frac must be finite and > 0, got nan"),
+], ids=["delta-above-one", "delta-nan", "eps-frac-negative", "eps-frac-nan"])
+def test_cli_verify_checks_its_flags_before_the_pool(tmp_path, monkeypatch,
+                                                     capsys, flags, match):
+    path = _write_config(tmp_path)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("query pool built before the flags were checked")
+
+    monkeypatch.setattr("corelearn.queries.trajectory_queries", no_pool)
+    assert main(["verify", "--config", str(path), *flags]) == 1
+    assert match in capsys.readouterr().err
+
+
+def test_cli_bounds_checks_delta_before_the_pool(tmp_path, monkeypatch, capsys):
+    path = _write_config(tmp_path)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("query pool built before the flags were checked")
+
+    monkeypatch.setattr("corelearn.queries.trajectory_queries", no_pool)
+    assert main(["bounds", "--eps", "0.1", "--delta", "1.5", "--estimate-M",
+                 "--config", str(path)]) == 1
+    assert "delta must be in (0, 1), got 1.5" in capsys.readouterr().err
 
 
 def test_cli_verify_rejects_trials_below_one(tmp_path, capsys):

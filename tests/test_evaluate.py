@@ -488,6 +488,51 @@ def test_sweep_rejects_bad_input_before_any_work(linreg, monkeypatch, methods,
                   splits["val"], splits["test"], cfg)
 
 
+@pytest.mark.parametrize("split, value, match", [
+    ("test", [[0.5, 0.5], [1.0]],
+     "^Q_test query 1 has dimension 1, query 0 has 2"),
+    ("test", None, r"^Q_test must be a \(k, d'\) matrix, got shape \(\)"),
+    ("train", None, r"^Q_train must be a \(k, d'\) matrix, got shape \(\)"),
+    ("test", np.ones((4, 3)), "^Q_test query dim 3 does not match feature dim 2"),
+], ids=["ragged-test", "none-test", "none-train-learned", "width-3-test"])
+def test_sweep_rejects_bad_splits_before_any_cell(linreg, monkeypatch, split,
+                                                  value, match):
+    """A split the cells read is read once, before the shared work: a bad one
+    is one ContractError naming it, not a failed row per cell."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started work")
+
+    for module, name in ((evaluate, "_keep_shared_work"),
+                         (evaluate, "_cell_seed"), (learner, "train"),
+                         (baselines, "uniform_coreset")):
+        monkeypatch.setattr(module, name, no_work)
+    P = make_synthetic("linear", 30, 2, 0.3, seed=8)
+    splits = {**_scoring_splits(), split: value}
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match=match):
+            sweep(P, linreg, [6, 9], ["learned", "uniform"], 2, 0,
+                  splits["train"], splits["val"], splits["test"], cfg)
+
+
+def test_sweep_reads_only_the_splits_its_methods_score(linreg):
+    """Without a learned method the training splits are not read; with one,
+    Q_val may be None, and an empty split of any width is no queries."""
+    P = make_synthetic("linear", 30, 2, 0.3, seed=8)
+    splits = _scoring_splits()
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
+    table = sweep(P, linreg, [6], ["uniform"], 1, 0, None, [[1.0]],
+                  splits["test"], cfg)
+    assert [row["ok"] for row in table.rows] == [True]
+    table = sweep(P, linreg, [6], ["learned"], 1, 0, splits["train"], None,
+                  splits["test"], cfg)
+    assert [row["ok"] for row in table.rows] == [True]
+    with pytest.warns(UserWarning, match="all test queries filtered"):
+        table = sweep(P, linreg, [6], ["uniform"], 1, 0, None, None, [], cfg)
+    assert [row["ok"] for row in table.rows] == [False]
+
+
 def _sweep_outputs(monkeypatch, tmp_path, cpus, args):
     """All that a sweep over `cpus` usable CPUs returns and warns, but its
     timings, and the processes its cells ran in."""

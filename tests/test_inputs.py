@@ -36,7 +36,8 @@ from corelearn import (
     verify_claim1,
     verify_claim2,
 )
-from corelearn.core import ContractError, check_count, check_real
+from corelearn.core import (ContractError, check_count, check_probability,
+                            check_real)
 from corelearn.queries import save_pool_csv
 
 _RNG = np.random.default_rng(31)
@@ -149,7 +150,8 @@ def _real_cases():
                                id=f"{entry}-{name}-{label}")
     for entry, call in _DELTAS:
         for label, value in [("bool", True), ("zero", 0.0), ("one", 1.0),
-                             ("nan", math.nan), ("inf", math.inf)]:
+                             ("nan", math.nan), ("inf", math.inf),
+                             ("str", "x")]:
             yield pytest.param(call, value, "delta must be in (0, 1)",
                                id=f"{entry}-delta-{label}")
 
@@ -190,6 +192,28 @@ def test_the_rules_messages_and_values():
         check_real(True, "scale", closed=True)
     with pytest.raises(ContractError, match=r"^lr must be finite and > 0, got '1'$"):
         check_real("1", "lr")
+    assert check_probability(np.float32(0.5), "delta") == 0.5
+    assert type(check_probability(np.float32(0.5), "delta")) is float
+    with pytest.raises(ContractError,
+                       match=r"^delta must be in \(0, 1\), got 1\.5$"):
+        check_probability(1.5, "delta")
+    with pytest.raises(ContractError,
+                       match=r"^delta must be in \(0, 1\), got None$"):
+        check_probability(None, "delta")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda v: sweep(_P, _LOSS, v, ["uniform"], 1, 0, _Q, None, _Q, _CFG),
+     "sizes and methods must be non-empty sequences"),
+    (lambda v: sweep(_P, _LOSS, [3], v, 1, 0, _Q, None, _Q, _CFG),
+     "sizes and methods must be non-empty sequences"),
+    (lambda v: split_queries(_Q, v), "split sizes must be three counts"),
+], ids=["sweep-sizes", "sweep-methods", "split_queries-sizes"])
+@pytest.mark.parametrize("value", [5, None, np.int64(3), []],
+                         ids=["int", "none", "numpy-int", "empty"])
+def test_size_lists_must_be_sequences(call, message, value):
+    with pytest.raises(ContractError, match=message):
+        call(value)
 
 
 def test_zero_init_scale_and_an_int_rate_stay_valid():
@@ -227,6 +251,12 @@ _QUERY_SETS = [
     ("save_pool_csv", "pool", lambda v: save_pool_csv(v, os.devnull)),
     ("MeasurableQuerySpace", "universe",
      lambda v: MeasurableQuerySpace(_P, _LOSS, v, np.full(2, 0.5))),
+    ("sweep", "Q_test",
+     lambda v: sweep(_P, _LOSS, [3], ["uniform"], 1, 0, None, None, v, _CFG)),
+    ("sweep", "Q_train",
+     lambda v: sweep(_P, _LOSS, [3], ["learned"], 1, 0, v, None, _Q, _CFG)),
+    ("sweep", "Q_val",
+     lambda v: sweep(_P, _LOSS, [3], ["learned"], 1, 0, _Q, v, _Q, _CFG)),
 ]
 
 _BAD_QUERY_SETS = [
@@ -248,14 +278,50 @@ def test_query_set_entries_share_one_rule(call, value, message):
         call(value)
 
 
+# the entries that read a query set for the loss on _P, whose query dim is
+# 2, by query_matrix at that width: its name and the call with the set
+_LOSS_QUERY_SETS = [
+    ("pointwise_matrix", "queries",
+     lambda v: _LOSS.pointwise_matrix(_P.points, _P.labels, v)),
+    ("costs", "queries",
+     lambda v: _LOSS.costs(_P.points, _P.labels, _P.weights, v)),
+    ("weighted_grads", "queries",
+     lambda v: _LOSS.weighted_grads(_P.points, _P.labels, _P.weights, v,
+                                    np.ones(2))),
+    ("query_grads", "queries",
+     lambda v: _LOSS.query_grads(_P.points, _P.labels, _P.weights)(v)),
+    ("query_grad", "q",
+     lambda v: _LOSS.query_grad(_P.points, _P.labels, _P.weights, v[0])),
+    ("set_costs", "queries", lambda v: set_costs(_P, _LOSS, v)),
+    ("train", "Q_train", lambda v: train(_P, v, None, _LOSS, _CFG)),
+    ("train", "Q_val", lambda v: train(_P, _Q, v, _LOSS, _CFG)),
+    ("err_avg", "Q_test", lambda v: err_avg(_P, _C, _LOSS, v)),
+    ("estimate_M", "query_pool", lambda v: estimate_M(_P, _LOSS, v)),
+    ("sweep", "Q_test",
+     lambda v: sweep(_P, _LOSS, [3], ["uniform"], 1, 0, None, None, v, _CFG)),
+]
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(call, name, id=f"{entry}-{name}")
+    for entry, name, call in _LOSS_QUERY_SETS])
+def test_query_width_is_one_rule(call, name):
+    """Queries whose length is not the loss's query dim are one
+    ContractError, named by the input that holds them."""
+    with pytest.raises(ContractError, match=f"^{name} query dim 3 does not "
+                                            "match feature dim 2$"):
+        call(np.ones((2, 3)))
+
+
 @pytest.mark.parametrize("call", [
+    lambda p, b, w: _LOSS.pointwise(p, b, np.zeros(2)),
     lambda p, b, w: _LOSS.pointwise_matrix(p, b, _Q),
     lambda p, b, w: _LOSS.costs(p, b, w, _Q),
     lambda p, b, w: _LOSS.weighted_grads(p, b, w, _Q, np.ones(6)),
     lambda p, b, w: _LOSS.query_grad(p, b, w, np.zeros(2)),
     lambda p, b, w: _LOSS.query_grads(p, b, w),
     lambda p, b, w: _LOSS.normal_equations(p, b, w),
-], ids=["pointwise_matrix", "costs", "weighted_grads", "query_grad",
+], ids=["pointwise", "pointwise_matrix", "costs", "weighted_grads", "query_grad",
         "query_grads", "normal_equations"])
 def test_loss_entries_reject_an_empty_point_set(call):
     with pytest.raises(ContractError,
@@ -263,8 +329,22 @@ def test_loss_entries_reject_an_empty_point_set(call):
         call(np.zeros((0, 2)), np.zeros(0), np.zeros(0))
 
 
+def test_pointwise_reads_a_1d_point_set_as_one_column():
+    """pointwise reads its points as every loss entry does: a 1-d array is
+    n points of one feature, not one point."""
+    got = _LOSS.pointwise([1.0, 2.0, -1.0], [0.0, 1.0, 1.0], [2.0])
+    assert np.array_equal(got, [4.0, 9.0, 9.0])
+    with pytest.raises(ContractError, match="query dim 3 does not match"):
+        _LOSS.pointwise([1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+
+
 def test_an_empty_query_list_is_no_queries():
     assert QueryBatch([]).array.shape == (0, 0)
     assert set_costs(_P, _LOSS, []).shape == (0,)
+    # at a loss's width, no queries are a (0, d') matrix for every kernel
+    assert _LOSS.pointwise_matrix(_P.points, _P.labels, []).shape == (12, 0)
+    costs, *grads = _LOSS.weighted_grads(_P.points, _P.labels, _P.weights,
+                                         [], np.ones(0))
+    assert costs.shape == (0,) and not any(g.any() for g in grads)
     with pytest.raises(ContractError, match="query pool must be non-empty"):
         estimate_M(_P, _LOSS, [])

@@ -12,27 +12,27 @@ from corelearn.losses import LossModel, _columns
 
 
 def test_linreg_values(linreg):
-    assert linreg.pointwise([1.0, 1.0], [3.0], [1.0, 2.0])[0] == 0.0
-    assert linreg.pointwise([2.0], [0.0], [1.0])[0] == 4.0
-    assert linreg.pointwise([1.0, 2.0], [1.0], [2.0, 0.5])[0] == pytest.approx(4.0)
+    assert linreg.pointwise([[1.0, 1.0]], [3.0], [1.0, 2.0])[0] == 0.0
+    assert linreg.pointwise([[2.0]], [0.0], [1.0])[0] == 4.0
+    assert linreg.pointwise([[1.0, 2.0]], [1.0], [2.0, 0.5])[0] == pytest.approx(4.0)
 
 
 def test_logreg_values(logreg):
-    assert logreg.pointwise([5.0, -1.0], [1.0], [0.0, 0.0])[0] == pytest.approx(
+    assert logreg.pointwise([[5.0, -1.0]], [1.0], [0.0, 0.0])[0] == pytest.approx(
         math.log(2.0))
-    assert logreg.pointwise([1.0], [1.0], [1.0])[0] == pytest.approx(
+    assert logreg.pointwise([[1.0]], [1.0], [1.0])[0] == pytest.approx(
         math.log(1.0 + math.exp(-1.0)))
 
 
 def test_logreg_monotone_toward_zero(logreg):
-    vals = [logreg.pointwise([1.0], [1.0], [z])[0] for z in (0.0, 1.0, 5.0, 20.0)]
+    vals = [logreg.pointwise([[1.0]], [1.0], [z])[0] for z in (0.0, 1.0, 5.0, 20.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] >= 0.0
 
 
 def test_logreg_extreme_margin_is_finite(logreg):
     for sign in (1.0, -1.0):
-        v = logreg.pointwise([1e3], [sign], [1.0])[0]
+        v = logreg.pointwise([[1e3]], [sign], [1.0])[0]
         assert np.isfinite(v)
         assert v >= 0.0
 
@@ -43,8 +43,8 @@ def test_linreg_sign_symmetry(linreg):
         p = rng.standard_normal(3)
         b = float(rng.standard_normal())
         q = rng.standard_normal(3)
-        assert linreg.pointwise(p, [b], q)[0] == pytest.approx(
-            linreg.pointwise(-p, [-b], q)[0])
+        assert linreg.pointwise([p], [b], q)[0] == pytest.approx(
+            linreg.pointwise([-p], [-b], q)[0])
 
 
 def test_nonnegativity(linreg, logreg):
@@ -52,8 +52,8 @@ def test_nonnegativity(linreg, logreg):
     for _ in range(50):
         p = rng.standard_normal(2)
         q = rng.standard_normal(2)
-        assert linreg.pointwise(p, [float(rng.standard_normal())], q)[0] >= 0.0
-        assert logreg.pointwise(p, [1.0 if rng.random() < 0.5 else -1.0], q)[0] >= 0.0
+        assert linreg.pointwise([p], [float(rng.standard_normal())], q)[0] >= 0.0
+        assert logreg.pointwise([p], [1.0 if rng.random() < 0.5 else -1.0], q)[0] >= 0.0
 
 
 def test_hand_gradients_linreg(linreg):
