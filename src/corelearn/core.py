@@ -232,6 +232,7 @@ class MeasurableQuerySpace:
         if qm.size == 0:
             raise ContractError(f"universe must be a non-empty (size, d') "
                                 f"matrix, got shape {qm.shape}")
+        qm = query_matrix(qm, "universe", self.loss.query_dim(self.ground.dim))
         if not np.all(np.isfinite(qm)):
             raise ContractError("non-finite entries in universe")
         qm.flags.writeable = False

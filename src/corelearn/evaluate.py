@@ -117,11 +117,12 @@ def _write_csv(path, cols, rows):
 
 def sweep_cells(sizes, methods, n_trials: int) -> list[tuple]:
     """The (size, method, trial) cells of a sweep, in cell order: sizes and
-    methods must be non-empty sequences, each size and n_trials an integer
-    >= 1 and each method in METHODS, or it is a ContractError naming it."""
-    sizes, methods = (list(v) if np.iterable(v) else []
-                      for v in (sizes, methods))
-    if not sizes or not methods:
+    methods must be non-empty sequences, not strs, that repeat no entry,
+    each size and n_trials an integer >= 1 and each method in METHODS, or
+    it is a ContractError naming it."""
+    given = (sizes, methods)
+    sizes, methods = (list(v) if np.iterable(v) else [] for v in given)
+    if not sizes or not methods or any(isinstance(v, str) for v in given):
         raise ContractError("sizes and methods must be non-empty sequences")
     bad = [m for m in methods if m not in METHODS]
     if bad:
@@ -129,6 +130,10 @@ def sweep_cells(sizes, methods, n_trials: int) -> list[tuple]:
     for size in sizes:
         check_count(size, "size", 1)
     check_count(n_trials, "n_trials", 1)
+    entries = sizes + methods
+    repeats = sorted({v for v in entries if entries.count(v) > 1}, key=str)
+    if repeats:
+        raise ContractError(f"sizes and methods must not repeat, got {repeats}")
     return [(size, method, trial) for size in sizes for method in methods
             for trial in range(n_trials)]
 

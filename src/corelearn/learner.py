@@ -1,7 +1,7 @@
 """Coreset learning by gradient descent.
 
-Two objectives are implemented over a training set of queries. They differ
-only in their data term, each over a minibatch of queries:
+Two objectives over a training set of queries differ only in their data
+term, a function term(costs, f_p) of f(C,u,q) and f(P,w,q) on a minibatch:
 
 * average: | mean_q f(P,w,q) - mean_q f(C,u,q) |;
 * practical: mean_q |1 - f(C,u,q)/f(P,w,q)|;
@@ -193,13 +193,13 @@ def _split(theta: np.ndarray, m: int, d: int):
 
 
 def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
-         cfg: TrainConfig, term_of):
+         cfg: TrainConfig, term):
     """Adam on the coreset (C, u, y), held as views into one float64 vector.
 
     Q_train and Q_val are scored on P and floored at RATIO_FLOOR; dropped
-    training queries warn. term_of(f_p) is the data term against full-data
-    costs f_p: term(costs, idx) maps the coreset's costs on the queries
-    qm[idx] to the term and its derivative with respect to those costs, and
+    training queries warn. term(costs, f_p) is the data term: it maps the
+    coreset's costs on a set of queries and the data's costs f_p on them to
+    the term and its derivative with respect to the coreset's costs, and
     the weight-sum penalty lam * |sum w - sum u| is added to it. Frozen
     weights get a zero gradient, which Adam turns into a zero move. An
     epoch is scored by the validation data term when a validation query
@@ -212,12 +212,14 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
             f"dropping {n_dropped} training queries with near-zero full-data cost")
     if qm.shape[0] < 1:
         raise ContractError("no usable training queries above the ratio floor")
-    term = term_of(f_p)
-    val = None
+    # the queries that score an epoch and their data costs: validation's
+    # when any survive the floor, training's otherwise
+    score_qm, score_f_p = qm, f_p
     if Q_val is not None:
-        val_qm, f_p_val, _ = floored(*scored(P, loss, Q_val, "Q_val"))
+        val_qm, val_f_p, _ = floored(*scored(P, loss, Q_val, "Q_val"))
         if val_qm.shape[0]:
-            val = (val_qm, term_of(f_p_val))
+            score_qm, score_f_p = val_qm, val_f_p
+    validated = score_qm is not qm
     init = init_coreset(P, cfg.coreset_size, cfg.seed)
     m, d = init.n, init.dim
     theta = np.concatenate([init.points.ravel(), init.weights, init.labels])
@@ -228,10 +230,11 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     report = TrainReport(filtered_train_queries=n_dropped)
     w_sum = float(np.sum(P.weights))
     # each step hands the checked arrays straight to the gradient routine:
-    # the features as the queries see them (with an intercept, a buffer
-    # whose last column is 1), the label column, and the gradient views to
-    # write (none for frozen weights, whose gradient stays 0)
-    feats = np.ones((m, d + 1)) if loss.intercept else pts
+    # the features as the queries see them (pts itself, or with an
+    # intercept a buffer whose last column is 1, refreshed after each
+    # step), the label column, and the gradient views to write (none for
+    # frozen weights, whose gradient stays 0)
+    feats = loss.augment(pts)
     lab_col = lab[:, None]
     out = (g_pts, g_lab, g_wts if cfg.learn_weights else None)
     # one workspace for the run: a step's kernel arrays, viewed once per
@@ -239,19 +242,9 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     # scoring
     width = min(cfg.batch_size, qm.shape[0])
     work, views = loss._workspace(
-        m, {width, qm.shape[0] % width or width},
-        (qm if val is None else val[0]).shape[0])
+        m, {width, qm.shape[0] % width or width}, score_qm.shape[0])
 
-    def penalty():
-        return abs(w_sum - float(wts.sum())) * cfg.lam
-
-    def cost(queries):
-        if loss.intercept:
-            feats[:, :d] = pts
-        return loss._costs(feats, lab_col, wts, queries, work)
-
-    best_score = np.inf
-    best = init
+    best_score, best = np.inf, init
     schedule = _minibatches(qm.shape[0], cfg.batch_size, cfg.seed)
     for epoch, batches in zip(range(cfg.epochs), schedule):
         # each step's objective before it moves, and its batch size
@@ -259,15 +252,13 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
         for step, idx in enumerate(batches):
             gap = w_sum - float(wts.sum())
             batch = qm[idx]
-            if loss.intercept:
-                feats[:, :d] = pts
             _, value = loss._weighted_grads(feats, lab_col, wts, batch, term,
-                                            idx, out, views[batch.shape[0]])
+                                            f_p[idx], out, views[len(batch)])
             value += abs(gap) * cfg.lam
             if not math.isfinite(value):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch}, step {step}")
-            stepped.append((value, batch.shape[0]))
+            stepped.append((value, len(batch)))
             if cfg.learn_weights:
                 # the penalty's subgradient, sign(gap) with sign(0) = 0
                 g_wts -= cfg.lam * ((gap > 0) - (gap < 0))
@@ -276,16 +267,18 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
                 grad *= GRAD_CLIP / norm
             adam_step(state, theta, grad, cfg.learning_rate)
             project_weights(wts, out=wts)
+            if loss.intercept:
+                feats[:, :d] = pts
 
-        if val is None:
-            score = term(cost(qm), slice(None))[0] + penalty()
-            report.train_losses.append(score)
-        else:
+        score = term(loss._costs(feats, lab_col, wts, score_qm, work),
+                     score_f_p)[0]
+        if validated:
             report.train_losses.append(
                 sum(v * k for v, k in stepped) / sum(k for _, k in stepped))
-            val_qm, val_term = val
-            score = val_term(cost(val_qm), slice(None))[0]
             report.val_errors.append(score)
+        else:
+            score += abs(w_sum - float(wts.sum())) * cfg.lam
+            report.train_losses.append(score)
         if score < best_score:
             best_score = score
             best = Coreset(pts, wts, lab)
@@ -309,34 +302,28 @@ def _minibatches(k: int, batch_size: int, seed: int):
             yield [order[lo:lo + batch_size] for lo in range(0, k, batch_size)]
 
 
-def _gap_term(f_p):
-    """Average-loss gap |mean f_P - mean f_C| over the queries idx, against
-    full-data costs f_p; its subgradient in each cost is -sign/|idx|, 0 at
-    the kink."""
-
-    def term(costs, idx):
-        k = costs.shape[0]
-        diff = float(np.add.reduce(f_p[idx]) / k) - float(np.add.reduce(costs) / k)
-        return abs(diff), np.full(k, -np.sign(diff) / k)
-    return term
+def _gap_term(costs, f_p):
+    """Average-loss gap |mean f_P - mean f_C| over a set of queries, from
+    the coreset's costs and the data's costs f_p on them; its subgradient
+    in each cost is -sign/k, 0 at the kink."""
+    k = costs.shape[0]
+    diff = float(np.add.reduce(f_p) / k) - float(np.add.reduce(costs) / k)
+    return abs(diff), np.full(k, -np.sign(diff) / k)
 
 
-def _ratio_term(f_p):
-    """Per-query relative error |1 - f_C/f_P| against full-data costs f_p.
+def _ratio_term(costs, f_p):
+    """Per-query relative error |1 - f_C/f_P| from the coreset's costs and
+    the data's costs f_p on a set of queries.
 
     The value is the mean over the queries; the derivative is that of their
     sum, the minibatch loss that a step descends, with sign 0 inside the
     dead zone.
     """
+    ratios = 1.0 - costs / f_p
+    dev = np.abs(ratios)
+    sign = np.where(dev > RATIO_DEAD_ZONE, np.sign(ratios), 0.0)
     # d|1 - f_C/f_P|/d f_C = sign(ratio) * (-1/f_P)
-    slope = -1.0 / f_p
-
-    def term(costs, idx):
-        ratios = 1.0 - costs / f_p[idx]
-        dev = np.abs(ratios)
-        sign = np.where(dev > RATIO_DEAD_ZONE, np.sign(ratios), 0.0)
-        return float(np.add.reduce(dev) / dev.shape[0]), sign * slope[idx]
-    return term
+    return float(np.add.reduce(dev) / dev.shape[0]), sign * (-1.0 / f_p)
 
 
 def autocl_average(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,

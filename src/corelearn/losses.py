@@ -27,9 +27,9 @@ weights w f''/2 (_half_curvature) is half the Hessian, solve_optimal's.
 
 The public entries check their inputs by two rules: the points, labels
 and weights by LossModel._set, then the queries by core.query_matrix at
-the points' query dim.
-The coreset gradients' arithmetic lives in LossModel._weighted_grads, which
-takes arrays that are already checked and augmented; weighted_grads is its
+the points' query dim. The coreset gradients' arithmetic lives in
+LossModel._weighted_grads, which takes arrays that are already checked
+and augmented and a data term term(costs, f_p); weighted_grads is its
 checking entry, and the learner calls it directly once per step.
 
 A training run allocates its kernels' arrays once (LossModel._workspace):
@@ -284,16 +284,17 @@ class LossModel:
         out = (np.empty((m, d)), np.empty(m), np.empty(m))
         costs, _ = self._weighted_grads(self.augment(points), labels[:, None],
                                         weights, qm,
-                                        lambda costs, idx: (0.0, coeffs),
-                                        slice(None), out, None)
+                                        lambda costs, _: (0.0, coeffs),
+                                        None, out, None)
         return (costs,) + out
 
-    def _weighted_grads(self, a, labels, weights, qm, term, idx, out, work):
+    def _weighted_grads(self, a, labels, weights, qm, term, f_p, out, work):
         """weighted_grads' arithmetic, on checked float arrays.
 
         a: the (m, d') features as the queries see them (augmented), labels:
         their (m, 1) column, weights: (m,), qm: the (k, d') batch of queries,
-        term(costs, idx): maps the batch's costs to (value, coeffs (k,)).
+        term(costs, f_p): maps the batch's costs and f_p, the data's costs
+        on the batch as the caller passes them, to (value, coeffs (k,)).
         The gradients of sum_q coeffs_q * f(C, u, q) w.r.t. the points (the
         first d columns of a), the labels and the weights are written into
         out = (d_points (m, d), d_labels (m,), d_weights (m,) or None to
@@ -307,7 +308,7 @@ class LossModel:
         per_point, dz, db = self._link(np.matmul(a, qm.T, out=work[0]),
                                        labels, grad=True, work=work[1:])
         costs = weights @ per_point
-        value, coeffs = term(costs, idx)
+        value, coeffs = term(costs, f_p)
         if not math.isfinite(value):
             return costs, value
         d_points, d_labels, d_weights = out

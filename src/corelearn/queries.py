@@ -106,10 +106,10 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
 
 
 def split_sizes(sizes) -> tuple[int, int, int]:
-    """The train, validation and test sizes of a split: a sequence of three
-    integers, each >= 0, or a ContractError naming the split."""
+    """The train, validation and test sizes of a split: a sequence (not a
+    str) of three integers, each >= 0, or a ContractError naming the split."""
     counts = tuple(sizes) if np.iterable(sizes) else ()
-    if len(counts) != 3:
+    if len(counts) != 3 or isinstance(sizes, str):
         raise ContractError(f"split sizes must be three counts, got {sizes!r}")
     return tuple(check_count(s, f"split size {i}", 0)
                  for i, s in enumerate(counts))

@@ -355,12 +355,16 @@ _SWEEP = {"sizes": [5], "methods": ["uniform"], "trials": 1}
      "sweep: sizes and methods must be non-empty sequences"),
     ("sweep", {**_SWEEP, "methods": ["uniform", "magic"]},
      "sweep: unknown sweep methods: ['magic']"),
+    ("sweep", {**_SWEEP, "sizes": [5, 5]},
+     "sweep: sizes and methods must not repeat, got [5]"),
+    ("sweep", {**_SWEEP, "methods": ["uniform", "leverage", "uniform"]},
+     "sweep: sizes and methods must not repeat, got ['uniform']"),
     ("queries", {"split": [20, 5]},
      "queries: split sizes must be three counts, got [20, 5]"),
     ("queries", {"split": [20, -1, 5]},
      "queries: split size 1 must be >= 0, got -1"),
 ], ids=["trials-zero", "sizes-empty", "methods-empty", "method-unknown",
-        "split-two", "split-negative"])
+        "sizes-repeat", "methods-repeat", "split-two", "split-negative"])
 def test_config_values_go_through_the_library_rules(tmp_path, monkeypatch,
                                                     capsys, section, value,
                                                     match):

@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing
 import os
+import re
 import time
 import warnings
 from collections import Counter
@@ -486,6 +487,33 @@ def test_sweep_rejects_bad_input_before_any_work(linreg, monkeypatch, methods,
         with pytest.raises(ContractError, match=match):
             sweep(P, linreg, [5], methods, n_trials, 0, splits["train"],
                   splits["val"], splits["test"], cfg)
+
+
+@pytest.mark.parametrize("sizes, methods, repeats", [
+    ([5, 5], ["uniform", "learned"], "[5]"),
+    ([5, np.int64(5), 6], ["uniform"], "[5]"),
+    ([5], ["uniform", "learned", "uniform"], "['uniform']"),
+    ([6, 5, 6, 5], ["leverage", "leverage"], "[5, 6, 'leverage']"),
+], ids=["size", "size-numpy-int", "method", "both"])
+def test_sweep_rejects_repeated_sizes_and_methods(linreg, monkeypatch, sizes,
+                                                  methods, repeats):
+    """A size or method given twice would run its cells twice on the same
+    seeds, and aggregate would count them as extra trials: sweep names the
+    repeats in a ContractError before any work."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started work")
+
+    for module, name in ((evaluate, "_keep_shared_work"),
+                         (evaluate, "_cell_seed"), (learner, "train"),
+                         (baselines, "uniform_coreset")):
+        monkeypatch.setattr(module, name, no_work)
+    P = make_synthetic("linear", 30, 2, 0.3, seed=8)
+    splits = _scoring_splits()
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
+    match = re.escape(f"sizes and methods must not repeat, got {repeats}")
+    with pytest.raises(ContractError, match=f"^{match}$"):
+        sweep(P, linreg, sizes, methods, 1, 0, splits["train"], splits["val"],
+              splits["test"], cfg)
 
 
 @pytest.mark.parametrize("split, value, match", [

@@ -209,8 +209,8 @@ def test_the_rules_messages_and_values():
      "sizes and methods must be non-empty sequences"),
     (lambda v: split_queries(_Q, v), "split sizes must be three counts"),
 ], ids=["sweep-sizes", "sweep-methods", "split_queries-sizes"])
-@pytest.mark.parametrize("value", [5, None, np.int64(3), []],
-                         ids=["int", "none", "numpy-int", "empty"])
+@pytest.mark.parametrize("value", [5, None, np.int64(3), [], "abc"],
+                         ids=["int", "none", "numpy-int", "empty", "str"])
 def test_size_lists_must_be_sequences(call, message, value):
     with pytest.raises(ContractError, match=message):
         call(value)
@@ -299,6 +299,8 @@ _LOSS_QUERY_SETS = [
     ("estimate_M", "query_pool", lambda v: estimate_M(_P, _LOSS, v)),
     ("sweep", "Q_test",
      lambda v: sweep(_P, _LOSS, [3], ["uniform"], 1, 0, None, None, v, _CFG)),
+    ("MeasurableQuerySpace", "universe",
+     lambda v: MeasurableQuerySpace(_P, _LOSS, v, np.full(2, 0.5))),
 ]
 
 

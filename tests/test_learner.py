@@ -288,9 +288,9 @@ def _check_weights_nonnegative(monkeypatch, algorithm, loss, P, qm, m):
     seen, clamped = [], []
     orig_grads, orig_project = LossModel._weighted_grads, ln.project_weights
 
-    def checked(self, a, labels, weights, queries, term, idx, out, work):
+    def checked(self, a, labels, weights, queries, term, f_p, out, work):
         seen.append(float(np.min(weights)))
-        return orig_grads(self, a, labels, weights, queries, term, idx, out,
+        return orig_grads(self, a, labels, weights, queries, term, f_p, out,
                           work)
 
     def project(u, out=None):
@@ -588,9 +588,9 @@ def test_average_steps_once_per_minibatch(monkeypatch, linreg):
         steps.append(1)
         adam(*args)
 
-    def sized(self, a, labels, weights, queries, term, idx, out, work):
+    def sized(self, a, labels, weights, queries, term, f_p, out, work):
         batches.append(len(queries))
-        return grads(self, a, labels, weights, queries, term, idx, out, work)
+        return grads(self, a, labels, weights, queries, term, f_p, out, work)
 
     monkeypatch.setattr(ln, "adam_step", counted)
     monkeypatch.setattr(LossModel, "_weighted_grads", sized)
@@ -614,10 +614,10 @@ def test_one_batch_of_every_query_whatever_its_size(monkeypatch, linreg,
     qm, q_val = rng.standard_normal((7, 2)), rng.standard_normal((4, 2))
     grads, calls = LossModel._weighted_grads, []
 
-    def in_order(self, a, labels, weights, queries, term, idx, out, work):
+    def in_order(self, a, labels, weights, queries, term, f_p, out, work):
         calls.append(1)
         assert np.array_equal(queries, qm)
-        return grads(self, a, labels, weights, queries, term, idx, out, work)
+        return grads(self, a, labels, weights, queries, term, f_p, out, work)
 
     monkeypatch.setattr(LossModel, "_weighted_grads", in_order)
     runs = [train(P, qm, q_val if validated else None, linreg,
@@ -787,12 +787,68 @@ def test_non_finite_step_value_raises_before_the_step(monkeypatch, linreg):
     P = _random_set(rng)
     cfg = TrainConfig(coreset_size=3, epochs=2, batch_size=4, seed=12)
 
-    def term_of(f_p):
-        return lambda costs, idx: (np.inf, np.full(costs.shape[0], np.inf))
+    def term(costs, f_p):
+        return np.inf, np.full(costs.shape[0], np.inf)
 
     with pytest.raises(NumericError, match="epoch 0, step 0"):
-        ln._fit(P, rng.standard_normal((8, 2)), None, linreg, cfg, term_of)
+        ln._fit(P, rng.standard_normal((8, 2)), None, linreg, cfg, term)
     assert steps == []
+
+
+def test_ratio_term_gives_an_exact_copy_sign_zero(linreg):
+    """Costs that differ from the data's by rounding alone, as an exact
+    copy's may, lie in RATIO_DEAD_ZONE: every query gets sign 0, so the
+    derivative is 0. Just past the zone each query has its full slope."""
+    import corelearn.learner as ln
+    from corelearn.core import set_costs
+    rng = np.random.default_rng(25)
+    P = _random_set(rng)
+    qm = rng.standard_normal((9, 2))
+    f_p = set_costs(P, linreg, qm)
+    eps = np.finfo(float).eps
+    # the copy's costs with the queries in another order, whose last bits
+    # BLAS may round otherwise, and costs a few ulps off the data's
+    for f_c in (set_costs(P, linreg, qm[::-1])[::-1],
+                np.nextafter(f_p, np.inf), f_p * (1.0 + 16 * eps)):
+        value, d_costs = ln._ratio_term(f_c, f_p)
+        assert value <= ln.RATIO_DEAD_ZONE
+        assert np.array_equal(d_costs, np.zeros(9))
+    value, d_costs = ln._ratio_term(f_p * (1.0 + 256 * eps), f_p)
+    assert value > ln.RATIO_DEAD_ZONE
+    assert np.array_equal(d_costs, 1.0 / f_p)
+
+
+def test_gap_term_kink_has_a_zero_subgradient():
+    """At equal mean costs the gap is 0 and so is its subgradient; off the
+    kink each cost's subgradient is -sign(mean f_P - mean f_C) / k."""
+    import corelearn.learner as ln
+    f_p = np.array([1.0, 2.0, 4.0, 8.0])
+    for f_c in (f_p.copy(), f_p[::-1].copy()):
+        value, d_costs = ln._gap_term(f_c, f_p)
+        assert value == 0.0
+        assert np.array_equal(d_costs, np.zeros(4))
+    assert ln._gap_term(f_p + 1.0, f_p)[0] == 1.0
+    assert np.array_equal(ln._gap_term(f_p + 1.0, f_p)[1], np.full(4, 0.25))
+    assert np.array_equal(ln._gap_term(f_p - 1.0, f_p)[1], np.full(4, -0.25))
+
+
+@pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
+def test_ratio_term_is_err_avg_bit_for_bit(kind):
+    """The practical objective's value over the floored test split is
+    err_avg's value, bit for bit: the objective and the metric agree."""
+    import corelearn.learner as ln
+    from corelearn.baselines import uniform_coreset
+    from corelearn.core import floored, scored, set_costs
+    from corelearn.datasets import make_synthetic
+    from corelearn.evaluate import err_avg
+    task = "linear" if kind == "linear_regression" else "logistic"
+    P = make_synthetic(task, 60, 3, seed=26)
+    loss = LossModel(kind)
+    q_test = np.random.default_rng(26).standard_normal((40, 3))
+    C = uniform_coreset(P, 12, seed=26)
+    qm, f_p, _ = floored(*scored(P, loss, q_test))
+    value = ln._ratio_term(set_costs(C, loss, qm), f_p)[0]
+    assert value == err_avg(P, C, loss, q_test).value
 
 
 # a second logistic train on the same data, at criterion 9's size 300: its

@@ -419,19 +419,19 @@ def test_weighted_grads_is_the_private_routine_bit_for_bit(kind, intercept):
     feats[:, :d] = pts
     grad = np.zeros(m * d + 2 * m)
     out = (grad[:m * d].reshape(m, d), grad[m * d:m * d + m], grad[m * d + m:])
-    seen = []
+    f_p, seen = rng.random(k), []
 
-    def term(costs, idx):
-        seen.append(idx)
+    def term(costs, data_costs):
+        seen.append(data_costs)
         return 0.5, coeffs
 
     # a step's workspace: sized for a wider batch, stale values in it
     count = 1 + loss._link_buffers(True)
     work = np.full(count * m * (k + 3), np.nan)
     costs, value = loss._weighted_grads(feats, labels[:, None], w, qm, term,
-                                        slice(None), out,
+                                        f_p, out,
                                         _columns(work, count, m, k))
-    assert value == 0.5 and seen == [slice(None)]
+    assert value == 0.5 and len(seen) == 1 and seen[0] is f_p
     for a, b in zip(got, (costs,) + out):
         assert np.array_equal(a, b)
 
@@ -448,8 +448,8 @@ def test_private_routine_skips_gradients_at_a_non_finite_value(linreg):
     out = (np.full((2, 1), 7.0), np.full(2, 7.0), np.full(2, 7.0))
     _, value = linreg._weighted_grads(np.ones((2, 1)), np.zeros((2, 1)),
                                       np.ones(2), np.ones((3, 1)),
-                                      lambda costs, idx: (np.inf, costs),
-                                      slice(None), out, None)
+                                      lambda costs, f_p: (np.inf, costs),
+                                      np.ones(3), out, None)
     assert value == np.inf
     assert all(np.all(a == 7.0) for a in out)
 
