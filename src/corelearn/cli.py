@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__, baselines, evaluate, learner, queries, theory
 from .core import (ContractError, Coreset, MeasurableQuerySpace,
-                   WeightedLabeledSet, check_count, check_probability,
-                   check_real)
+                   WeightedLabeledSet, check_coreset, check_count,
+                   check_probability, check_real)
 from .datasets import (SYNTHETIC_TASKS, DatasetError, Schema, load_dataset,
                        make_synthetic, parse_rows, read_rows, write_csv)
 from .evaluate import METHOD_LEARNED, METHOD_LEVERAGE, METHOD_UNIFORM
@@ -313,6 +313,7 @@ def _cmd_baseline(args):
 def _cmd_eval(args):
     coreset = _load_coreset(args.coreset)
     cfg, P, loss = _prepare(args.config, args.seed)
+    check_coreset(P, coreset)
     q_test = _splits(cfg, P, loss)[2]
     e_avg = evaluate.err_avg(P, coreset, loss, q_test)
     e_opt = evaluate.err_opt(P, coreset, loss)

@@ -314,6 +314,15 @@ def set_costs(dataset, loss, queries) -> np.ndarray:
     return costs
 
 
+def check_coreset(P, coreset) -> None:
+    """A ContractError naming both dimensions unless the coreset's points
+    have the data's: checked before any solve or scoring, where the
+    mismatch would show as a query width."""
+    if coreset.dim != P.dim:
+        raise ContractError(f"coreset points have dimension {coreset.dim}, "
+                            f"the data's have {P.dim}")
+
+
 def scored(dataset, loss, queries, name="queries"):
     """query_matrix(queries, name) at the loss's width and set_costs of its
     rows.

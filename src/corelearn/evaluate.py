@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 import os
+import sys
 import time
 import warnings
 import zlib
@@ -13,8 +13,8 @@ import numpy as np
 
 from . import baselines, learner
 from .core import (RATIO_FLOOR, Coreset, ContractError, DegenerateInputError,
-                   WeightedLabeledSet, check_count, floored, query_matrix,
-                   remember, scored, set_cost, set_costs)
+                   WeightedLabeledSet, check_coreset, check_count, floored,
+                   query_matrix, remember, scored, set_cost, set_costs)
 from .datasets import write_csv
 from .losses import LossModel
 
@@ -22,6 +22,13 @@ METHOD_LEARNED = "learned"
 METHOD_UNIFORM = "uniform"
 METHOD_LEVERAGE = "leverage"
 METHODS = (METHOD_LEARNED, METHOD_UNIFORM, METHOD_LEVERAGE)
+
+# a trial's metrics, and the columns of its row and of an aggregated row
+_METRICS = ("err_opt", "err_avg")
+_ROW = ("size", "method", "trial", *_METRICS, "filtered_queries",
+        "wall_time_s", "ok", "error")
+_AGGREGATE = ("size", "method", "n_trials", "n_ok", "flagged",
+              *(f"{m}_{stat}" for m in _METRICS for stat in ("mean", "std")))
 
 
 def err_opt(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel) -> float:
@@ -31,6 +38,7 @@ def err_opt(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel) -> float:
     f(P, q*) is kept on P, so the data is solved once however many
     coresets are judged against it.
     """
+    check_coreset(P, coreset)
     if not np.any(coreset.weights > 0):
         raise DegenerateInputError(
             "coreset weights are all zero; it has no optimal solution")
@@ -56,17 +64,19 @@ class ErrAvg:
 
 def err_avg(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel,
             Q_test) -> ErrAvg:
-    """Mean per-query relative cost deviation over the test queries.
+    """Mean per-query relative cost deviation |1 - f_C/f_P| over the test
+    queries: the practical objective's value (learner._ratio_term) on the
+    test split floored at RATIO_FLOOR.
 
     Queries with full-data cost below the ratio floor are excluded; the
     excluded count is part of the result.
     """
+    check_coreset(P, coreset)
     qm, f_p, filtered = floored(*scored(P, loss, Q_test, "Q_test"))
     if qm.shape[0] == 0:
         raise DegenerateInputError("all test queries filtered; metric undefined")
-    f_c = set_costs(coreset, loss, qm)
-    value = float(np.mean(np.abs(1.0 - f_c / f_p)))
-    return ErrAvg(value, filtered)
+    return ErrAvg(learner._ratio_term(set_costs(coreset, loss, qm), f_p)[0],
+                  filtered)
 
 
 @dataclass
@@ -87,28 +97,23 @@ class ResultTable:
             agg = {"size": size, "method": method,
                    "n_trials": len(group), "n_ok": len(good),
                    "flagged": len(good) * 2 < len(group)}
-            for metric in ("err_opt", "err_avg"):
+            for metric in _METRICS:
                 vals = [r[metric] for r in good if r[metric] is not None]
                 if vals:
                     agg[f"{metric}_mean"] = float(np.mean(vals))
                     agg[f"{metric}_std"] = (float(np.std(vals, ddof=1))
                                             if len(vals) > 1 else 0.0)
                 else:
-                    agg[f"{metric}_mean"] = math.nan
-                    agg[f"{metric}_std"] = math.nan
+                    agg[f"{metric}_mean"] = np.nan
+                    agg[f"{metric}_std"] = np.nan
             out.append(agg)
         return out
 
     def to_csv(self, path):
-        cols = ["size", "method", "trial", "err_opt", "err_avg",
-                "filtered_queries", "wall_time_s", "ok", "error"]
-        _write_csv(path, cols, self.rows)
+        _write_csv(path, _ROW, self.rows)
 
     def aggregate_to_csv(self, path):
-        agg = self.aggregate()
-        cols = ["size", "method", "n_trials", "n_ok", "flagged",
-                "err_opt_mean", "err_opt_std", "err_avg_mean", "err_avg_std"]
-        _write_csv(path, cols, agg)
+        _write_csv(path, _AGGREGATE, self.aggregate())
 
 
 def _write_csv(path, cols, rows):
@@ -152,10 +157,12 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
     The cells are dealt round robin, in cell order, into W = min(usable
     CPUs, cells) shares. This process runs share 0 and W - 1 forked workers
     run the others, one share each, so where a cell runs depends on the
-    cell list alone.
-    Every cell has its own seed, so the rows, reports and warnings,
+    cell list alone. Every cell has its own seed, so the rows and reports,
     gathered back in cell order, are bit for bit those of one process
-    running the cells in turn. A worker that dies raises WorkerLostError.
+    running the cells in turn. A cell's warnings meet the caller's filters
+    when raised, so one they make an error fails the cell, and again here,
+    in cell order, with one registry for the sweep, so they are the same at
+    any CPU count. A worker that dies raises WorkerLostError.
     With a multi-threaded BLAS, set OPENBLAS_NUM_THREADS=1 so that the
     workers do not oversubscribe the CPUs.
 
@@ -174,56 +181,48 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
         Q_train = query_matrix(Q_train, "Q_train", width)
         Q_val = Q_val if Q_val is None else query_matrix(Q_val, "Q_val", width)
 
-    def cell(size, method, trial):
-        trial_seed = _cell_seed(base_seed, size, method, trial)
-        t0 = time.perf_counter()
+    def cell(key):
+        """A cell's row, training report (None unless learned) and
+        warnings, as (message, category, filename, lineno)."""
+        size, method, trial = key
+        trial_seed = _cell_seed(base_seed, *key)
+        row = dict(dict.fromkeys(_ROW), size=size, method=method, trial=trial)
         report = None
-        try:
-            if method == METHOD_UNIFORM:
-                coreset = baselines.uniform_coreset(P, size, trial_seed)
-            elif method == METHOD_LEVERAGE:
-                coreset = baselines.leverage_coreset(P, size, trial_seed)
-            else:
-                coreset, report = learner.train(
-                    P, Q_train, Q_val, loss,
-                    replace(cfg, coreset_size=size, seed=trial_seed))
-            e_opt = err_opt(P, coreset, loss)
-            e_avg = err_avg(P, coreset, loss, Q_test)
-            scores = dict(err_opt=e_opt, err_avg=e_avg.value,
-                          filtered_queries=e_avg.filtered, ok=True, error=None)
-        except Exception as exc:  # noqa: BLE001 - per-cell isolation
-            warnings.warn(f"trial failed ({size}, {method}, {trial}): {exc}")
-            report = None
-            scores = dict(err_opt=None, err_avg=None, filtered_queries=None,
-                          ok=False, error=str(exc))
-        return dict(size=size, method=method, trial=trial,
-                    wall_time_s=time.perf_counter() - t0, **scores), report
-
-    def run(share):
-        """Each cell of share, in order: its row, its training report (None
-        unless learned) and its warnings, as (message, category, filename,
-        lineno). A warning meets the caller's filters when raised, so one
-        they make an error fails its cell; the others are recorded."""
-        out = []
         with warnings.catch_warnings(record=True) as caught:
-            for i in share:
-                row, report = cell(*cells[i])
-                out.append((row, report, [(w.message, w.category, w.filename,
-                                           w.lineno) for w in caught]))
-                caught.clear()
-        return out
+            t0 = time.perf_counter()
+            try:
+                if method == METHOD_UNIFORM:
+                    coreset = baselines.uniform_coreset(P, size, trial_seed)
+                elif method == METHOD_LEVERAGE:
+                    coreset = baselines.leverage_coreset(P, size, trial_seed)
+                else:
+                    coreset, report = learner.train(
+                        P, Q_train, Q_val, loss,
+                        replace(cfg, coreset_size=size, seed=trial_seed))
+                e_opt = err_opt(P, coreset, loss)
+                e_avg = err_avg(P, coreset, loss, Q_test)
+                row.update(err_opt=e_opt, err_avg=e_avg.value,
+                           filtered_queries=e_avg.filtered, ok=True)
+            except Exception as exc:  # noqa: BLE001 - per-cell isolation
+                warnings.warn(f"trial failed ({size}, {method}, {trial}): {exc}")
+                row.update(ok=False, error=str(exc))
+            row["wall_time_s"] = time.perf_counter() - t0
+        return row, report if row["ok"] else None, [
+            (w.message, w.category, w.filename, w.lineno) for w in caught]
 
     _keep_shared_work(P, loss, ([Q_train, Q_val] if learned else []) + [Q_test])
     n_shares = min(_usable_cpus(), len(cells))
-    shares = [range(i, len(cells), n_shares) for i in range(n_shares)]
-    done = [None] * len(cells)
-    for i, results in enumerate(_run_shares(run, shares, cells)):
-        done[i::n_shares] = results
-    table = ResultTable()
-    reports = {}
-    for key, (row, report, caught) in zip(cells, done):
+    results = _run_shares(cell, [cells[i::n_shares] for i in range(n_shares)])
+    # each file's module, which filters match (warn_explicit drops None)
+    modules = {getattr(m, "__file__", None): name
+               for name, m in list(sys.modules.items())}
+    table, reports, registry = ResultTable(), {}, {}
+    for i, key in enumerate(cells):
+        row, report, caught = results[i % n_shares][i // n_shares]
         for message, category, filename, lineno in caught:
-            warnings.showwarning(message, category, filename, lineno)
+            module = modules.get(filename, filename.removesuffix(".py"))
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   module, registry)
         table.add(**row)
         if collect_reports and report is not None:
             reports[key] = report
@@ -258,26 +257,26 @@ def _usable_cpus() -> int:
         return 1
 
 
-def _run_shares(run, shares, cells):
-    """run(share) for each share, in share order: share 0 run by this
-    process, each other share by its own forked worker.
+def _run_shares(cell, shares):
+    """cell(key) for each key of each share, a list per share in share
+    order: share 0 run by this process, each other by its own forked worker.
 
     Workers are forked, not spawned: a spawned one would import NumPy and
     corelearn again and get P pickled, without what P keeps; a forked one
-    inherits run and all it reads, and pickles only its share's results,
+    inherits cell and all it reads, and pickles only its share's results,
     which it sends over its own pipe. Every reply is received before the
     workers are joined, and they are joined before this returns or raises.
-    A share's exception is raised here; a worker that ends without replying
+    A cell's exception is raised here; a worker that ends without replying
     is a WorkerLostError naming the cells of every share it lost."""
     if len(shares) == 1:
-        return [run(shares[0])]
+        return [list(map(cell, shares[0]))]
     import multiprocessing
     fork = multiprocessing.get_context("fork")
 
     def serve(share, outbox):
-        """A forked worker's life: send run(share), or what it raised."""
+        """A forked worker's life: send its share's results, or what raised."""
         try:
-            result = run(share)
+            result = list(map(cell, share))
         except Exception as exc:  # noqa: BLE001 - raised again in the sweep
             result = exc
         outbox.send(result)
@@ -292,13 +291,13 @@ def _run_shares(run, shares, cells):
             # the worker holds the only sending end, so its exit is EOF here
             outbox.close()
             workers.append((share, worker, inbox))
-        results = [run(shares[0])]
+        results = [list(map(cell, shares[0]))]
         lost = []
         for share, _, inbox in workers:
             try:
                 results.append(inbox.recv())
             except EOFError:
-                lost += [cells[i] for i in share]
+                lost += share
     except BaseException:
         # the replies are no longer wanted: stop the workers rather than
         # wait for their shares

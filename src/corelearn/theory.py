@@ -37,6 +37,7 @@ from .core import (
     Coreset,
     MeasurableQuerySpace,
     WeightedLabeledSet,
+    check_coreset,
     check_count,
     check_probability,
     check_real,
@@ -190,6 +191,7 @@ def verify_claim2(P: WeightedLabeledSet, coreset: Coreset,
     """
     check_count(trials, "trials", 1)
     check_count(seed, "seed")
+    check_coreset(P, coreset)
     qm, costs_p = scored(P, space.loss, space.universe)
     if M is None:
         M = float(np.max(np.abs(costs_p)))

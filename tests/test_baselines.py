@@ -265,3 +265,15 @@ def test_coreset_may_hold_more_points_than_the_data(build):
     assert C.n == P.n + 10
     rows = {tuple(p) for p in P.points}
     assert all(tuple(c) in rows for c in C.points)
+
+
+def test_solve_optimal_warns_at_its_step_cap(monkeypatch):
+    """A solve that the step cap stops before the gradient test passes warns
+    with the gradient norm it left and returns converged=False."""
+    import corelearn.baselines as bl
+    monkeypatch.setattr(bl, "_MAX_NEWTON_STEPS", 1)
+    P = make_synthetic("logistic", 200, 3, noise=1.0, seed=29)
+    with pytest.warns(UserWarning,
+                      match="^1 Newton steps left the gradient norm at "):
+        res = solve_optimal(P, LossModel("logistic_regression"))
+    assert not res.converged and res.iterations == 1

@@ -666,6 +666,25 @@ def test_cli_eval_rejects_zero_weight_coreset(tmp_path, capsys):
     assert "all zero" in captured.err
 
 
+def test_cli_eval_rejects_a_coreset_of_another_dimension(tmp_path, monkeypatch,
+                                                        capsys):
+    """A coreset of 3 features on 2-feature data is a usage error naming
+    the coreset and both dimensions, not a query width, found before the
+    query pool is built."""
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("query pool built before the coreset was checked")
+
+    monkeypatch.setattr("corelearn.queries.trajectory_queries", no_pool)
+    path = _write_config(tmp_path)
+    coreset = tmp_path / "wide.csv"
+    coreset.write_text("x0,x1,x2,weight,label\n0.1,0.2,0.3,0.5,1.0\n")
+    assert main(["eval", "--config", str(path), "--coreset", str(coreset)]) == 1
+    captured = capsys.readouterr()
+    assert "err_opt=" not in captured.out
+    assert captured.err == (
+        "error: coreset points have dimension 3, the data's have 2\n")
+
+
 def test_cli_eval_reads_coreset_before_the_data(tmp_path, monkeypatch, capsys):
     path = _write_config(tmp_path)
     coreset = tmp_path / "bad.csv"

@@ -13,6 +13,7 @@ import pytest
 from corelearn import (
     Coreset,
     LossModel,
+    MeasurableQuerySpace,
     TrainConfig,
     WeightedLabeledSet,
     baselines,
@@ -23,6 +24,7 @@ from corelearn import (
     sweep,
     train,
     uniform_coreset,
+    verify_claim2,
 )
 from corelearn.core import ContractError, DegenerateInputError
 from corelearn.datasets import make_synthetic
@@ -701,3 +703,148 @@ def test_a_workers_exception_is_raised_in_the_sweep(linreg, monkeypatch):
             sweep(P, linreg, [6], ["uniform"], 2, 3, splits["train"],
                   splits["val"], splits["test"], cfg)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("data_dim, coreset_dim", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("entry", ["err_avg", "err_opt", "verify_claim2"])
+def test_a_coreset_of_another_dimension_is_rejected_before_any_work(
+        linreg, monkeypatch, entry, data_dim, coreset_dim):
+    """A coreset whose points have another dimension than the data's is one
+    ContractError naming both dimensions, raised before any solve or
+    scoring, not a query width error naming the queries."""
+    P = make_synthetic("linear", 30, data_dim, 0.3, seed=8)
+    C = Coreset(np.ones((4, coreset_dim)), np.full(4, 0.25), np.ones(4))
+    Q = np.random.default_rng(8).standard_normal((5, data_dim))
+    space = MeasurableQuerySpace(P, linreg, Q, np.full(5, 0.2))
+    calls = {"err_avg": lambda: err_avg(P, C, linreg, Q),
+             "err_opt": lambda: err_opt(P, C, linreg),
+             "verify_claim2": lambda: verify_claim2(P, C, space, 0.5, 0.1)}
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a solve or a scoring started")
+
+    monkeypatch.setattr(LossModel, "costs", no_work)
+    monkeypatch.setattr(baselines, "solve_optimal", no_work)
+    match = re.escape(f"coreset points have dimension {coreset_dim}, "
+                      f"the data's have {data_dim}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match=f"^{match}$"):
+            calls[entry]()
+
+
+def _rank_deficient_sweep():
+    """A sweep on data whose first feature column is repeated: each cell
+    that samples by leverage, and each coreset solve, warns."""
+    rng = np.random.default_rng(29)
+    X = rng.standard_normal((60, 2))
+    P = WeightedLabeledSet(X[:, [0, 0, 1]], np.full(60, 1.0 / 60),
+                           X @ [1.0, -2.0] + 0.1 * rng.standard_normal(60))
+    Q = rng.standard_normal((20, 3))
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
+    return (P, LossModel("linear_regression"), [5, 6], ["leverage", "uniform"],
+            2, 0, Q[:10], None, Q[10:], cfg)
+
+
+@pytest.mark.parametrize("action", ["default", "module", "once", "always"])
+def test_sweep_warnings_do_not_depend_on_the_cpu_count(monkeypatch, action):
+    """Every cell's warnings go once, in cell order, through the caller's
+    filters with one registry for the sweep: over 1, 2 or 3 CPUs the sweep
+    shows the same warnings, and a filter that shows a warning once shows
+    one that several cells raise once."""
+    shown = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            table = sweep(*_rank_deficient_sweep())
+        assert all(row["ok"] for row in table.rows)
+        shown.append([(str(w.message), w.category, w.filename, w.lineno)
+                      for w in caught])
+    assert shown[0] and shown[1] == shown[0] and shown[2] == shown[0]
+    # raised by each of the 4 leverage cells, and only there
+    leverage = sum(message.startswith("rank-deficient data matrix")
+                   for message, *_ in shown[0])
+    assert leverage == (4 if action == "always" else 1)
+
+
+def test_sweep_shows_warnings_under_the_filters_of_their_module(monkeypatch):
+    """A warning is matched to the filters by the module that raised it
+    when the sweep shows it, as when the cell raised it: warnings made
+    errors elsewhere but shown from corelearn fail no cell."""
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        warnings.filterwarnings("default", module="corelearn")
+        table = sweep(*_rank_deficient_sweep())
+    assert all(row["ok"] for row in table.rows)
+    assert any("rank-deficient" in str(w.message) for w in caught)
+
+
+def test_sweep_shows_a_warning_from_code_of_no_module(linreg, monkeypatch):
+    """A warning from code that no loaded module holds, such as code
+    compiled from a string, is shown too."""
+    uniform = baselines.uniform_coreset
+    code = compile("warnings.warn('from generated code')", "<generated>",
+                   "exec")
+
+    def generating(*args, **kwargs):
+        exec(code, {"warnings": warnings})
+        return uniform(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "uniform_coreset", generating)
+    P = make_synthetic("linear", 60, 2, 0.3, seed=23)
+    splits = _scoring_splits()
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
+    with pytest.warns(UserWarning, match="^from generated code$") as caught:
+        sweep(P, linreg, [6], ["uniform"], 1, 3, splits["train"],
+              splits["val"], splits["test"], cfg)
+    assert [w.filename for w in caught] == ["<generated>"]
+
+
+def test_an_interrupt_here_stops_the_workers_at_once(linreg, monkeypatch):
+    """A KeyboardInterrupt in a cell this process runs is raised while a
+    worker's cell still runs: the sweep stops the worker, not waits."""
+    parent = os.getpid()
+
+    def interrupted(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(baselines, "uniform_coreset", interrupted)
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+    P = make_synthetic("linear", 60, 2, 0.3, seed=23)
+    splits = _scoring_splits()
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        sweep(P, linreg, [6], ["uniform"], 2, 3, splits["train"],
+              splits["val"], splits["test"], cfg)
+    assert time.monotonic() - t0 < 30
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failure_in_the_shared_work_is_recorded_in_every_cell(
+        linreg, monkeypatch, cpus):
+    """Scoring on P fails before the cells start and is not kept: every
+    cell meets the failure again and records it in its row."""
+    P = make_synthetic("linear", 60, 2, 0.3, seed=23)
+    costs = LossModel.costs
+
+    def failing(model, points, labels, weights, queries):
+        if points is P.points:
+            raise RuntimeError("data costs failed")
+        return costs(model, points, labels, weights, queries)
+
+    monkeypatch.setattr(LossModel, "costs", failing)
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: cpus)
+    splits = _scoring_splits()
+    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
+    with pytest.warns(UserWarning, match="trial failed"):
+        table = sweep(P, linreg, [6, 9], METHODS, 1, 3, splits["train"],
+                      splits["val"], splits["test"], cfg)
+    failed = (False, "data costs failed", None, None)
+    assert [(row["ok"], row["error"], row["err_opt"], row["err_avg"])
+            for row in table.rows] == [failed] * 6

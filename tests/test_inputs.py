@@ -7,6 +7,8 @@ ContractError that names the parameter."""
 
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from corelearn import (
     Coreset,
     LossModel,
     MeasurableQuerySpace,
+    OptimizerState,
     TrainConfig,
     QueryBatch,
     WeightedLabeledSet,
+    adam_step,
     claim2_k,
     err_avg,
     estimate_M,
@@ -36,8 +40,12 @@ from corelearn import (
     verify_claim1,
     verify_claim2,
 )
+from corelearn import theory
+from corelearn.cli import (ConfigError, build_parser, load_config, main,
+                           resolve_dataset)
 from corelearn.core import (ContractError, check_count, check_probability,
                             check_real)
+from corelearn.datasets import DatasetError, Schema, load_dataset
 from corelearn.queries import save_pool_csv
 
 _RNG = np.random.default_rng(31)
@@ -350,3 +358,99 @@ def test_an_empty_query_list_is_no_queries():
     assert costs.shape == (0,) and not any(g.any() for g in grads)
     with pytest.raises(ContractError, match="query pool must be non-empty"):
         estimate_M(_P, _LOSS, [])
+
+
+def _file(tmp, name, text):
+    (tmp / name).write_text(text)
+    return tmp / name
+
+
+def _handler(argv):
+    """The subcommand handler's own result for argv, without main's exit
+    code mapping."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def _config(tmp, text):
+    return load_config(_file(tmp, "c.json", text))
+
+
+def _unexpected(tmp, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(theory, "hoeffding_k", boom)
+    return main(["bounds", "--eps", "0.1", "--delta", "0.05", "--M", "1"])
+
+
+_ZERO_WEIGHTS = WeightedLabeledSet(_P.points, np.zeros(12), _P.labels)
+
+# each input rejection with the error it raises, and its message ({tmp} the
+# test's directory); an int error is main's exit code, the message its stderr
+_REJECTIONS = [
+    ("3-d-points", lambda tmp, mp: WeightedLabeledSet(
+        np.zeros((2, 2, 2)), np.ones(2), np.ones(2)),
+     ContractError, "points must be a 2-d array, got ndim=3"),
+    ("2-d-weights", lambda tmp, mp: WeightedLabeledSet(
+        np.zeros((2, 2)), np.ones((2, 1)), np.ones(2)),
+     ContractError, "weights must be a 1-d array, got ndim=2"),
+    ("measure-length", lambda tmp, mp: MeasurableQuerySpace(
+        _P, _LOSS, _Q, np.full(5, 0.2)),
+     ContractError, "measure length must match universe size"),
+    ("negative-measure", lambda tmp, mp: MeasurableQuerySpace(
+        _P, _LOSS, _Q, [-0.5, 1.5, 0.0, 0.0, 0.0, 0.0]),
+     ContractError, "measure entries must be nonnegative"),
+    ("leverage-zero-weights",
+     lambda tmp, mp: leverage_coreset(_ZERO_WEIGHTS, 3),
+     ContractError, "all leverage scores are zero"),
+    ("adam-gradient-shape", lambda tmp, mp: adam_step(
+        OptimizerState.for_params(np.zeros(2)), np.zeros(2), np.zeros(3), 0.1),
+     ContractError, "gradient shape (3,) does not match parameters (2,)"),
+    ("synthetic-task", lambda tmp, mp: make_synthetic("cubic", 5, 2),
+     DatasetError, "unknown synthetic task 'cubic'"),
+    ("binary-labels", lambda tmp, mp: load_dataset(
+        _file(tmp, "d.csv", "0.5,0\n1.5,2\n"),
+        Schema(["0"], "1", binary_label=True)),
+     DatasetError, "{tmp}/d.csv: binary labels must be 0/1 or -1/+1"),
+    ("empty-with-header", lambda tmp, mp: load_dataset(
+        _file(tmp, "d.csv", ""), Schema(["a"], "b", has_header=True)),
+     DatasetError, "{tmp}/d.csv: empty file"),
+    ("row-missing-column", lambda tmp, mp: load_dataset(
+        _file(tmp, "d.csv", "0.5,1.0\n1.5\n"), Schema(["0"], "1")),
+     DatasetError, "{tmp}/d.csv: line 2: missing column '1'"),
+    ("estimate-M-without-config", lambda tmp, mp: _handler(
+        ["bounds", "--eps", "0.1", "--delta", "0.05", "--estimate-M"]),
+     ConfigError, "--estimate-M requires --config"),
+    ("bounds-without-M", lambda tmp, mp: _handler(
+        ["bounds", "--eps", "0.1", "--delta", "0.05"]),
+     ConfigError, "give --M or --estimate-M"),
+    ("no-dataset", lambda tmp, mp: _config(tmp, '{"dataset": {"synth": null}}'),
+     ConfigError, "dataset needs either a path or a synth block"),
+    ("path-without-schema", lambda tmp, mp: resolve_dataset(
+        _config(tmp, '{"dataset": {"path": "d.csv"}}')),
+     ConfigError, "dataset.path requires dataset.schema"),
+    ("unreadable-config", lambda tmp, mp: load_config(tmp / "none.json"),
+     ConfigError, "cannot read config {tmp}/none.json: [Errno 2] No such "
+                  "file or directory: '{tmp}/none.json'"),
+    ("config-not-an-object", lambda tmp, mp: _config(tmp, "[1, 2]"),
+     ConfigError, "{tmp}/c.json: config must be a JSON object"),
+    ("main-unexpected", _unexpected, 2, "runtime failure: boom\n"),
+]
+
+
+@pytest.mark.parametrize("call, error, message",
+                         [row[1:] for row in _REJECTIONS],
+                         ids=[row[0] for row in _REJECTIONS])
+def test_inputs_are_rejected_with_their_errors(tmp_path, monkeypatch, capsys,
+                                               call, error, message):
+    message = message.format(tmp=tmp_path)
+    with warnings.catch_warnings():
+        # leverage sampling warns of the rank-deficient zero-weight matrix
+        warnings.simplefilter("ignore")
+        if isinstance(error, int):
+            assert call(tmp_path, monkeypatch) == error
+            assert capsys.readouterr().err == message
+            return
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(tmp_path, monkeypatch)

@@ -890,3 +890,18 @@ def test_training_does_not_depend_on_the_allocator():
     assert run.returncode == 0, run.stderr
     faults, steps = map(int, run.stdout.split()[-2:])
     assert faults < steps
+
+
+def test_paper_logreg_gives_the_papers_values_and_takes_overrides():
+    """The logistic-regression defaults: 1000 epochs, batch 100, lr 0.001,
+    no weight-sum penalty, the practical objective and weights frozen; an
+    override wins over its default and leaves the others."""
+    cfg = TrainConfig.paper_logreg()
+    assert (cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.lam,
+            cfg.algorithm, cfg.learn_weights) == (1000, 100, 0.001, 0.0,
+                                                  "practical", False)
+    tuned = TrainConfig.paper_logreg(epochs=20, coreset_size=300)
+    assert (tuned.epochs, tuned.coreset_size) == (20, 300)
+    assert tuned == TrainConfig(coreset_size=300, epochs=20, batch_size=100,
+                                learning_rate=0.001, lam=0.0,
+                                algorithm="practical", learn_weights=False)
