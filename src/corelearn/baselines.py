@@ -22,7 +22,6 @@ def uniform_coreset(P: WeightedLabeledSet, m: int, seed: int = 0) -> Coreset:
     weighted cost at every query.
     """
     check_count(m, "m", 1)
-    check_count(seed, "seed")
     rng = stream_rng(seed, "uniform_coreset")
     idx = rng.integers(0, P.n, size=m)
     weights = P.weights[idx] * (P.n / m)
@@ -51,7 +50,7 @@ def leverage_scores(P: WeightedLabeledSet) -> np.ndarray:
 def leverage_coreset(P: WeightedLabeledSet, m: int, seed: int = 0) -> Coreset:
     """Importance sampling by leverage scores; weights w_i / (m * prob_i)."""
     check_count(m, "m", 1)
-    check_count(seed, "seed")
+    rng = stream_rng(seed, "leverage_coreset")
     if P.dim > P.n:
         raise ContractError("leverage sampling needs d <= n")
     scores = leverage_scores(P)
@@ -59,7 +58,6 @@ def leverage_coreset(P: WeightedLabeledSet, m: int, seed: int = 0) -> Coreset:
     if total <= 0:
         raise ContractError("all leverage scores are zero")
     probs = scores / total
-    rng = stream_rng(seed, "leverage_coreset")
     idx = rng.choice(P.n, size=m, p=probs)
     weights = P.weights[idx] / (m * probs[idx])
     return Coreset(P.points[idx], weights, P.labels[idx])

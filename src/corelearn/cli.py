@@ -248,7 +248,6 @@ def run_experiment(config_path, seed=None, out_dir=None) -> int:
     q_train, q_val, q_test = _splits(cfg, P, loss)
     if out_dir is not None:
         cfg["output"]["dir"] = str(out_dir)
-    out = _output_dir(cfg["output"]["dir"])
 
     sweep_cfg = cfg["sweep"]
     base_cfg = train_config_from(cfg, sweep_cfg["sizes"][0])
@@ -256,6 +255,8 @@ def run_experiment(config_path, seed=None, out_dir=None) -> int:
         P, loss, sweep_cfg["sizes"], sweep_cfg["methods"], sweep_cfg["trials"],
         cfg["seed"], q_train, q_val, q_test, base_cfg, collect_reports=True)
 
+    # made only now, so that a sweep that fails leaves no directory
+    out = _output_dir(cfg["output"]["dir"])
     table.to_csv(out / "trials.csv")
     table.aggregate_to_csv(out / "aggregated.csv")
     with open(out / "train_reports.json", "w") as fh:

@@ -85,6 +85,38 @@ def query_matrix(queries, name, width=None) -> np.ndarray:
     return qm
 
 
+def split_matrix(queries, name, width) -> np.ndarray:
+    """query_matrix(queries, name, width) of a split that a metric or an
+    objective averages over: one with no queries is a ContractError naming
+    it, since no average over it is defined."""
+    qm = query_matrix(queries, name, width)
+    if not qm.shape[0]:
+        raise ContractError(f"{name} holds no queries")
+    return qm
+
+
+def set_arrays(points, *per_point, owner=None):
+    """A weighted set's (n, d) points, by _as_matrix, and its labels and
+    (when given) weights, per_point, as float (n,) arrays: at least one
+    point and one label and weight per point, or a ContractError naming
+    the array, after the set's class when a set (owner) reads them.
+    Nothing scans the entries: LossModel.costs calls this once per block."""
+    prefix = f"{owner} " if owner else ""
+    points = _as_matrix(points, f"{prefix}points")
+    n = points.shape[0]
+    if n < 1:
+        raise ContractError(f"{prefix}points must hold at least one point, "
+                            f"got shape {points.shape}")
+    arrays = [points]
+    for name, values in zip(("labels", "weights"), per_point):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (n,):
+            raise ContractError(f"{prefix}{name} have shape {values.shape}, "
+                                f"expected ({n},): one per point")
+        arrays.append(values)
+    return arrays
+
+
 def check_count(value, name, low=None) -> int:
     """value as an int, at least low when low is given. A bool, anything
     but an int or a NumPy integer, or a count below low is a ContractError
@@ -140,23 +172,16 @@ class WeightedLabeledSet:
     labels: np.ndarray
 
     def __post_init__(self):
-        """Check (points, weights, labels) as float arrays of shapes (n, d),
-        (n,), (n,): at least one point, matching sizes, finite entries,
+        """Check the arrays by set_arrays, then their finite entries and
         nonnegative weights. Each message names the set's class."""
         owner = type(self).__name__
-        arrays = {"points": _as_matrix(self.points, "points"),
-                  "weights": _as_vector(self.weights, "weights"),
-                  "labels": _as_vector(self.labels, "labels")}
-        n, w, b = (a.shape[0] for a in arrays.values())
-        if n < 1:
-            raise ContractError(f"{owner} needs at least one point")
-        if w != n or b != n:
-            raise ContractError(
-                f"{owner} size mismatch: {n} points, {w} weights, {b} labels")
+        points, labels, weights = set_arrays(self.points, self.labels,
+                                             self.weights, owner=owner)
+        arrays = {"points": points, "weights": weights, "labels": labels}
         for name, a in arrays.items():
             if not np.all(np.isfinite(a)):
                 raise ContractError(f"non-finite entries in {owner} {name}")
-        if np.any(arrays["weights"] < 0):
+        if np.any(weights < 0):
             raise ContractError(f"{owner} weights must be nonnegative")
         for name, a in arrays.items():
             a = np.array(a)
@@ -349,12 +374,12 @@ def expected_cost(space: MeasurableQuerySpace) -> float:
 
 
 def stream_rng(root_seed: int, *labels) -> np.random.Generator:
-    """Named deterministic RNG stream derived from one root seed.
+    """Named deterministic RNG stream derived from one integer root seed.
 
     Every consumer of randomness derives its generator here so that a single
     root seed reproduces a whole experiment, including parallel sweep cells.
     """
-    words = [int(root_seed) & 0xFFFFFFFF]
+    words = [check_count(root_seed, "seed") & 0xFFFFFFFF]
     for lab in labels:
         words.append(zlib.crc32(str(lab).encode("utf-8")))
     return np.random.default_rng(np.random.SeedSequence(words))

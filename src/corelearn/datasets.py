@@ -187,7 +187,6 @@ def make_synthetic(task: str, n: int, d: int, noise: float = 0.1,
     check_count(n, "n", 1)
     check_count(d, "d", 1)
     check_real(noise, "noise", closed=True)
-    check_count(seed, "seed")
     rng = stream_rng(seed, "make_synthetic", task)
     X = rng.standard_normal((n, d))
     q_star = rng.standard_normal(d)

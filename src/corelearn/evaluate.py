@@ -14,7 +14,8 @@ import numpy as np
 from . import baselines, learner
 from .core import (RATIO_FLOOR, Coreset, ContractError, DegenerateInputError,
                    WeightedLabeledSet, check_coreset, check_count, floored,
-                   query_matrix, remember, scored, set_cost, set_costs)
+                   query_matrix, remember, scored, set_cost, set_costs,
+                   split_matrix)
 from .datasets import write_csv
 from .losses import LossModel
 
@@ -69,10 +70,12 @@ def err_avg(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel,
     test split floored at RATIO_FLOOR.
 
     Queries with full-data cost below the ratio floor are excluded; the
-    excluded count is part of the result.
+    excluded count is part of the result. A Q_test with no queries is a
+    ContractError, one whose every query is excluded a DegenerateInputError.
     """
     check_coreset(P, coreset)
-    qm, f_p, filtered = floored(*scored(P, loss, Q_test, "Q_test"))
+    qm = split_matrix(Q_test, "Q_test", loss.query_dim(P.dim))
+    qm, f_p, filtered = floored(*scored(P, loss, qm, "Q_test"))
     if qm.shape[0] == 0:
         raise DegenerateInputError("all test queries filtered; metric undefined")
     return ErrAvg(learner._ratio_term(set_costs(coreset, loss, qm), f_p)[0],
@@ -170,15 +173,16 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
     learned cells. Arguments that sweep_cells rejects are a ContractError
     before any cell runs, and so is a split the cells read (Q_test, and
     Q_train and Q_val, which may be None, where a method is learned) that
-    is not a query matrix of width loss.query_dim(P.dim), naming it.
+    is not a query matrix of width loss.query_dim(P.dim), or Q_test or
+    Q_train with no queries, naming it.
     """
     cells = sweep_cells(sizes, methods, n_trials)
     check_count(base_seed, "base_seed")
     learned = any(method == METHOD_LEARNED for _, method, _ in cells)
     width = loss.query_dim(P.dim)
-    Q_test = query_matrix(Q_test, "Q_test", width)
+    Q_test = split_matrix(Q_test, "Q_test", width)
     if learned:
-        Q_train = query_matrix(Q_train, "Q_train", width)
+        Q_train = split_matrix(Q_train, "Q_train", width)
         Q_val = Q_val if Q_val is None else query_matrix(Q_val, "Q_val", width)
 
     def cell(key):

@@ -57,7 +57,7 @@ import numpy as np
 # the benchmark harness imports RATIO_FLOOR from here
 from .core import (RATIO_FLOOR, Coreset, ContractError, NumericError,
                    WeightedLabeledSet, check_count, check_real, floored, scored,
-                   stream_rng)
+                   split_matrix, stream_rng)
 from .losses import LossModel
 
 # global-norm bound on each step's gradient
@@ -150,7 +150,6 @@ def project_weights(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def init_coreset(P: WeightedLabeledSet, m: int, seed: int) -> Coreset:
     """Starting coreset: m seeded points of P and their labels, weights 1/m."""
     check_count(m, "m", 1)
-    check_count(seed, "seed")
     rng = stream_rng(seed, "init_coreset")
     if m <= P.n:
         idx = rng.permutation(P.n)[:m]
@@ -196,17 +195,18 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
          cfg: TrainConfig, term):
     """Adam on the coreset (C, u, y), held as views into one float64 vector.
 
-    Q_train and Q_val are scored on P and floored at RATIO_FLOOR; dropped
-    training queries warn. term(costs, f_p) is the data term: it maps the
-    coreset's costs on a set of queries and the data's costs f_p on them to
-    the term and its derivative with respect to the coreset's costs, and
-    the weight-sum penalty lam * |sum w - sum u| is added to it. Frozen
-    weights get a zero gradient, which Adam turns into a zero move. An
+    Q_train (a ContractError if empty) and Q_val are scored on P and floored at
+    RATIO_FLOOR; dropped training queries warn. term(costs, f_p) is the data
+    term: it maps the coreset's costs on a set of queries and the data's costs
+    f_p on them to the term and its derivative with respect to the coreset's
+    costs, and the weight-sum penalty lam * |sum w - sum u| is added to it.
+    Frozen weights get a zero gradient, which Adam turns into a zero move. An
     epoch is scored by the validation data term when a validation query
     survives, by its train loss otherwise (see TrainReport). Returns the
     best-scored epoch's coreset and the report.
     """
-    qm, f_p, n_dropped = floored(*scored(P, loss, Q_train, "Q_train"))
+    qm = split_matrix(Q_train, "Q_train", loss.query_dim(P.dim))
+    qm, f_p, n_dropped = floored(*scored(P, loss, qm, "Q_train"))
     if n_dropped:
         warnings.warn(
             f"dropping {n_dropped} training queries with near-zero full-data cost")

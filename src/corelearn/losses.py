@@ -26,11 +26,12 @@ scored or compared (costs, and so set_costs) keeps the direct form. G at
 weights w f''/2 (_half_curvature) is half the Hessian, solve_optimal's.
 
 The public entries check their inputs by two rules: the points, labels
-and weights by LossModel._set, then the queries by core.query_matrix at
-the points' query dim. The coreset gradients' arithmetic lives in
-LossModel._weighted_grads, which takes arrays that are already checked
-and augmented and a data term term(costs, f_p); weighted_grads is its
-checking entry, and the learner calls it directly once per step.
+and weights by core.set_arrays, the weighted sets' own rule, then the
+queries by core.query_matrix at the points' query dim. The coreset
+gradients' arithmetic lives in LossModel._weighted_grads, which takes
+arrays that are already checked and augmented and a data term
+term(costs, f_p); weighted_grads is its checking entry, and the learner
+calls it directly once per step.
 
 A training run allocates its kernels' arrays once (LossModel._workspace):
 _link computes in the buffers it is handed (fresh ones when none are), and
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, _as_matrix, query_matrix
+from .core import ContractError, query_matrix, set_arrays
 
 LINEAR = "linear_regression"
 LOGISTIC = "logistic_regression"
@@ -128,30 +129,6 @@ class LossModel:
 
     # -- values ---------------------------------------------------------
 
-    def _set(self, points, labels, weights=None):
-        """An entry's (n, d) points, by the set constructor's rule, and their
-        labels and weights (None if not given) as float arrays: at least one
-        point, one label and one weight each, or a ContractError naming the
-        input. An entry reads its queries after them, by core.query_matrix
-        at width self.query_dim(d). Nothing scans the points: costs runs
-        this once per block."""
-        points = _as_matrix(points, "points")
-        n = points.shape[0]
-        if n < 1:
-            raise ContractError(
-                f"points must hold at least one point, got shape {points.shape}")
-        return points, self._per_point("labels", labels, n), (
-            None if weights is None else self._per_point("weights", weights, n))
-
-    @staticmethod
-    def _per_point(name, values, n):
-        """values as a float array, which must hold one entry per point."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (n,):
-            raise ContractError(
-                f"{name} have shape {values.shape}, expected ({n},): one per point")
-        return values
-
     def _link_buffers(self, grad):
         """How many arrays shaped like z _link works in."""
         if self.kind == LINEAR:
@@ -210,7 +187,7 @@ class LossModel:
 
     def pointwise_matrix(self, points, labels, queries) -> np.ndarray:
         """Loss values for every (point, query) pair, shape (n, k)."""
-        points, labels, _ = self._set(points, labels)
+        points, labels = set_arrays(points, labels)
         qm = query_matrix(queries, "queries", self.query_dim(points.shape[1]))
         return self._link(self.augment(points) @ qm.T, labels[:, None])[0]
 
@@ -223,7 +200,7 @@ class LossModel:
         and counts this kernel. Past BLOCK_ELEMENTS (2^16) points a block
         is one query, and its arrays then grow as 8n bytes each.
         """
-        points, labels, weights = self._set(points, labels, weights)
+        points, labels, weights = set_arrays(points, labels, weights)
         qm = query_matrix(queries, "queries", self.query_dim(points.shape[1]))
         step = max(1, BLOCK_ELEMENTS // points.shape[0])
         out = np.empty(qm.shape[0])
@@ -274,7 +251,7 @@ class LossModel:
         The label gradient treats the label as a real even for the logistic
         loss, which is what joint label learning needs.
         """
-        points, labels, weights = self._set(points, labels, weights)
+        points, labels, weights = set_arrays(points, labels, weights)
         qm = query_matrix(queries, "queries", self.query_dim(points.shape[1]))
         m, d = points.shape
         if np.shape(coeffs) != (qm.shape[0],):
@@ -324,7 +301,7 @@ class LossModel:
     def query_grad(self, points, labels, weights, q) -> tuple[float, np.ndarray]:
         """Total cost sum_i w_i f(p_i, b_i, q) and its gradient w.r.t. the
         query vector, (cost, grad (d',)), from one pass over the points."""
-        points, labels, weights = self._set(points, labels, weights)
+        points, labels, weights = set_arrays(points, labels, weights)
         q = query_matrix([q], "q", self.query_dim(points.shape[1]))[0]
         a = self.augment(points)
         f, dz, _ = self._link(a @ q, labels, grad=True)
@@ -347,9 +324,9 @@ class LossModel:
         pass RESIDUAL_LIMIT is query_grad's, and the two forms go non-finite
         at the same rows.
 
-        The set is checked (_set) and augmented here, once.
+        The set is checked (core.set_arrays) and augmented here, once.
         """
-        points, labels, weights = self._set(points, labels, weights)
+        points, labels, weights = set_arrays(points, labels, weights)
         a = self.augment(points)
         # |a.q| <= reach * |q| for every point
         reach = math.sqrt(np.max(np.einsum("ij,ij->i", a, a)))
@@ -397,7 +374,7 @@ class LossModel:
         """A weighted set's statistics (G, h, c) = (A^T W A, A^T W b,
         b^T W b), A the augmented features: the squared loss's total cost
         at q is q^T G q - 2 h^T q + c, and G q = h at its minimizers."""
-        points, labels, weights = self._set(points, labels, weights)
+        points, labels, weights = set_arrays(points, labels, weights)
         a = self.augment(points)
         G = a.T @ (weights[:, None] * a)
         h = a.T @ (weights * labels)

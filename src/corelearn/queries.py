@@ -71,7 +71,6 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
     check_count(steps_per_start, "steps_per_start", 0)
     check_real(gd_lr, "gd_lr")
     check_real(init_scale, "init_scale", closed=True)
-    check_count(seed, "seed")
     rng = stream_rng(seed, "trajectory_queries")
     q = init_scale * rng.standard_normal((n_starts, loss.query_dim(P.dim)))
     path = np.empty((n_starts, steps_per_start + 1, q.shape[1]))
@@ -119,13 +118,12 @@ def split_queries(pool, sizes, seed: int = 0):
     """Shuffle the pool by seed and slice into train/validation/test batches
     of the three split_sizes."""
     pool = query_matrix(pool, "pool")
-    check_count(seed, "seed")
+    rng = stream_rng(seed, "split_queries")
     k_train, k_val, k_test = split_sizes(sizes)
     total = k_train + k_val + k_test
     if total > pool.shape[0]:
         raise ContractError(
             f"requested {total} queries from a pool of {pool.shape[0]}")
-    rng = stream_rng(seed, "split_queries")
     order = rng.permutation(pool.shape[0])
     parts = np.split(pool[order][:total], [k_train, k_train + k_val])
     return tuple(QueryBatch(part) for part in parts)
@@ -134,7 +132,6 @@ def split_queries(pool, sizes, seed: int = 0):
 def iid_sample(space: MeasurableQuerySpace, k: int, seed: int = 0) -> QueryBatch:
     """k independent draws (with replacement) from the finite query measure."""
     check_count(k, "k", 1)
-    check_count(seed, "seed")
     rng = stream_rng(seed, "iid_sample")
     return QueryBatch(space.universe[space.draw(rng, k)])
 

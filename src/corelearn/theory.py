@@ -150,11 +150,10 @@ def verify_claim1(space: MeasurableQuerySpace, eps: float, delta: float,
     as verify_claim2 does through claim2_k.
     """
     check_count(trials, "trials", 1)
-    check_count(seed, "seed")
+    rng = stream_rng(seed, "verify_claim1")
     M = exact_set_M(space)
     k = hoeffding_k(eps, delta, M)
     costs = scored(space.ground, space.loss, space.universe)[1]
-    rng = stream_rng(seed, "verify_claim1")
     means, = _trial_means(space, rng, trials, k, costs)
     violations = int(np.count_nonzero(np.abs(means - expected_cost(space)) > eps))
     return Claim1Result(violations / trials, k, M, eps, delta, trials)
@@ -190,7 +189,7 @@ def verify_claim2(P: WeightedLabeledSet, coreset: Coreset,
     the same in every trial.
     """
     check_count(trials, "trials", 1)
-    check_count(seed, "seed")
+    rng = stream_rng(seed, "verify_claim2")
     check_coreset(P, coreset)
     qm, costs_p = scored(P, space.loss, space.universe)
     if M is None:
@@ -205,7 +204,6 @@ def verify_claim2(P: WeightedLabeledSet, coreset: Coreset,
         return Claim2Result("weight_sum", p1_gap, math.nan, exp_gap,
                             None, k, M, eps)
 
-    rng = stream_rng(seed, "verify_claim2")
     means_p, means_c = _trial_means(space, rng, trials, k, costs_p, costs_c)
     p2_gap = float(np.median(np.abs(means_p - means_c)))
     if p2_gap > eps + 1e-12:

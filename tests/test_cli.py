@@ -561,6 +561,21 @@ def test_split_subcommands_reject_a_split_above_the_pool(tmp_path, capsys,
     assert "requested 110 queries from a pool of 42" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["experiment"],
+                                  ["eval", "--coreset", "{tmp}/c.csv"]],
+                         ids=["experiment", "eval"])
+def test_a_test_split_with_no_queries_is_a_usage_error(tmp_path, capsys, argv):
+    """No metric is defined over no test queries: exit 1 before any cell,
+    and the experiment writes no directory."""
+    path = _write_config(tmp_path, queries={
+        "n_starts": 2, "steps_per_start": 14, "split": [20, 5, 0]})
+    (tmp_path / "c.csv").write_text("x0,x1,weight,label\n0.1,0.2,1.0,1.0\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 1
+    assert capsys.readouterr().err == "error: Q_test holds no queries\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--coreset", "{tmp}/c.csv"],
     ["gen-queries", "--out", "{tmp}/pool.csv"],

@@ -45,7 +45,8 @@ def test_total_cost_dimension_mismatch(linreg):
 
 
 def test_total_cost_weight_count_mismatch():
-    with pytest.raises(ContractError, match="size mismatch"):
+    with pytest.raises(ContractError, match=r"weights have shape \(2,\), "
+                                            r"expected \(1,\): one per point"):
         WeightedLabeledSet([[1.0]], [1.0, 1.0], [0.0])
 
 
@@ -213,8 +214,10 @@ def test_memo_keeps_only_results_that_returned():
 @pytest.mark.parametrize("cls", [WeightedLabeledSet, Coreset],
                          ids=["set", "coreset"])
 @pytest.mark.parametrize("arrays, match", [
-    (([[1.0]], [1.0, 1.0], [0.0]), "size mismatch: 1 points, 2 weights, 1 labels"),
-    ((np.zeros((0, 2)), [], []), "needs at least one point"),
+    (([[1.0]], [1.0, 1.0], [0.0]),
+     "{owner} weights have shape (2,), expected (1,): one per point"),
+    ((np.zeros((0, 2)), [], []),
+     "{owner} points must hold at least one point, got shape (0, 2)"),
     (([[1.0]], [1.0], [np.inf]), "non-finite entries in {owner} labels"),
     (([[1.0]], [-1.0], [0.0]), "weights must be nonnegative"),
 ], ids=["sizes", "empty", "non-finite", "negative"])

@@ -524,7 +524,10 @@ def test_sweep_rejects_repeated_sizes_and_methods(linreg, monkeypatch, sizes,
     ("test", None, r"^Q_test must be a \(k, d'\) matrix, got shape \(\)"),
     ("train", None, r"^Q_train must be a \(k, d'\) matrix, got shape \(\)"),
     ("test", np.ones((4, 3)), "^Q_test query dim 3 does not match feature dim 2"),
-], ids=["ragged-test", "none-test", "none-train-learned", "width-3-test"])
+    ("test", [], "^Q_test holds no queries$"),
+    ("train", np.zeros((0, 2)), "^Q_train holds no queries$"),
+], ids=["ragged-test", "none-test", "none-train-learned", "width-3-test",
+        "empty-test", "empty-train-learned"])
 def test_sweep_rejects_bad_splits_before_any_cell(linreg, monkeypatch, split,
                                                   value, match):
     """A split the cells read is read once, before the shared work: a bad one
@@ -548,7 +551,7 @@ def test_sweep_rejects_bad_splits_before_any_cell(linreg, monkeypatch, split,
 
 def test_sweep_reads_only_the_splits_its_methods_score(linreg):
     """Without a learned method the training splits are not read; with one,
-    Q_val may be None, and an empty split of any width is no queries."""
+    Q_val may be None. A Q_test with no queries is a ContractError."""
     P = make_synthetic("linear", 30, 2, 0.3, seed=8)
     splits = _scoring_splits()
     cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
@@ -558,9 +561,8 @@ def test_sweep_reads_only_the_splits_its_methods_score(linreg):
     table = sweep(P, linreg, [6], ["learned"], 1, 0, splits["train"], None,
                   splits["test"], cfg)
     assert [row["ok"] for row in table.rows] == [True]
-    with pytest.warns(UserWarning, match="all test queries filtered"):
-        table = sweep(P, linreg, [6], ["uniform"], 1, 0, None, None, [], cfg)
-    assert [row["ok"] for row in table.rows] == [False]
+    with pytest.raises(ContractError, match="^Q_test holds no queries$"):
+        sweep(P, linreg, [6], ["uniform"], 1, 0, None, None, [], cfg)
 
 
 def _sweep_outputs(monkeypatch, tmp_path, cpus, args):
@@ -703,6 +705,22 @@ def test_a_workers_exception_is_raised_in_the_sweep(linreg, monkeypatch):
             sweep(P, linreg, [6], ["uniform"], 2, 3, splits["train"],
                   splits["val"], splits["test"], cfg)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("entry, split", [
+    ("err_avg", "Q_test"), ("train", "Q_train"), ("autocl_average", "Q_train")])
+def test_a_split_with_no_queries_is_rejected(linreg, entry, split):
+    """No average is taken over a split with no queries: a ContractError
+    naming it, not a metric over filtered queries or a failed training."""
+    P = make_synthetic("linear", 30, 2, 0.3, seed=8)
+    C = Coreset(P.points[:4], np.full(4, 0.25), P.labels[:4])
+    cfg = TrainConfig(coreset_size=4, epochs=1)
+    calls = {"err_avg": lambda: err_avg(P, C, linreg, []),
+             "train": lambda: train(P, np.zeros((0, 2)), None, linreg, cfg),
+             "autocl_average": lambda: learner.autocl_average(
+                 P, [], [[1.0, 0.0]], linreg, cfg)}
+    with pytest.raises(ContractError, match=f"^{split} holds no queries$"):
+        calls[entry]()
 
 
 @pytest.mark.parametrize("data_dim, coreset_dim", [(2, 3), (3, 2)])

@@ -2,8 +2,8 @@
 by one of two rules in core, check_count (an integer, at least a bound) and
 check_real (finite and > 0, or >= 0 when closed), and every flag takes a
 bool only. Every query set is read by one rule, core.query_matrix, and
-every loss entry's point set by the set constructor's. A bad value is a
-ContractError that names the parameter."""
+every weighted set's arrays, a set's or a loss entry's, by another,
+core.set_arrays. A bad value is a ContractError that names the parameter."""
 
 import math
 import os
@@ -40,11 +40,11 @@ from corelearn import (
     verify_claim1,
     verify_claim2,
 )
-from corelearn import theory
+from corelearn import baselines, queries, theory
 from corelearn.cli import (ConfigError, build_parser, load_config, main,
                            resolve_dataset)
 from corelearn.core import (ContractError, check_count, check_probability,
-                            check_real)
+                            check_real, stream_rng)
 from corelearn.datasets import DatasetError, Schema, load_dataset
 from corelearn.queries import save_pool_csv
 
@@ -56,6 +56,25 @@ _LOSS = LossModel()
 _Q = _RNG.standard_normal((6, 2))
 _SPACE = MeasurableQuerySpace(_P, _LOSS, _Q, np.full(6, 1.0 / 6))
 _CFG = TrainConfig(coreset_size=3, epochs=1)
+# weights summing to 3, against the data's 1: claim 2's premise 1 fails
+_C_HEAVY = Coreset(_P.points[:3], np.ones(3), _P.labels[:3])
+
+
+def _before(module, name, call):
+    """call, with module.name replaced by a spy that fails the test if it
+    runs: the bad value must be rejected before that work."""
+    def spied(value):
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the check")
+
+        setattr(module, name, spy)
+        try:
+            return call(value)
+        finally:
+            setattr(module, name, real)
+    return spied
 
 # entry name, parameter name as the message names it, the count's lower
 # bound (None for none), and the call with the bad value in its place
@@ -89,17 +108,19 @@ _COUNTS = [
      lambda v: make_synthetic("linear", 5, 2, seed=v)),
     ("trajectory_queries", "seed", None,
      lambda v: trajectory_queries(_P, _LOSS, 1, 2, seed=v)),
-    ("split_queries", "seed", None,
-     lambda v: split_queries(_Q, [1, 1, 1], seed=v)),
+    ("split_queries", "seed", None, _before(
+        queries, "split_sizes", lambda v: split_queries(_Q, [1, 1, 1], seed=v))),
     ("iid_sample", "seed", None, lambda v: iid_sample(_SPACE, 2, seed=v)),
     ("uniform_coreset", "seed", None, lambda v: uniform_coreset(_P, 3, seed=v)),
-    ("leverage_coreset", "seed", None,
-     lambda v: leverage_coreset(_P, 3, seed=v)),
+    ("leverage_coreset", "seed", None, _before(
+        baselines, "leverage_scores", lambda v: leverage_coreset(_P, 3, seed=v))),
     ("init_coreset", "seed", None, lambda v: init_coreset(_P, 3, v)),
-    ("verify_claim1", "seed", None,
-     lambda v: verify_claim1(_SPACE, 0.5, 0.1, trials=2, seed=v)),
-    ("verify_claim2", "seed", None,
-     lambda v: verify_claim2(_P, _C, _SPACE, 0.5, 0.1, trials=2, seed=v)),
+    ("verify_claim1", "seed", None, _before(
+        theory, "exact_set_M",
+        lambda v: verify_claim1(_SPACE, 0.5, 0.1, trials=2, seed=v))),
+    # a coreset that fails premise 1, on which verify_claim2 returns early
+    ("verify_claim2", "seed", None, lambda v: verify_claim2(
+        _P, _C_HEAVY, _SPACE, 0.5, 0.1, trials=2, seed=v)),
     ("sweep", "base_seed", None,
      lambda v: sweep(_P, _LOSS, [3], ["uniform"], 1, v, _Q, None, _Q, _CFG)),
 ]
@@ -233,6 +254,22 @@ def test_zero_init_scale_and_an_int_rate_stay_valid():
                                                    init_scale=0.0))
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "1"],
+                         ids=["float", "bool", "str"])
+def test_stream_rng_takes_an_integer_seed_only(seed):
+    message = re.escape(f"seed must be an integer, got {seed!r}")
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        stream_rng(seed, "x")
+
+
+def test_stream_rng_keeps_its_streams():
+    """A negative seed and a NumPy integer draw the streams they always
+    drew, bit for bit."""
+    assert stream_rng(-3, "x").random() == 0.6029928300775581
+    assert stream_rng(np.int64(7), "x").random() == 0.38165897999913967
+    assert stream_rng(7, "x").random() == 0.38165897999913967
+
+
 def test_negative_seeds_stay_valid():
     assert uniform_coreset(_P, 3, seed=-4).n == 3
     assert make_synthetic("linear", 5, 2, seed=-1).n == 5
@@ -323,20 +360,58 @@ def test_query_width_is_one_rule(call, name):
         call(np.ones((2, 3)))
 
 
-@pytest.mark.parametrize("call", [
-    lambda p, b, w: _LOSS.pointwise(p, b, np.zeros(2)),
-    lambda p, b, w: _LOSS.pointwise_matrix(p, b, _Q),
-    lambda p, b, w: _LOSS.costs(p, b, w, _Q),
-    lambda p, b, w: _LOSS.weighted_grads(p, b, w, _Q, np.ones(6)),
-    lambda p, b, w: _LOSS.query_grad(p, b, w, np.zeros(2)),
-    lambda p, b, w: _LOSS.query_grads(p, b, w),
-    lambda p, b, w: _LOSS.normal_equations(p, b, w),
-], ids=["pointwise", "pointwise_matrix", "costs", "weighted_grads", "query_grad",
-        "query_grads", "normal_equations"])
-def test_loss_entries_reject_an_empty_point_set(call):
-    with pytest.raises(ContractError,
-                       match=r"^points must hold at least one point"):
-        call(np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+# every reader of a weighted set's arrays, called on (points, labels,
+# weights), and whether it reads the weights
+_SET_READERS = {
+    "WeightedLabeledSet": (lambda p, b, w: WeightedLabeledSet(p, w, b), True),
+    "Coreset": (lambda p, b, w: Coreset(p, w, b), True),
+    "pointwise": (lambda p, b, w: _LOSS.pointwise(p, b, np.zeros(2)), False),
+    "pointwise_matrix": (lambda p, b, w: _LOSS.pointwise_matrix(p, b, _Q),
+                         False),
+    "costs": (lambda p, b, w: _LOSS.costs(p, b, w, _Q), True),
+    "weighted_grads": (
+        lambda p, b, w: _LOSS.weighted_grads(p, b, w, _Q, np.ones(6)), True),
+    "query_grad": (lambda p, b, w: _LOSS.query_grad(p, b, w, np.zeros(2)),
+                   True),
+    "query_grads": (lambda p, b, w: _LOSS.query_grads(p, b, w), True),
+    "normal_equations": (lambda p, b, w: _LOSS.normal_equations(p, b, w), True),
+}
+
+# a bad set (points, labels, weights), its one message, and whether only
+# the weights are bad
+_BAD_SETS = {
+    "label-count": ((np.zeros((3, 2)), np.zeros(2), np.ones(3)),
+                    "labels have shape (2,), expected (3,): one per point",
+                    False),
+    "weight-count": ((np.zeros((3, 2)), np.zeros(3), np.ones(4)),
+                     "weights have shape (4,), expected (3,): one per point",
+                     True),
+    "2-d-weights": ((np.zeros((3, 2)), np.zeros(3), np.ones((3, 1))),
+                    "weights have shape (3, 1), expected (3,): one per point",
+                    True),
+    "no-points": ((np.zeros((0, 2)), np.zeros(0), np.zeros(0)),
+                  "points must hold at least one point, got shape (0, 2)",
+                  False),
+}
+
+
+def _set_cases():
+    for case, (arrays, message, weights_only) in _BAD_SETS.items():
+        for reader, (call, reads_weights) in _SET_READERS.items():
+            if weights_only and not reads_weights:
+                continue
+            is_set = reader in ("WeightedLabeledSet", "Coreset")
+            yield pytest.param(call, arrays,
+                               f"{reader} {message}" if is_set else message,
+                               id=f"{reader}-{case}")
+
+
+@pytest.mark.parametrize("call, arrays, message", _set_cases())
+def test_every_reader_of_a_set_has_one_rule(call, arrays, message):
+    """The sets and every loss entry read a set's arrays by one rule,
+    core.set_arrays, with one message per fault; a set's names its class."""
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        call(*arrays)
 
 
 def test_pointwise_reads_a_1d_point_set_as_one_column():
@@ -391,10 +466,11 @@ _ZERO_WEIGHTS = WeightedLabeledSet(_P.points, np.zeros(12), _P.labels)
 _REJECTIONS = [
     ("3-d-points", lambda tmp, mp: WeightedLabeledSet(
         np.zeros((2, 2, 2)), np.ones(2), np.ones(2)),
-     ContractError, "points must be a 2-d array, got ndim=3"),
+     ContractError, "WeightedLabeledSet points must be a 2-d array, got ndim=3"),
     ("2-d-weights", lambda tmp, mp: WeightedLabeledSet(
         np.zeros((2, 2)), np.ones((2, 1)), np.ones(2)),
-     ContractError, "weights must be a 1-d array, got ndim=2"),
+     ContractError,
+     "WeightedLabeledSet weights have shape (2, 1), expected (2,): one per point"),
     ("measure-length", lambda tmp, mp: MeasurableQuerySpace(
         _P, _LOSS, _Q, np.full(5, 0.2)),
      ContractError, "measure length must match universe size"),
