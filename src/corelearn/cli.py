@@ -174,10 +174,9 @@ def resolve_dataset(cfg: dict) -> tuple[WeightedLabeledSet, LossModel]:
         synth = ds["synth"]
         data = _in_section("dataset.synth", make_synthetic, synth["task"],
                            synth["n"], synth["d"], synth["noise"],
-                           seed=cfg["seed"])
+                           seed=cfg["seed"]).normalized()
         kind = SYNTHETIC_TASKS[synth["task"]]
-    loss = LossModel(kind, intercept=ds["intercept"])
-    return data.normalized(), loss
+    return data, LossModel(kind, intercept=ds["intercept"])
 
 
 def train_config_from(cfg: dict, size: int) -> TrainConfig:
@@ -333,16 +332,18 @@ def _cmd_gen_queries(args):
 def _cmd_bounds(args):
     check_probability(args.delta, "delta")
     check_real(args.eps, "eps")
+    if args.estimate_M == (args.M is not None):  # neither, or both
+        raise ConfigError("give --M or --estimate-M"
+                          + (", not both" if args.estimate_M else ""))
+    if not args.estimate_M and (args.config, args.seed) != (None, None):
+        raise ConfigError("--config and --seed are read only with --estimate-M")
+    M = args.M
     if args.estimate_M:
         if not args.config:
             raise ConfigError("--estimate-M requires --config")
         cfg, P, loss = _prepare(args.config, args.seed)
         M = theory.estimate_M(P, loss, _pool(cfg, P, loss), level="set")
         print(f"M_hat={M!r}")
-    else:
-        if args.M is None:
-            raise ConfigError("give --M or --estimate-M")
-        M = args.M
     k1 = theory.hoeffding_k(args.eps, args.delta, M)
     k2 = theory.claim2_k(args.eps, args.delta, M)
     print(f"eps={args.eps} delta={args.delta} M={M} k1={k1} k2={k2}")

@@ -11,19 +11,16 @@ values (pointwise_matrix, its one-query column pointwise, costs), the coreset
 gradients (weighted_grads) and the query's cost and gradient (query_grad) are
 all built on it by the chain rule through z. The logistic slope is written
 once too, in _softplus_terms, which _link shares with the query pool's step
-(query_grads): that step needs each query's gradient and only a proof that
-its cost is finite, so it computes the slope alone, bit for bit as
-query_grad does, and the cost only where the proof fails.
+(query_grads): it needs each query's gradient and only a proof, by one bound
+for both families, that its cost is finite.
 
-Squared loss has a second form, the Gram form. A set's statistics
-G = A^T W A, h = A^T W b and c = b^T W b (normal_equations; A the augmented
-features) give its cost q^T G q - 2 h^T q + c and gradient 2 (G q - h) in
-O(d'^2) per query, after one pass over the points (Maalouf, Jubran &
-Feldman, "Fast and Accurate Least-Mean-Squares Solvers", NeurIPS 2019).
-That form serves the gradient-descent step of the query pool only
-(query_grads). It cancels to about 1e-13 relative, so every cost that is
-scored or compared (costs, and so set_costs) keeps the direct form. G at
-weights w f''/2 (_half_curvature) is half the Hessian, solve_optimal's.
+Squared loss has a second form of its gradient, the Gram form: a set's
+statistics G = A^T W A and h = A^T W b (normal_equations; A the augmented
+features) give it as 2 (G q - h), O(d'^2) per query after one pass over
+the points (Maalouf, Jubran & Feldman, "Fast and Accurate Least-Mean-Squares
+Solvers", NeurIPS 2019). It serves the query pool's step only, and every
+cost is direct. G at weights w f''/2 (_half_curvature) is half the
+Hessian, solve_optimal's.
 
 The public entries check their inputs by two rules: the points, labels
 and weights by core.set_arrays, the weighted sets' own rule, then the
@@ -65,12 +62,9 @@ LOGISTIC = "logistic_regression"
 # 2 MB L2 cache together.
 BLOCK_ELEMENTS = 1 << 16
 
-# The largest bound on a total cost that query_grads takes as finite without
-# the direct form's cost: far from overflow in any form.
-COST_LIMIT = 1e300
-
-# The largest residual at which the Gram form stands in for the direct one:
-# its square times the total weight (at least 1) stays below COST_LIMIT.
+# The largest residual |a.q - b| at which query_grads takes a total cost as
+# finite without computing it: its square, and so each logistic margin,
+# times the total weight (at least 1) stays below 1e300, far from overflow.
 RESIDUAL_LIMIT = 1e150
 
 
@@ -312,17 +306,18 @@ class LossModel:
         total cost is finite and its gradient w.r.t. the query at each row,
         (finite (s,) bool, grads (s, d')), for gradient descent on the set.
 
-        Logistic: each row's gradient is query_grad's, bit for bit, and its
-        cost is not computed. softplus(-m) <= |m| + ln 2, and every margin
-        has |m| <= max|b| * max|a_i| * |q|, so the cost is finite wherever
-        sum|w| * (that bound + 1) stays under COST_LIMIT; a row past it is
-        query_grad's, cost and all. Squared loss: the Gram form, from
-        normal_equations computed here once, so each call is a few (s, d')
-        products; it agrees with query_grad to about 1e-13 relative.
-        query_grad squares every residual a.q - b, so it overflows while the
-        Gram form's total is still finite: a row where some residual could
-        pass RESIDUAL_LIMIT is query_grad's, and the two forms go non-finite
-        at the same rows.
+        One bound proves a row's cost finite for both families. With
+        reach = max|a_i| and offset = max|b_i|, a row is near when
+        reach * |q| + offset <= RESIDUAL_LIMIT / sqrt(W), W = max(1, sum|w|).
+        There every residual |a.q - b| is at most RESIDUAL_LIMIT / sqrt(W)
+        and every logistic margin |b a.q| <= offset * reach * |q| at most
+        its square, so either total cost is at most about 1e300 + W. A near
+        row gets its gradient alone: the logistic slope pass, query_grad's
+        bit for bit, or the squared loss's Gram form 2 (G q - h), from
+        normal_equations computed here once, which agrees with query_grad
+        to about 1e-13 relative. Every other row (far, or with a nan or inf
+        bound) is query_grad's, cost and all, and is finite when it and its
+        cost are.
 
         The set is checked (core.set_arrays) and augmented here, once.
         """
@@ -331,51 +326,39 @@ class LossModel:
         # |a.q| <= reach * |q| for every point
         reach = math.sqrt(np.max(np.einsum("ij,ij->i", a, a)))
         offset = float(np.max(np.abs(labels)))
-        if self.kind == LOGISTIC:
-            # |m| <= offset * reach * |q| at every point
-            limit = COST_LIMIT / max(1.0, float(np.sum(np.abs(weights))))
-
-            def grads(queries):
-                queries = query_matrix(queries, "queries", a.shape[1])
-                finite = np.ones(queries.shape[0], dtype=bool)
-                grad = np.empty(queries.shape)
-                bound = offset * reach * np.linalg.norm(queries, axis=1) + 1.0
-                for i, q in enumerate(queries):
-                    if bound[i] <= limit:
-                        # query_grad's gradient, in its order, without the cost
-                        m = a @ q
-                        m *= labels
-                        dz = _softplus_terms(m, True)[1]
-                        dz *= labels
-                        grad[i] = a.T @ (weights * dz)
-                    else:  # past the limit, or a nan bound
-                        cost, grad[i] = self.query_grad(points, labels,
-                                                        weights, q)
-                        finite[i] = math.isfinite(cost)
-                return finite, grad
-            return grads
-        G, h, c = self.normal_equations(points, labels, weights)
-        # |a.q - b| <= reach * |q| + offset for every point
-        limit = RESIDUAL_LIMIT / math.sqrt(max(1.0, float(np.sum(weights))))
+        limit = RESIDUAL_LIMIT / math.sqrt(max(1.0, np.abs(weights).sum()))
+        if self.kind == LINEAR:
+            G, h = self.normal_equations(points, labels, weights)
 
         def grads(queries):
             queries = query_matrix(queries, "queries", a.shape[1])
-            half = queries @ G.T - h  # G q - h at every row
-            costs = np.einsum("ij,ij->i", queries, half - h) + c
-            grad = 2.0 * half
-            near = reach * np.linalg.norm(queries, axis=1) + offset > limit
-            for i in np.flatnonzero(near):
-                costs[i], grad[i] = self.query_grad(points, labels, weights,
-                                                    queries[i])
-            return np.isfinite(costs), grad
+            near = reach * np.linalg.norm(queries, axis=1) + offset <= limit
+            finite = np.ones(queries.shape[0], dtype=bool)
+            if self.kind == LINEAR:
+                grad = 2.0 * (queries @ G.T - h)
+            else:
+                grad = np.empty(queries.shape)
+                for i in np.flatnonzero(near):
+                    # query_grad's gradient, in its order, without the cost
+                    m = a @ queries[i]
+                    m *= labels
+                    dz = _softplus_terms(m, True)[1]
+                    dz *= labels
+                    grad[i] = a.T @ (weights * dz)
+            # far, or a nan or inf bound
+            for i, q in zip(np.flatnonzero(~near), queries[~near]):
+                cost, grad[i] = self.query_grad(points, labels, weights, q)
+                # an infinite row's cost can be finite: softplus(-inf) is 0
+                finite[i] = math.isfinite(cost) and np.isfinite(q).all()
+            return finite, grad
         return grads
 
     def normal_equations(self, points, labels, weights):
-        """A weighted set's statistics (G, h, c) = (A^T W A, A^T W b,
-        b^T W b), A the augmented features: the squared loss's total cost
-        at q is q^T G q - 2 h^T q + c, and G q = h at its minimizers."""
+        """A weighted set's statistics (G, h) = (A^T W A, A^T W b), A the
+        augmented features: the squared loss's total cost has gradient
+        2 (G q - h) at q, and G q = h at its minimizers."""
         points, labels, weights = set_arrays(points, labels, weights)
         a = self.augment(points)
         G = a.T @ (weights[:, None] * a)
         h = a.T @ (weights * labels)
-        return G, h, float(labels @ (weights * labels))
+        return G, h

@@ -58,13 +58,13 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
 
     The starts are drawn up front, in start order, and step together: each
     step takes the live starts' iterates as one (starts, d') matrix to
-    loss.query_grads, which returns whether each cost is finite and each
-    gradient; the cost itself is never needed. For the logistic loss each
-    gradient is query_grad's, bit for bit, and the cost is computed only
-    where a bound on it cannot prove it finite. For squared loss it is the
-    Gram form, O(d'^2) per iterate after one pass over the data. It serves
-    this step only, and moves an iterate from the direct form's by at most
-    about 1e-13 relative to its norm; a diverging start still stops at the
+    loss.query_grads, which returns whether each iterate and its cost are
+    finite and each gradient; the pool computes no cost, and query_grads
+    computes one only where its bound cannot prove it finite. For the
+    logistic loss each gradient is query_grad's, bit for bit. For squared
+    loss it is the Gram form, O(d'^2) per iterate after one pass over the
+    data, which moves an iterate from the direct form's by at most about
+    1e-13 relative to its norm; a diverging start still stops at the
     direct form's iterate.
     """
     check_count(n_starts, "n_starts", 1)
@@ -85,12 +85,8 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
         q = q - gd_lr * g
         # the cost's finiteness is the backstop: a nan gradient beside a
         # finite cost makes the next iterate non-finite, which truncates
-        ok = np.zeros(live.size, dtype=bool)
-        g = np.empty_like(q)
-        finite = np.all(np.isfinite(q), axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
-            if finite.any():
-                ok[finite], g[finite] = grads(q[finite])
+            ok, g = grads(q)
             before, size = size, np.linalg.norm(g, axis=1)
         ok &= ~(size > before + slack)
         length[live[~ok]] = step

@@ -175,7 +175,7 @@ def test_singular_normal_matrix_falls_back_to_ridge(linreg):
     """A one-point set in two dimensions has a singular G: the solve warns
     and is that of G + 1e-10 I, bit for bit."""
     P = WeightedLabeledSet([[1.0, 2.0]], [1.0], [3.0])
-    G, h, _ = linreg.normal_equations(P.points, P.labels, P.weights)
+    G, h = linreg.normal_equations(P.points, P.labels, P.weights)
     with pytest.warns(UserWarning, match="singular normal matrix"):
         res = solve_optimal(P, linreg)
     assert np.array_equal(res.params, np.linalg.solve(G + 1e-10 * np.eye(2), h))
@@ -198,7 +198,7 @@ def test_solver_stop_does_not_depend_on_scale(linreg, scale):
         warnings.simplefilter("error")
         res = solve_optimal(P, linreg)
     assert res.converged
-    G, h, _ = linreg.normal_equations(P.points, P.labels, P.weights)
+    G, h = linreg.normal_equations(P.points, P.labels, P.weights)
     assert np.allclose(res.params, np.linalg.solve(G, h), rtol=1e-12, atol=0)
 
 
@@ -221,7 +221,7 @@ def test_solver_stops_when_the_line_search_stalls(linreg, monkeypatch):
     with pytest.warns(UserWarning, match="line search stalled"):
         res = solve_optimal(P, linreg)
     assert not res.converged and res.iterations < 20
-    G, h, _ = linreg.normal_equations(P.points, P.labels, P.weights)
+    G, h = linreg.normal_equations(P.points, P.labels, P.weights)
     assert np.allclose(res.params, np.linalg.solve(G, h), rtol=1e-12, atol=0)
 
 

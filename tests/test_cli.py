@@ -811,3 +811,25 @@ def test_resolve_dataset_names_the_synth_block():
     with pytest.raises(ConfigError, match=r"^dataset\.synth: n must be an integer, "
                                           r"got 2\.5$"):
         resolve_dataset(cfg)
+
+
+def test_resolve_dataset_normalizes_once(tmp_path):
+    """A CSV data set is load_dataset's, weights and all, bit for bit: seven
+    weights of 1 normalized a second time would move their last bits. A
+    synthetic one is make_synthetic's, normalized."""
+    from corelearn.cli import DEFAULT_CONFIG, resolve_dataset
+    path = tmp_path / "d.csv"
+    path.write_text("".join(f"{i * 0.5},{i % 3}\n" for i in range(7)))
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg["dataset"].update(path=str(path),
+                          schema={"features": ["0"], "label": "1"})
+    data, _ = resolve_dataset(cfg)
+    ref = load_dataset(path, Schema(["0"], "1"))
+    for name in ("points", "weights", "labels"):
+        assert getattr(data, name).tobytes() == getattr(ref, name).tobytes()
+    synth = copy.deepcopy(DEFAULT_CONFIG)
+    data, _ = resolve_dataset(synth)
+    s = synth["dataset"]["synth"]
+    ref = make_synthetic(s["task"], s["n"], s["d"], s["noise"],
+                         seed=synth["seed"]).normalized()
+    assert data.weights.tobytes() == ref.weights.tobytes()

@@ -501,6 +501,20 @@ _REJECTIONS = [
     ("bounds-without-M", lambda tmp, mp: _handler(
         ["bounds", "--eps", "0.1", "--delta", "0.05"]),
      ConfigError, "give --M or --estimate-M"),
+    # bounds reads a config and a seed only to estimate M, and refuses
+    # flags it would ignore before it reads any file
+    ("bounds-seed-without-estimate-M", lambda tmp, mp: _handler(
+        ["bounds", "--eps", "0.1", "--delta", "0.05", "--M", "1",
+         "--seed", "5"]),
+     ConfigError, "--config and --seed are read only with --estimate-M"),
+    ("bounds-config-without-estimate-M", lambda tmp, mp: _handler(
+        ["bounds", "--eps", "0.1", "--delta", "0.05", "--M", "1",
+         "--config", str(tmp / "none.json")]),
+     ConfigError, "--config and --seed are read only with --estimate-M"),
+    ("bounds-M-and-estimate-M", lambda tmp, mp: _handler(
+        ["bounds", "--eps", "0.1", "--delta", "0.05", "--M", "1",
+         "--estimate-M", "--config", str(tmp / "none.json")]),
+     ConfigError, "give --M or --estimate-M, not both"),
     ("no-dataset", lambda tmp, mp: _config(tmp, '{"dataset": {"synth": null}}'),
      ConfigError, "dataset needs either a path or a synth block"),
     ("path-without-schema", lambda tmp, mp: resolve_dataset(

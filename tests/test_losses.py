@@ -125,10 +125,11 @@ def test_one_query_costs_reduce_like_set_costs(shape, kind, intercept):
 # gradient norm: measured at most 4.0e-15 on these shapes.
 GRAM_RTOL = 1e-12
 
-# Far rows, where a residual (squared loss) or the cost's bound (logistic)
-# passes query_grads' limit, so each row is query_grad's
-FAR_SCALES = {"linear_regression": (1e160,),
-              "logistic_regression": (1e300, 1e307)}
+# Far rows, past query_grads' one bound for both losses, so each row is
+# query_grad's. At 1e152 every cost is still finite, and a logistic row
+# would be near by a bound on the margin alone; from 1e160 on the norm in
+# the bound overflows, and every squared loss's cost does too.
+FAR_SCALES = (1e152, 1e160, 1e300, 1e307)
 
 
 @pytest.mark.parametrize("intercept", [False, True])
@@ -145,7 +146,7 @@ def test_query_grads_match_query_grad(shape, kind, intercept, monkeypatch):
     direct = LossModel.query_grad
     monkeypatch.setattr(LossModel, "query_grad",
                         lambda *args: calls.append(1) or direct(*args))
-    far = np.concatenate([qm * scale for scale in FAR_SCALES[kind]])
+    far = np.concatenate([qm * scale for scale in FAR_SCALES])
     with np.errstate(over="ignore", invalid="ignore"):
         finite, got = grads(qm)
         assert not calls
@@ -164,8 +165,9 @@ def test_query_grads_match_query_grad(shape, kind, intercept, monkeypatch):
                     <= GRAM_RTOL * np.linalg.norm(ref_grad))
     assert np.array_equal(far_finite, [math.isfinite(c) for c, _ in far_ref])
     assert np.array_equal(far_got, [g for _, g in far_ref], equal_nan=True)
+    assert far_finite[:len(qm)].all()
     if kind == "linear_regression":
-        assert not far_finite.any()
+        assert not far_finite[len(qm):].any()
 
 
 @pytest.mark.parametrize("kind", ["linear_regression", "logistic_regression"])
@@ -187,11 +189,10 @@ def test_query_grads_check_their_inputs(kind):
 @pytest.mark.parametrize("intercept", [False, True])
 def test_normal_equations_are_the_sets_statistics(intercept):
     loss, S, _ = seeded_problem(SEEDED_SHAPES[0], "linear_regression", intercept)
-    G, h, c = loss.normal_equations(S.points, S.labels, S.weights)
+    G, h = loss.normal_equations(S.points, S.labels, S.weights)
     a = loss.augment(S.points)
     assert np.allclose(G, a.T @ np.diag(S.weights) @ a)
     assert np.allclose(h, a.T @ (S.weights * S.labels))
-    assert c == pytest.approx(np.sum(S.weights * S.labels ** 2))
     with pytest.raises(ContractError, match="weights have shape"):
         loss.normal_equations(S.points, S.labels, S.weights[1:])
 

@@ -253,6 +253,27 @@ def _pool_and_warnings(make_pool):
     return pool, [str(w.message) for w in caught]
 
 
+def test_an_iterate_past_float_range_cuts_its_start():
+    """A logistic step past float range on separable data makes every
+    margin +inf, where query_grad's cost is 0: query_grads flags the
+    infinite row all the same, so its start stops there with a warning, as
+    in the per-start loop, and the pool stays finite."""
+    x = np.array([[10.0], [20.0], [-15.0], [-30.0]])
+    P = WeightedLabeledSet(x, np.full(4, 0.25), np.sign(x[:, 0]))
+    loss = LossModel("logistic_regression")
+    with np.errstate(invalid="ignore"):
+        assert loss.query_grad(P.points, P.labels, P.weights, [np.inf])[0] == 0
+        finite, _ = loss.query_grads(P.points, P.labels, P.weights)([[np.inf]])
+    assert not finite.any()
+    args = (P, loss, 2, 3, 1.7e308, 0)
+    with np.errstate(over="ignore"):
+        pool, caught = _pool_and_warnings(
+            lambda: trajectory_queries(*args[:4], gd_lr=args[4], seed=0))
+        ref, ref_caught = _pool_and_warnings(lambda: _per_start_pool(*args))
+    assert caught == ref_caught == ["trajectory 0 diverged; truncating"]
+    assert np.isfinite(pool).all() and np.array_equal(pool, ref)
+
+
 # The Gram form's pool against the per-start loop, as the largest row-norm
 # relative deviation: measured at most 5.1e-14 on the cases below, 7.5e-14
 # on a 5000-point pool with an intercept (20 starts of 119 steps).
