@@ -86,9 +86,9 @@ def query_matrix(queries, name, width=None) -> np.ndarray:
 
 
 def split_matrix(queries, name, width) -> np.ndarray:
-    """query_matrix(queries, name, width) of a split that a metric or an
-    objective averages over: one with no queries is a ContractError naming
-    it, since no average over it is defined."""
+    """query_matrix(queries, name, width) of a query set that a metric, an
+    objective or a bound is taken over: one with no queries is a
+    ContractError naming it, since no average or bound over it is defined."""
     qm = query_matrix(queries, name, width)
     if not qm.shape[0]:
         raise ContractError(f"{name} holds no queries")
@@ -253,11 +253,8 @@ class MeasurableQuerySpace:
     measure: np.ndarray
 
     def __post_init__(self):
-        qm = np.array(query_matrix(self.universe, "universe"))
-        if qm.size == 0:
-            raise ContractError(f"universe must be a non-empty (size, d') "
-                                f"matrix, got shape {qm.shape}")
-        qm = query_matrix(qm, "universe", self.loss.query_dim(self.ground.dim))
+        qm = np.array(split_matrix(self.universe, "universe",
+                                   self.loss.query_dim(self.ground.dim)))
         if not np.all(np.isfinite(qm)):
             raise ContractError("non-finite entries in universe")
         qm.flags.writeable = False
@@ -327,12 +324,17 @@ def set_costs(dataset, loss, queries) -> np.ndarray:
     """Total cost of a weighted set at every row of a query matrix, shape
     (k,): the one checked cost path.
 
-    One blocked loss.costs evaluation. Negative weights raise ContractError
-    and a non-finite cost raises NumericError.
+    One blocked loss.costs evaluation. Negative weights and a non-finite
+    query entry (naming its row) raise ContractError, a non-finite cost
+    NumericError.
     """
     if np.any(dataset.weights < 0):
         raise ContractError("weights must be nonnegative")
-    costs = loss.costs(dataset.points, dataset.labels, dataset.weights, queries)
+    qm = query_matrix(queries, "queries", loss.query_dim(dataset.dim))
+    bad = ~np.isfinite(qm).all(axis=1)
+    if np.any(bad):
+        raise ContractError(f"non-finite entries in query {int(np.argmax(bad))}")
+    costs = loss.costs(dataset.points, dataset.labels, dataset.weights, qm)
     bad = ~np.isfinite(costs)
     if np.any(bad):
         raise NumericError(f"non-finite total cost at query {int(np.argmax(bad))}")
@@ -365,6 +367,18 @@ def floored(qm: np.ndarray, f_p: np.ndarray):
     f_C / f_P is defined: their matrix, their costs and the number dropped."""
     keep = f_p > RATIO_FLOOR
     return qm[keep], f_p[keep], int(np.sum(~keep))
+
+
+def floored_split(dataset, loss, queries, name):
+    """A ratio average's split: split_matrix, scored on the data set and
+    floored. One with no query above RATIO_FLOOR, over which no average is
+    defined, is a ContractError naming it and the number dropped."""
+    qm = split_matrix(queries, name, loss.query_dim(dataset.dim))
+    qm, f_p, dropped = floored(*scored(dataset, loss, qm, name))
+    if not qm.shape[0]:
+        raise ContractError(f"{name} has no query above the ratio floor: "
+                            f"all {dropped} dropped")
+    return qm, f_p, dropped
 
 
 def expected_cost(space: MeasurableQuerySpace) -> float:

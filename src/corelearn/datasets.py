@@ -16,11 +16,9 @@ class DatasetError(ValueError):
     """Unreadable or malformed dataset file."""
 
 
-# make_synthetic's task names, each with the loss kind its labels are for
-SYNTHETIC_TASKS = {
-    "linear": LINEAR, "linreg": LINEAR, LINEAR: LINEAR,
-    "logistic": LOGISTIC, "logreg": LOGISTIC, LOGISTIC: LOGISTIC,
-}
+# make_synthetic's tasks, one name each (it labels the task's random
+# stream), with the loss kind their labels are for
+SYNTHETIC_TASKS = {"linear": LINEAR, "logistic": LOGISTIC}
 
 
 @dataclass
@@ -183,7 +181,8 @@ def make_synthetic(task: str, n: int, d: int, noise: float = 0.1,
     The task is a key of SYNTHETIC_TASKS.
     """
     if not isinstance(task, str) or task not in SYNTHETIC_TASKS:
-        raise DatasetError(f"unknown synthetic task {task!r}")
+        raise DatasetError(f"unknown synthetic task {task!r}, expected "
+                           + " or ".join(map(repr, SYNTHETIC_TASKS)))
     check_count(n, "n", 1)
     check_count(d, "d", 1)
     check_real(noise, "noise", closed=True)

@@ -13,9 +13,8 @@ import numpy as np
 
 from . import baselines, learner
 from .core import (RATIO_FLOOR, Coreset, ContractError, DegenerateInputError,
-                   WeightedLabeledSet, check_coreset, check_count, floored,
-                   query_matrix, remember, scored, set_cost, set_costs,
-                   split_matrix)
+                   WeightedLabeledSet, check_coreset, check_count,
+                   floored_split, remember, scored, set_cost, set_costs)
 from .datasets import write_csv
 from .losses import LossModel
 
@@ -70,14 +69,11 @@ def err_avg(P: WeightedLabeledSet, coreset: Coreset, loss: LossModel,
     test split floored at RATIO_FLOOR.
 
     Queries with full-data cost below the ratio floor are excluded; the
-    excluded count is part of the result. A Q_test with no queries is a
-    ContractError, one whose every query is excluded a DegenerateInputError.
+    excluded count is part of the result. A Q_test with no queries, or none
+    above the floor, is a ContractError naming it (core.floored_split).
     """
     check_coreset(P, coreset)
-    qm = split_matrix(Q_test, "Q_test", loss.query_dim(P.dim))
-    qm, f_p, filtered = floored(*scored(P, loss, qm, "Q_test"))
-    if qm.shape[0] == 0:
-        raise DegenerateInputError("all test queries filtered; metric undefined")
+    qm, f_p, filtered = floored_split(P, loss, Q_test, "Q_test")
     return ErrAvg(learner._ratio_term(set_costs(coreset, loss, qm), f_p)[0],
                   filtered)
 
@@ -154,8 +150,8 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
     Each cell builds its coreset (a learned one through train) and calls
     err_opt and err_avg. What they compute from P alone (each split's
     full-data costs, f(P, q*)) is kept on P before the cells start, so no
-    cell's wall_time_s includes it. A cell's failure, one in that shared
-    work included, is recorded in its row and warned, not raised.
+    cell's wall_time_s includes it. A cell's failure, or one in that shared
+    work but a ContractError (below), is recorded in its row and warned.
 
     The cells are dealt round robin, in cell order, into W = min(usable
     CPUs, cells) shares. This process runs share 0 and W - 1 forked workers
@@ -173,17 +169,15 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
     learned cells. Arguments that sweep_cells rejects are a ContractError
     before any cell runs, and so is a split the cells read (Q_test, and
     Q_train and Q_val, which may be None, where a method is learned) that
-    is not a query matrix of width loss.query_dim(P.dim), or Q_test or
-    Q_train with no queries, naming it.
+    is not a query matrix of width loss.query_dim(P.dim), or a Q_test or
+    Q_train that core.floored_split rejects, naming it.
     """
     cells = sweep_cells(sizes, methods, n_trials)
     check_count(base_seed, "base_seed")
-    learned = any(method == METHOD_LEARNED for _, method, _ in cells)
-    width = loss.query_dim(P.dim)
-    Q_test = split_matrix(Q_test, "Q_test", width)
-    if learned:
-        Q_train = split_matrix(Q_train, "Q_train", width)
-        Q_val = Q_val if Q_val is None else query_matrix(Q_val, "Q_val", width)
+    splits = [("Q_test", Q_test, floored_split)]
+    if any(method == METHOD_LEARNED for _, method, _ in cells):
+        splits.append(("Q_train", Q_train, floored_split))
+        splits += [] if Q_val is None else [("Q_val", Q_val, scored)]
 
     def cell(key):
         """A cell's row, training report (None unless learned) and
@@ -214,7 +208,7 @@ def sweep(P: WeightedLabeledSet, loss: LossModel, sizes, methods,
         return row, report if row["ok"] else None, [
             (w.message, w.category, w.filename, w.lineno) for w in caught]
 
-    _keep_shared_work(P, loss, ([Q_train, Q_val] if learned else []) + [Q_test])
+    _keep_shared_work(P, loss, splits)
     n_shares = min(_usable_cpus(), len(cells))
     results = _run_shares(cell, [cells[i::n_shares] for i in range(n_shares)])
     # each file's module, which filters match (warn_explicit drops None)
@@ -239,15 +233,18 @@ class WorkerLostError(RuntimeError):
 
 def _keep_shared_work(P: WeightedLabeledSet, loss: LossModel, splits) -> None:
     """Keep on P what the cells would compute from it alone: the costs of
-    the splits they score (None for one that is absent) and f(P, q*), which
-    every cell's metrics read."""
-    work = [lambda q=q: scored(P, loss, q) for q in splits if q is not None]
+    the splits they read, each (name, queries, rule) by its rule, and
+    f(P, q*), which every cell's metrics read. A ContractError is raised;
+    another failure is not kept, so each cell that reads the result meets
+    it again and records it."""
+    work = [lambda n=n, q=q, rule=rule: rule(P, loss, q, n)
+            for n, q, rule in splits]
     work.append(lambda: _optimal_cost(P, loss))
-    # a failure is not kept, so each cell that reads the result meets it
-    # again and records it
     for compute in work:
         try:
             compute()
+        except ContractError:
+            raise
         except Exception:  # noqa: BLE001
             pass
 

@@ -56,8 +56,8 @@ import numpy as np
 
 # the benchmark harness imports RATIO_FLOOR from here
 from .core import (RATIO_FLOOR, Coreset, ContractError, NumericError,
-                   WeightedLabeledSet, check_count, check_real, floored, scored,
-                   split_matrix, stream_rng)
+                   WeightedLabeledSet, check_count, check_real, floored,
+                   floored_split, scored, stream_rng)
 from .losses import LossModel
 
 # global-norm bound on each step's gradient
@@ -195,7 +195,7 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
          cfg: TrainConfig, term):
     """Adam on the coreset (C, u, y), held as views into one float64 vector.
 
-    Q_train (a ContractError if empty) and Q_val are scored on P and floored at
+    Q_train (by core.floored_split) and Q_val are scored on P and floored at
     RATIO_FLOOR; dropped training queries warn. term(costs, f_p) is the data
     term: it maps the coreset's costs on a set of queries and the data's costs
     f_p on them to the term and its derivative with respect to the coreset's
@@ -205,13 +205,10 @@ def _fit(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel,
     survives, by its train loss otherwise (see TrainReport). Returns the
     best-scored epoch's coreset and the report.
     """
-    qm = split_matrix(Q_train, "Q_train", loss.query_dim(P.dim))
-    qm, f_p, n_dropped = floored(*scored(P, loss, qm, "Q_train"))
+    qm, f_p, n_dropped = floored_split(P, loss, Q_train, "Q_train")
     if n_dropped:
         warnings.warn(
             f"dropping {n_dropped} training queries with near-zero full-data cost")
-    if qm.shape[0] < 1:
-        raise ContractError("no usable training queries above the ratio floor")
     # the queries that score an epoch and their data costs: validation's
     # when any survive the floor, training's otherwise
     score_qm, score_f_p = qm, f_p
@@ -347,7 +344,8 @@ def train(P: WeightedLabeledSet, Q_train, Q_val, loss: LossModel, cfg: TrainConf
     through minibatches of cfg.batch_size (one of every query, in their
     given order, when it holds them all), and return the best-scored
     epoch's coreset and its TrainReport: by Q_val's data term when any of
-    it survives the floor, by the training objective otherwise.
+    it survives the floor, by the training objective otherwise. A Q_train
+    with no queries, or none above the floor, is a ContractError.
     """
     if cfg.algorithm == ALG_AVERAGE:
         return autocl_average(P, Q_train, Q_val, loss, cfg)

@@ -52,9 +52,10 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
 
     Each of n_starts Gaussian initializations contributes its starting point
     plus the iterate after every step; the rows are start-major. A
-    trajectory diverges at the first iterate whose gradient norm grows (see
-    GROWTH_RTOL) or whose entries or cost are not finite, and is truncated
-    before it, with a warning; the warnings come in start order.
+    trajectory diverges at the first iterate, its start included, whose
+    entries, cost or gradient norm are not finite or whose gradient norm
+    grows (see GROWTH_RTOL), and is truncated before it, with a warning;
+    the warnings come in start order.
 
     The starts are drawn up front, in start order, and step together: each
     step takes the live starts' iterates as one (starts, d') matrix to
@@ -74,21 +75,18 @@ def trajectory_queries(P: WeightedLabeledSet, loss: LossModel, n_starts: int,
     rng = stream_rng(seed, "trajectory_queries")
     q = init_scale * rng.standard_normal((n_starts, loss.query_dim(P.dim)))
     path = np.empty((n_starts, steps_per_start + 1, q.shape[1]))
-    path[:, 0] = q
     length = np.full(n_starts, steps_per_start + 1)
     grads = loss.query_grads(P.points, P.labels, P.weights)
     live = np.arange(n_starts)
-    _, g = grads(q)
-    size = np.linalg.norm(g, axis=1)
-    slack = GROWTH_RTOL * size
-    for step in range(1, steps_per_start + 1):
-        q = q - gd_lr * g
-        # the cost's finiteness is the backstop: a nan gradient beside a
-        # finite cost makes the next iterate non-finite, which truncates
+    size = np.full(n_starts, np.inf)
+    for step in range(steps_per_start + 1):
         with np.errstate(over="ignore", invalid="ignore"):
+            if step:
+                q = q - gd_lr * g
             ok, g = grads(q)
             before, size = size, np.linalg.norm(g, axis=1)
-        ok &= ~(size > before + slack)
+        slack = slack if step else GROWTH_RTOL * size
+        ok &= np.isfinite(size) & ~(size > before + slack)
         length[live[~ok]] = step
         path[live[ok], step] = q[ok]
         live, q, g, size, slack = (live[ok], q[ok], g[ok], size[ok],

@@ -44,6 +44,7 @@ from .core import (
     expected_cost,
     scored,
     set_costs,
+    split_matrix,
     stream_rng,
 )
 
@@ -91,13 +92,13 @@ def estimate_M(dataset, loss, query_pool, level: str = "set") -> float:
     """Empirical loss bound over a query pool, times a 1.1 safety factor:
     the max over queries of the weighted total cost. level is "set", the
     one level there is. A finite pool underestimates a true supremum, hence
-    the safety factor.
+    the safety factor. A pool with no queries is a ContractError
+    (core.split_matrix).
     """
     if level != "set":
         raise ContractError(f"unknown level {level!r}")
-    qm, costs = scored(dataset, loss, query_pool, "query_pool")
-    if qm.shape[0] < 1:
-        raise ContractError("query pool must be non-empty")
+    qm = split_matrix(query_pool, "query_pool", loss.query_dim(dataset.dim))
+    costs = scored(dataset, loss, qm, "query_pool")[1]
     return M_SAFETY * float(np.max(np.abs(costs)))
 
 

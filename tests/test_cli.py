@@ -14,7 +14,7 @@ from corelearn.cli import (
     run_experiment,
     validate_config,
 )
-from corelearn import ContractError, Coreset
+from corelearn import ContractError, Coreset, evaluate, learner
 from corelearn.cli import _load_coreset, _save_coreset
 from corelearn.datasets import DatasetError, Schema, load_dataset, make_synthetic
 from corelearn.learner import TrainConfig
@@ -284,6 +284,9 @@ _SCHEMA = {"features": ["0"], "label": "1"}
     ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
     ({"dataset": {"synth": {"task": "linear", "n": 0, "d": 2}}},
      "dataset.synth: n must be >= 1, got 0"),
+    ({"dataset": {"synth": {"task": "logreg", "n": 20, "d": 2}}},
+     "dataset.synth: unknown synthetic task 'logreg', expected 'linear' or "
+     "'logistic'"),
     ({"learner": {"epochs": 2.5}}, "learner.epochs must be an integer, got 2.5"),
     ({"learner": {"epochs": "ten"}},
      "learner.epochs must be an integer, got 'ten'"),
@@ -308,7 +311,8 @@ _SCHEMA = {"features": ["0"], "label": "1"}
      "learner.learning_rate must be a finite number, got nan"),
     ({"learner": {"lambda": float("inf")}},
      "learner.lambda must be a finite number, got inf"),
-], ids=["trials-str", "seed-str", "synth-n-zero", "epochs-float", "epochs-type",
+], ids=["trials-str", "seed-str", "synth-n-zero", "synth-task-alias",
+        "epochs-float", "epochs-type",
         "n_starts-str", "split-float", "lambda-bool", "dir-null", "path-bool",
         "path-int", "path-list", "schema-str", "synth-int", "weight-int",
         "learning_rate-nan", "lambda-inf"])
@@ -561,19 +565,55 @@ def test_split_subcommands_reject_a_split_above_the_pool(tmp_path, capsys,
     assert "requested 110 queries from a pool of 42" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["experiment"],
-                                  ["eval", "--coreset", "{tmp}/c.csv"]],
-                         ids=["experiment", "eval"])
-def test_a_test_split_with_no_queries_is_a_usage_error(tmp_path, capsys, argv):
-    """No metric is defined over no test queries: exit 1 before any cell,
-    and the experiment writes no directory."""
-    path = _write_config(tmp_path, queries={
-        "n_starts": 2, "steps_per_start": 14, "split": [20, 5, 0]})
-    (tmp_path / "c.csv").write_text("x0,x1,weight,label\n0.1,0.2,1.0,1.0\n")
+def _nothing_to_average(tmp_path, case):
+    """A config whose test split has no queries ("empty"), or whose
+    training and test splits have none above the ratio floor ("floored"):
+    separable 1-d logistic data, |x| >= 10, where gradient descent at
+    gd_lr 100 goes so far that every full-data cost of the splits at seed
+    10 falls below the floor. The coreset c.csv fits the config's data."""
+    if case == "empty":
+        (tmp_path / "c.csv").write_text("x0,x1,weight,label\n0.1,0.2,1.0,1.0\n")
+        return _write_config(tmp_path, queries={
+            "n_starts": 2, "steps_per_start": 14, "split": [20, 5, 0]})
+    (tmp_path / "c.csv").write_text("x0,weight,label\n10.0,1.0,1.0\n")
+    rows = [f"{(10 + i / 4) * (-1) ** i!r},{i % 2 ^ 1}" for i in range(40)]
+    (tmp_path / "sep.csv").write_text("\n".join(rows) + "\n")
+    return _write_config(
+        tmp_path, seed=10,
+        dataset={"path": str(tmp_path / "sep.csv"),
+                 "schema": {"features": ["0"], "label": "1",
+                            "binary_label": True}},
+        queries={"n_starts": 2, "steps_per_start": 20, "gd_lr": 100,
+                 "split": [20, 5, 5]},
+        sweep={"sizes": [3], "methods": ["learned", "uniform"], "trials": 1})
+
+
+_FLOORED = "has no query above the ratio floor: all"
+
+
+@pytest.mark.parametrize("case, argv, message", [
+    ("empty", ["experiment"], "Q_test holds no queries"),
+    ("empty", ["eval", "--coreset", "{tmp}/c.csv"], "Q_test holds no queries"),
+    ("floored", ["experiment"], f"Q_test {_FLOORED} 5 dropped"),
+    ("floored", ["learn", "--size", "3"], f"Q_train {_FLOORED} 20 dropped"),
+    ("floored", ["eval", "--coreset", "{tmp}/c.csv"],
+     f"Q_test {_FLOORED} 5 dropped"),
+], ids=["empty-experiment", "empty-eval", "floored-experiment",
+        "floored-learn", "floored-eval"])
+def test_a_split_with_nothing_to_average_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, case, argv, message):
+    """No metric or objective is defined over a split with no queries, or,
+    for a ratio average, none above the floor: exit 1 before any training
+    or cell, and no directory written."""
+    trained = []
+    monkeypatch.setattr(learner, "init_coreset",
+                        lambda *args: trained.append(args))
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+    path = _nothing_to_average(tmp_path, case)
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert main([argv[0], "--config", str(path), *argv[1:]]) == 1
-    assert capsys.readouterr().err == "error: Q_test holds no queries\n"
-    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists() and trained == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -255,6 +255,24 @@ def test_set_costs_matches_set_cost_and_keeps_its_checks(linreg):
         set_costs(huge, linreg, [[1e200]])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_set_costs_rejects_a_non_finite_query(logreg, bad):
+    """On separable data the logistic cost at q = inf is 0 (softplus(-inf)),
+    a cost no query has: the checked cost path rejects the row, naming it,
+    while the loss kernels, which the pool's far rows and the Newton line
+    search step through, still take it."""
+    P = WeightedLabeledSet([[10.0], [20.0], [-15.0], [-30.0]],
+                           np.full(4, 0.25), [1.0, 1.0, -1.0, -1.0])
+    with pytest.raises(ContractError, match="^non-finite entries in query 1$"):
+        set_costs(P, logreg, [[1.0], [bad], [2.0]])
+    with pytest.raises(ContractError, match="^non-finite entries in query 0$"):
+        set_cost(P, logreg, [bad])
+    with np.errstate(invalid="ignore"):
+        assert logreg.costs(P.points, P.labels, P.weights, [[bad]]).shape == (1,)
+        grad = logreg.query_grad(P.points, P.labels, P.weights, [bad])[1]
+    assert grad.shape == (1,)
+
+
 def test_measure_must_sum_to_one(tiny_set, linreg):
     with pytest.raises(ContractError):
         MeasurableQuerySpace(tiny_set, linreg, (Query([1.0]),), [0.9])
@@ -300,8 +318,8 @@ def test_universe_of_queries_is_its_matrix(linreg):
 
 
 @pytest.mark.parametrize("universe, message", [
-    ((), "non-empty"),
-    (np.zeros((0, 2)), "non-empty"),
+    ((), "^universe holds no queries$"),
+    (np.zeros((0, 2)), "^universe holds no queries$"),
     ([1.0, 2.0], r"matrix, got shape \(2,\)"),
     ([[1.0], [np.nan]], "non-finite entries in universe"),
     ([["a"]], "not numbers"),

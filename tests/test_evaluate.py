@@ -19,6 +19,7 @@ from corelearn import (
     baselines,
     err_avg,
     err_opt,
+    estimate_M,
     leverage_coreset,
     solve_optimal,
     sweep,
@@ -134,7 +135,8 @@ def test_metrics_scale_invariance(linreg):
 
 def test_err_avg_all_filtered(linreg):
     P = WeightedLabeledSet([[1.0]], [1.0], [0.0])
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ContractError, match="^Q_test has no query above the "
+                       "ratio floor: all 1 dropped$"):
         err_avg(P, Coreset([[1.0]], [1.0], [0.0]), linreg, np.array([[0.0]]))
 
 
@@ -439,34 +441,6 @@ def _separable():
     return P, moderate, far
 
 
-def _separable_sweep(logreg, Q_train, Q_test, P):
-    cfg = TrainConfig(epochs=2, batch_size=10, learning_rate=0.02, seed=0)
-    with pytest.warns(UserWarning, match="trial failed"):
-        return sweep(P, logreg, [8], METHODS, 2, 4, Q_train, Q_train[:5],
-                     Q_test, cfg)
-
-
-def test_sweep_records_filtered_test_split_per_cell(logreg):
-    P, moderate, far = _separable()
-    table = _separable_sweep(logreg, moderate, far, P)
-    assert len(table.rows) == 6
-    for row in table.rows:
-        assert not row["ok"]
-        assert row["error"] == "all test queries filtered; metric undefined"
-
-
-def test_sweep_records_filtered_train_split_per_learned_cell(logreg):
-    P, moderate, far = _separable()
-    table = _separable_sweep(logreg, far, moderate, P)
-    assert len(table.rows) == 6
-    for row in table.rows:
-        if row["method"] == "learned":
-            assert not row["ok"]
-            assert row["error"] == "no usable training queries above the ratio floor"
-        else:
-            assert row["ok"], row["error"]
-
-
 @pytest.mark.parametrize("methods, n_trials, match", [
     (["uniform"], 2.0, "n_trials must be an integer"),
     (["uniform"], True, "n_trials must be an integer"),
@@ -530,13 +504,13 @@ def test_sweep_rejects_repeated_sizes_and_methods(linreg, monkeypatch, sizes,
         "empty-test", "empty-train-learned"])
 def test_sweep_rejects_bad_splits_before_any_cell(linreg, monkeypatch, split,
                                                   value, match):
-    """A split the cells read is read once, before the shared work: a bad one
-    is one ContractError naming it, not a failed row per cell."""
+    """A split the cells read is read once, in the shared work on P, before
+    any cell: a bad one is one ContractError naming it, not a failed row
+    per cell."""
     def no_work(*args, **kwargs):
         raise AssertionError("the sweep started work")
 
-    for module, name in ((evaluate, "_keep_shared_work"),
-                         (evaluate, "_cell_seed"), (learner, "train"),
+    for module, name in ((evaluate, "_cell_seed"), (learner, "train"),
                          (baselines, "uniform_coreset")):
         monkeypatch.setattr(module, name, no_work)
     P = make_synthetic("linear", 30, 2, 0.3, seed=8)
@@ -707,20 +681,52 @@ def test_a_workers_exception_is_raised_in_the_sweep(linreg, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("entry, split", [
-    ("err_avg", "Q_test"), ("train", "Q_train"), ("autocl_average", "Q_train")])
-def test_a_split_with_no_queries_is_rejected(linreg, entry, split):
-    """No average is taken over a split with no queries: a ContractError
-    naming it, not a metric over filtered queries or a failed training."""
-    P = make_synthetic("linear", 30, 2, 0.3, seed=8)
+# each entry that averages over a query set, or bounds by one, with the set
+# it names: (entry, set, whether it takes a ratio average over the set)
+_AVERAGED = [("err_avg", "Q_test", True), ("train-practical", "Q_train", True),
+             ("train-average", "Q_train", True),
+             ("sweep-uniform", "Q_test", True), ("sweep-learned", "Q_test", True),
+             ("sweep-learned", "Q_train", True),
+             ("estimate_M", "query_pool", False),
+             ("MeasurableQuerySpace", "universe", False)]
+
+
+@pytest.mark.parametrize("entry, name, case", [
+    (entry, name, case) for entry, name, ratio in _AVERAGED
+    for case in ("empty", "floored") if ratio or case == "empty"],
+    ids=lambda v: v)
+def test_a_query_set_with_nothing_to_average_is_rejected(logreg, monkeypatch,
+                                                         entry, name, case):
+    """No average is taken over a query set with no queries, nor a ratio
+    average over one with no query above the ratio floor: one ContractError
+    naming the set (core.split_matrix, core.floored_split), from every
+    entry. The sweep raises it before any cell runs."""
+    ran = []
+    for module, attr in ((learner, "train"), (baselines, "uniform_coreset"),
+                         (baselines, "leverage_coreset")):
+        monkeypatch.setattr(module, attr, lambda *a, **k: ran.append(a))
+    P, moderate, far = _separable()
+    bad = np.zeros((0, 2)) if case == "empty" else far
+    splits = {"Q_train": moderate, "Q_val": moderate[:5], "Q_test": moderate,
+              name: bad}
     C = Coreset(P.points[:4], np.full(4, 0.25), P.labels[:4])
-    cfg = TrainConfig(coreset_size=4, epochs=1)
-    calls = {"err_avg": lambda: err_avg(P, C, linreg, []),
-             "train": lambda: train(P, np.zeros((0, 2)), None, linreg, cfg),
-             "autocl_average": lambda: learner.autocl_average(
-                 P, [], [[1.0, 0.0]], linreg, cfg)}
-    with pytest.raises(ContractError, match=f"^{split} holds no queries$"):
-        calls[entry]()
+    cfg = TrainConfig(coreset_size=4, epochs=1, algorithm="average"
+                      if entry == "train-average" else "practical")
+    methods = ["learned", "uniform"] if entry == "sweep-learned" else METHODS[1:]
+    calls = {
+        "err_avg": lambda: err_avg(P, C, logreg, bad),
+        "train": lambda: train(P, bad, moderate[:5], logreg, cfg),
+        "sweep": lambda: sweep(P, logreg, [4], methods, 1, 0, splits["Q_train"],
+                               splits["Q_val"], splits["Q_test"], cfg),
+        "estimate_M": lambda: estimate_M(P, logreg, bad),
+        "MeasurableQuerySpace": lambda: MeasurableQuerySpace(
+            P, logreg, bad, [1.0]),
+    }
+    match = (f"^{name} holds no queries$" if case == "empty" else
+             f"^{name} has no query above the ratio floor: all 30 dropped$")
+    with pytest.raises(ContractError, match=match):
+        calls[entry.partition("-")[0]]()
+    assert ran == []
 
 
 @pytest.mark.parametrize("data_dim, coreset_dim", [(2, 3), (3, 2)])

@@ -431,7 +431,7 @@ def test_an_empty_query_list_is_no_queries():
     costs, *grads = _LOSS.weighted_grads(_P.points, _P.labels, _P.weights,
                                          [], np.ones(0))
     assert costs.shape == (0,) and not any(g.any() for g in grads)
-    with pytest.raises(ContractError, match="query pool must be non-empty"):
+    with pytest.raises(ContractError, match="^query_pool holds no queries$"):
         estimate_M(_P, _LOSS, [])
 
 
@@ -484,7 +484,12 @@ _REJECTIONS = [
         OptimizerState.for_params(np.zeros(2)), np.zeros(2), np.zeros(3), 0.1),
      ContractError, "gradient shape (3,) does not match parameters (2,)"),
     ("synthetic-task", lambda tmp, mp: make_synthetic("cubic", 5, 2),
-     DatasetError, "unknown synthetic task 'cubic'"),
+     DatasetError,
+     "unknown synthetic task 'cubic', expected 'linear' or 'logistic'"),
+    # one name per task: another would label another random stream
+    ("synthetic-task-alias", lambda tmp, mp: make_synthetic("linreg", 5, 2),
+     DatasetError,
+     "unknown synthetic task 'linreg', expected 'linear' or 'logistic'"),
     ("binary-labels", lambda tmp, mp: load_dataset(
         _file(tmp, "d.csv", "0.5,0\n1.5,2\n"),
         Schema(["0"], "1", binary_label=True)),
@@ -502,19 +507,19 @@ _REJECTIONS = [
         ["bounds", "--eps", "0.1", "--delta", "0.05"]),
      ConfigError, "give --M or --estimate-M"),
     # bounds reads a config and a seed only to estimate M, and refuses
-    # flags it would ignore before it reads any file
-    ("bounds-seed-without-estimate-M", lambda tmp, mp: _handler(
+    # flags it would ignore before it reads any file: a usage error
+    ("bounds-seed-without-estimate-M", lambda tmp, mp: main(
         ["bounds", "--eps", "0.1", "--delta", "0.05", "--M", "1",
          "--seed", "5"]),
-     ConfigError, "--config and --seed are read only with --estimate-M"),
+     1, "error: --config and --seed are read only with --estimate-M\n"),
     ("bounds-config-without-estimate-M", lambda tmp, mp: _handler(
         ["bounds", "--eps", "0.1", "--delta", "0.05", "--M", "1",
          "--config", str(tmp / "none.json")]),
      ConfigError, "--config and --seed are read only with --estimate-M"),
-    ("bounds-M-and-estimate-M", lambda tmp, mp: _handler(
+    ("bounds-M-and-estimate-M", lambda tmp, mp: main(
         ["bounds", "--eps", "0.1", "--delta", "0.05", "--M", "1",
          "--estimate-M", "--config", str(tmp / "none.json")]),
-     ConfigError, "give --M or --estimate-M, not both"),
+     1, "error: give --M or --estimate-M, not both\n"),
     ("no-dataset", lambda tmp, mp: _config(tmp, '{"dataset": {"synth": null}}'),
      ConfigError, "dataset needs either a path or a synth block"),
     ("path-without-schema", lambda tmp, mp: resolve_dataset(

@@ -223,23 +223,25 @@ def test_query_batch_is_its_query_matrix(linreg):
 def _per_start_pool(P, loss, n_starts, steps_per_start, gd_lr, seed):
     """trajectory_queries as one start after another, each step one
     query_grad over the data: the reference the stepped starts must match.
-    A start stops before the first iterate whose cost is not finite, or
-    whose gradient norm grows by more than GROWTH_RTOL of its first."""
+    A start stops before the first iterate, its starting point included,
+    whose cost or gradient norm is not finite, or whose gradient norm grows
+    by more than GROWTH_RTOL of its first."""
     rng = stream_rng(seed, "trajectory_queries")
     out = []
     for start in range(n_starts):
         q = rng.standard_normal(loss.query_dim(P.dim))
-        out.append(q.copy())
-        _, g = loss.query_grad(P.points, P.labels, P.weights, q)
-        first = size = np.linalg.norm(g)
-        for _ in range(steps_per_start):
-            q = q - gd_lr * g
+        size = np.inf
+        for step in range(steps_per_start + 1):
             cost, before = np.inf, size
-            if np.all(np.isfinite(q)):
-                with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if step:
+                    q = q - gd_lr * g
+                if np.all(np.isfinite(q)):
                     cost, g = loss.query_grad(P.points, P.labels, P.weights, q)
                     size = np.linalg.norm(g)
-            if not np.isfinite(cost) or size > before + GROWTH_RTOL * first:
+            first = size if not step else first
+            if (not np.isfinite(cost) or not np.isfinite(size)
+                    or size > before + GROWTH_RTOL * first):
                 warnings.warn(f"trajectory {start} diverged; truncating")
                 break
             out.append(q.copy())
@@ -272,6 +274,33 @@ def test_an_iterate_past_float_range_cuts_its_start():
         ref, ref_caught = _pool_and_warnings(lambda: _per_start_pool(*args))
     assert caught == ref_caught == ["trajectory 0 diverged; truncating"]
     assert np.isfinite(pool).all() and np.array_equal(pool, ref)
+
+
+@pytest.mark.parametrize("kind, init_scale, gd_lr, cut, rows", [
+    ("linear_regression", 3e153, 0.01, [0, 2], 12),
+    ("linear_regression", 1e160, 0.01, [0, 1, 2, 3], 0),
+    ("logistic_regression", 1.0, 1.7e308, [0], 7),
+], ids=["linear-some-starts", "linear-every-start", "logistic-step-past-range"])
+def test_every_iterate_has_a_finite_cost(kind, init_scale, gd_lr, cut, rows):
+    """The starting point is checked as every later iterate is, and the
+    step that overflows runs where the check does: a start whose first
+    iterate has no finite cost keeps no row (the linear starts cut here),
+    the pool's own warnings are the only ones, and every kept row's cost is
+    finite."""
+    loss = LossModel(kind)
+    if kind == "linear_regression":
+        P = make_synthetic("linear", 50, 2, 0.1, seed=3)
+    else:
+        x = np.array([[10.0], [20.0], [-15.0], [-30.0]])
+        P = WeightedLabeledSet(x, np.full(4, 0.25), np.sign(x[:, 0]))
+    n_starts = 4 if kind == "linear_regression" else 2
+    pool, caught = _pool_and_warnings(lambda: trajectory_queries(
+        P, loss, n_starts, 5, gd_lr=gd_lr, init_scale=init_scale, seed=0))
+    assert caught == [f"trajectory {s} diverged; truncating" for s in cut]
+    assert len(pool) == rows
+    # a logistic row past float range has margins of +-inf and cost 0
+    with np.errstate(over="ignore"):
+        assert np.isfinite(set_costs(P, loss, pool)).all()
 
 
 # The Gram form's pool against the per-start loop, as the largest row-norm
